@@ -3,6 +3,10 @@
 Everything runs on float64 numpy arrays. The autodiff tape is deliberately
 minimal: it supports exactly the operations the training objective needs
 (matmul, add, relu, softmax, log, elementwise mul, sum/mean, L2-normalize).
+One node is built outside this module: the fused InfoNCE node of
+`objective.feature_consistency_loss`, whose backward repeats the float steps
+of the equivalent log/softmax/matmul chain so its gradient is bit-identical.
+A graph is backpropagated once; backward() tears it down as it goes.
 
 Divergences use base-2 logarithms throughout so that the Jensen-Shannon
 divergence is bounded in [0, 1]; the selection thresholds rely on that bound.
@@ -122,7 +126,7 @@ class Tensor:
     """A float64 array node on an (implicit) reverse-mode tape.
 
     Tensors are value-like; a fresh graph is built for every training step and
-    discarded after backward(). Parameters are Tensors with requires_grad=True.
+    torn down by backward(). Parameters are Tensors with requires_grad=True.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -154,7 +158,13 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar loss."""
+        """Reverse-mode sweep from a scalar loss.
+
+        A graph is backpropagated once: each node drops its backward closure
+        and its parents after running them, which breaks the node <-> closure
+        reference cycles so a dead graph is freed by reference counting
+        rather than waiting for the cyclic garbage collector.
+        """
         if self.data.size != 1:
             raise DiffMathError(f"backward requires a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -176,6 +186,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None and node.requires_grad:
                 node._backward_fn()
+            node._backward_fn = None
+            node._parents = ()
 
     # -- arithmetic ---------------------------------------------------------
 

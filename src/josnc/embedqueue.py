@@ -116,7 +116,10 @@ class EmbedQueue:
 
         Returns a list of KnnResult or None (None where fewer than k entries
         remain after exclusion). Uses argpartition with a slack window, then
-        resolves order (and float-tie recency) exactly within the window.
+        resolves order (and float-tie recency) exactly within the window. When
+        the window ends on a similarity tied with the k-th (e.g. dead-ReLU keys
+        pinned to one unit vector), ties may lie outside it, so the candidates
+        are widened to every kept entry at or above the k-th similarity.
         """
         queries = np.atleast_2d(queries)
         n_entries = len(self)
@@ -135,7 +138,11 @@ class EmbedQueue:
             cand = np.argpartition(-row, window - 1)[:window] \
                 if window < n_entries else np.arange(n_entries)
             cand = cand[self._ids[cand] != exc]
-            order = cand[np.lexsort((-self._seq[cand], -row[cand]))][:k]
+            order = cand[np.lexsort((-self._seq[cand], -row[cand]))]
+            if window < n_entries and row[order[-1]] >= row[order[k - 1]]:
+                cand = np.flatnonzero(keep & (row >= row[order[k - 1]]))
+                order = cand[np.lexsort((-self._seq[cand], -row[cand]))]
+            order = order[:k]
             results.append(KnnResult(
                 similarities=row[order],
                 observed_labels=self._labels[order],

@@ -7,6 +7,14 @@ consistency terms are symmetric KL between view predictions, KL against a
 similarity-weighted neighbor mixture, and an InfoNCE feature loss over the
 embedding queue. KL-based consistency uses base-2 logs, consistent with the
 selection metrics; the base only rescales the alpha/beta weights.
+
+The InfoNCE term is one fused tape node over an (N, N + Q) buffer that holds
+the softmax and then, in backward, the logit gradient. Its gradient is
+bit-identical to the generic matmul -> scale -> softmax -> log -> one-hot sum
+chain (the backward repeats that chain's float operations in order), so
+training trajectories do not depend on the fusion. Its loss value sums the N
+diagonal log-probabilities directly instead of a masked (N, N + Q) matrix, so
+it can differ from the chain's in the last ulp.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmath import LOG2, DiffMathError, Tensor
+from .diffmath import LOG2, LOG_FLOOR, DiffMathError, Tensor
 
 
 @dataclass
@@ -95,7 +103,8 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
     """InfoNCE over cosine similarities; applied to the whole batch.
 
     The i-th positive key is the i-th row of positive_keys; the negative pool
-    is positive_keys plus the stored queue embeddings (all constants).
+    is positive_keys plus the stored queue embeddings (all constants). The
+    result is a single tape node whose only parent is query_emb.
     """
     if t_ssl <= 0:
         raise DiffMathError(f"t_ssl must be positive, got {t_ssl}")
@@ -107,11 +116,32 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
         else np.concatenate([positive_keys, queue_pool])
     if pool.shape[0] == 0:
         raise DiffMathError("empty contrastive pool")
-    sims = query_emb @ pool.T          # (N, N + Q)
-    log_p = (sims * (1.0 / t_ssl)).softmax().log()
-    onehot = np.zeros((n, pool.shape[0]))
-    onehot[np.arange(n), np.arange(n)] = 1.0
-    return -(log_p * onehot).sum() / n
+    inv_t = 1.0 / t_ssl
+    y = query_emb.data @ pool.T        # (N, N + Q) logits, softmaxed in place
+    y *= inv_t
+    if not np.isfinite(y).all():
+        raise DiffMathError("softmax input contains non-finite values")
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    rows = np.arange(n)
+    y_pos = y[rows, rows]
+    floored = np.maximum(y_pos, LOG_FLOOR)
+    loss = -np.log(floored).sum() * (1.0 / n)
+    out = Tensor(loss, _parents=(query_emb,))
+
+    def bw():   # runs only if query_emb, the only parent, requires grad
+        # The float steps of the log -> softmax -> scale -> matmul tape
+        # chain, in its order, so the gradient is bit-identical to it.
+        g = -(out.grad * (1.0 / n)) / floored
+        s = g * y_pos
+        dz = y                      # logit gradient overwrites the softmax
+        dz *= -s[:, None]
+        dz[rows, rows] = y_pos * (g - s)
+        dz *= inv_t
+        query_emb._accum(dz @ pool)
+    out._backward_fn = bw
+    return out
 
 
 def total_loss(l_cls: Tensor, l_con_s: Tensor, l_con_n: Tensor, l_con_f: Tensor,

@@ -204,16 +204,21 @@ def test_criterion_3_knn_oracle_equivalence():
               rng.dirichlet(np.ones(4), n_entries), ids)
     queries = rng.normal(size=(n_queries, dim))
     queries /= np.sqrt((queries ** 2).sum(-1, keepdims=True))
-    for query in queries:
+    batch = q.knn_batch(queries, k, np.full(n_queries, -1))
+    for query, res_batch in zip(queries, batch):
         res = q.knn(query, k)
         sims = emb @ query
         brute = np.argsort(-sims, kind="stable")[:k]
         np.testing.assert_array_equal(res.sample_ids, ids[brute])
         np.testing.assert_array_equal(res.similarities, sims[brute])
+        # knn_batch is the path the trainer runs (one matmul for all queries)
+        np.testing.assert_array_equal(res_batch.sample_ids, ids[brute])
+        np.testing.assert_allclose(res_batch.similarities, sims[brute],
+                                   rtol=0.0, atol=1e-12)
     elapsed = time.time() - t0
     report(3, elapsed < 5.0,
-           f"knn == brute force on 100 queries x 1000 entries, exact "
-           f"({elapsed:.1f}s < 5s)")
+           f"knn and knn_batch == brute force on 100 queries x 1000 entries, "
+           f"exact ({elapsed:.1f}s < 5s)")
 
 
 # ---------------------------------------------------------------------------

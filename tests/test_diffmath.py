@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -208,6 +210,28 @@ def test_grad_accumulates_across_reuse():
     loss = (w * w).sum() + (w * 3.0).sum()
     loss.backward()
     np.testing.assert_allclose(w.grad, [7.0])
+
+
+def test_backward_frees_the_graph_without_the_cycle_collector(rng):
+    # Tensor has __slots__ and no weakref slot; an intermediate node owns its
+    # data array, so that array outlives the node only if something else
+    # (a backward closure) still holds it.
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        hidden = (Tensor(rng.normal(size=(2, 3))) @ w).relu()
+        probs = hidden.softmax()
+        refs = [weakref.ref(hidden.data), weakref.ref(probs.data)]
+        loss = (probs.log() * rng.dirichlet(np.ones(4), size=2)).sum()
+        del hidden, probs
+        loss.backward()
+        del loss
+        assert all(r() is None for r in refs)
+        assert w.grad is not None and w.grad.shape == (3, 4)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def test_temperature_softmax_gradient(rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from josnc.embedqueue import EmbedQueue, InsufficientNeighbors, QueueError
 
@@ -88,6 +90,34 @@ def test_knn_batch_matches_scalar_knn(rng):
         np.testing.assert_array_equal(batch[i].sample_ids, single.sample_ids)
         np.testing.assert_allclose(batch[i].similarities,
                                    single.similarities, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pinned_frac=st.floats(0.2, 0.9),
+       k=st.integers(1, 12))
+def test_knn_batch_matches_knn_with_pinned_ties(seed, pinned_frac, k):
+    # Dead-ReLU keys are pinned to one unit vector, so long runs of exactly
+    # tied similarities arise; knn_batch must keep the newest-first tie rule.
+    rng = np.random.default_rng(seed)
+    d, n = 6, 120
+    q = EmbedQueue(100, d, 4)
+    emb = unit_rows(rng, n, d)
+    emb[rng.random(n) < pinned_frac] = np.eye(d)[0]
+    ids = rng.integers(0, 40, size=n)      # repeated ids: exclusion drops several
+    q.enqueue(emb, rng.integers(0, 4, n), rng.random(n),
+              rng.dirichlet(np.ones(4), n), ids)
+    queries = np.concatenate([np.eye(d)[:1], unit_rows(rng, 9, d)])
+    exclude = np.concatenate([rng.choice(ids, size=7), [-1, -1, -1]])
+    batch = q.knn_batch(queries, k=k, exclude_ids=exclude)
+    for query, exc, got in zip(queries, exclude, batch):
+        try:
+            want = q.knn(query, k=k, exclude_id=int(exc))
+        except InsufficientNeighbors:
+            assert got is None
+            continue
+        np.testing.assert_array_equal(got.sample_ids, want.sample_ids)
+        np.testing.assert_allclose(got.similarities, want.similarities,
+                                   atol=1e-12)
 
 
 def test_knn_batch_none_when_too_small(rng):

@@ -141,6 +141,51 @@ def test_feature_consistency_validation(rng):
         feature_consistency_loss(q, np.eye(E)[:3], None)
 
 
+def infonce_tape_chain(query_emb, positive_keys, queue_pool, t_ssl):
+    """Oracle: InfoNCE built from generic tape nodes (matmul, scale, softmax,
+    log, one-hot product, sum), the construction the fused node replaces."""
+    n = query_emb.data.shape[0]
+    pool = np.concatenate([positive_keys, queue_pool])
+    log_p = ((query_emb @ pool.T) * (1.0 / t_ssl)).softmax().log()
+    onehot = np.zeros((n, pool.shape[0]))
+    onehot[np.arange(n), np.arange(n)] = 1.0
+    return -(log_p * onehot).sum() / n
+
+
+@pytest.mark.parametrize("t_ssl", [0.07, 0.1, 0.5, 1.0])
+def test_feature_consistency_bit_exact_against_tape_chain(t_ssl):
+    rng = np.random.default_rng(2024)
+    n, q, e, gamma = 128, 4096, 16, 0.01
+
+    def unit(rows):
+        return rows / np.sqrt((rows ** 2).sum(-1, keepdims=True))
+
+    query = unit(rng.normal(size=(n, e)))
+    keys = unit(query + 0.3 * rng.normal(size=(n, e)))
+    keys[0] = -query[0]            # a positive that underflows the log floor
+    queue = unit(rng.normal(size=(q, e)))
+    queue[: q // 4] = np.eye(e)[0]  # dead-row keys pinned to one unit vector
+
+    grads, losses = [], []
+    for build in (feature_consistency_loss, infonce_tape_chain):
+        emb = Tensor(query.copy(), requires_grad=True)
+        loss = build(emb, keys, queue, t_ssl)
+        (loss * gamma).backward()   # upstream gradient gamma, as in total_loss
+        grads.append(emb.grad)
+        losses.append(loss.item())
+    assert np.array_equal(grads[0], grads[1])
+    assert abs(losses[0] - losses[1]) <= 1e-12
+
+
+def test_feature_consistency_rejects_nonfinite(rng):
+    q = rng.normal(size=(N, E))
+    keys = np.eye(E)[np.arange(N) % E]
+    for bad in (np.nan, np.inf):
+        q[2, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(DiffMathError):
+            feature_consistency_loss(Tensor(q), keys, keys)
+
+
 def test_total_loss_weighting(rng):
     parts = [Tensor(np.array(v)) for v in (1.0, 2.0, 3.0, 4.0)]
     total, br = total_loss(*parts, alpha=0.3, beta=0.1, gamma=1e-4)
