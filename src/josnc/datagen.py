@@ -18,8 +18,6 @@ CLEAN = 0
 ID_NOISY = 1
 OOD_NOISY = 2
 
-NOISE_KIND_NAMES = {CLEAN: "CLEAN", ID_NOISY: "ID_NOISY", OOD_NOISY: "OOD_NOISY"}
-
 _MAGIC = b"JSNC1"
 _TAGS_MAGIC = b"JSNCT"
 
@@ -58,10 +56,6 @@ class TagTable:
     ids: np.ndarray
     true_labels: np.ndarray   # over the full label space incl. OOD classes
     noise_kinds: np.ndarray   # CLEAN / ID_NOISY / OOD_NOISY
-
-    def as_dict(self) -> dict:
-        return {int(i): (int(t), int(k))
-                for i, t, k in zip(self.ids, self.true_labels, self.noise_kinds)}
 
 
 @dataclass

@@ -132,12 +132,13 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _backward_fn=None):
+                 _parents: tuple = ()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward_fn = _backward_fn
+        # a result that needs no gradient is not on the tape: no graph links
+        self._parents = _parents if self.requires_grad else ()
+        self._backward_fn = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -149,6 +150,16 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += grad
+
+    def _record(self, backward_fn) -> "Tensor":
+        """Attach backward_fn if this node is on the tape; returns self.
+
+        A node that requires no gradient keeps no closure, so it forms no
+        node <-> closure cycle and is freed by reference counting.
+        """
+        if self.requires_grad:
+            self._backward_fn = backward_fn
+        return self
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -200,8 +211,7 @@ class Tensor:
                 self._accum(_unbroadcast(out.grad, self.shape))
             if other.requires_grad:
                 other._accum(_unbroadcast(out.grad, other.shape))
-        out._backward_fn = bw
-        return out
+        return out._record(bw)
 
     __radd__ = __add__
 
@@ -214,8 +224,7 @@ class Tensor:
                 self._accum(_unbroadcast(out.grad * other.data, self.shape))
             if other.requires_grad:
                 other._accum(_unbroadcast(out.grad * self.data, other.shape))
-        out._backward_fn = bw
-        return out
+        return out._record(bw)
 
     __rmul__ = __mul__
 
@@ -242,8 +251,7 @@ class Tensor:
                 self._accum(out.grad @ other.data.T)
             if other.requires_grad:
                 other._accum(self.data.T @ out.grad)
-        out._backward_fn = bw
-        return out
+        return out._record(bw)
 
     __matmul__ = matmul
 
@@ -253,8 +261,7 @@ class Tensor:
         def bw():
             if self.requires_grad:
                 self._accum(out.grad * (self.data > 0))
-        out._backward_fn = bw
-        return out
+        return out._record(bw)
 
     def log(self):
         """Natural log with the 1e-12 floor guard."""
@@ -264,8 +271,7 @@ class Tensor:
         def bw():
             if self.requires_grad:
                 self._accum(out.grad / floored)
-        out._backward_fn = bw
-        return out
+        return out._record(bw)
 
     def softmax(self, temperature: float = 1.0):
         """Row-wise temperature softmax over the last axis."""
@@ -277,8 +283,7 @@ class Tensor:
                 g = out.grad
                 dz = y * (g - (g * y).sum(axis=-1, keepdims=True))
                 self._accum(dz / temperature)
-        out._backward_fn = bw
-        return out
+        return out._record(bw)
 
     def sum(self):
         out = Tensor(self.data.sum(), _parents=(self,))
@@ -286,8 +291,7 @@ class Tensor:
         def bw():
             if self.requires_grad:
                 self._accum(np.full_like(self.data, float(out.grad)))
-        out._backward_fn = bw
-        return out
+        return out._record(bw)
 
     def mean(self):
         return self.sum() / self.data.size
@@ -317,8 +321,7 @@ class Tensor:
                     gx = gx.copy()
                     gx[dead] = 0.0
                 self._accum(gx)
-        out._backward_fn = bw
-        return out
+        return out._record(bw)
 
     def item(self) -> float:
         return float(self.data)

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# key blocks of the grouped top-k threshold in knn_batch
+_GROUPS = 32
+
 
 class QueueError(ValueError):
     pass
@@ -38,6 +41,40 @@ class KnnResult:
     p_clean: np.ndarray
     preds: np.ndarray          # (K, C)
     sample_ids: np.ndarray
+
+
+@dataclass
+class KnnBatch:
+    """Top-K arrays for a batch of B queries, one row per query.
+
+    Rows where found is False (fewer than K entries after exclusion) hold
+    zeros. len(), [i] and iteration give each row as a KnnResult, or None if
+    not found.
+    """
+    similarities: np.ndarray   # (B, K)
+    observed_labels: np.ndarray
+    p_clean: np.ndarray
+    preds: np.ndarray          # (B, K, C)
+    sample_ids: np.ndarray
+    found: np.ndarray          # (B,) bool
+
+    def __len__(self):
+        return self.found.size
+
+    def __getitem__(self, i):
+        if not self.found[i]:
+            return None
+        return KnnResult(similarities=self.similarities[i],
+                         observed_labels=self.observed_labels[i],
+                         p_clean=self.p_clean[i], preds=self.preds[i],
+                         sample_ids=self.sample_ids[i])
+
+
+def _rows(values: np.ndarray, hit: np.ndarray, n: int) -> np.ndarray:
+    """n rows of zeros with values placed at rows hit."""
+    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
+    out[hit] = values
+    return out
 
 
 class EmbedQueue:
@@ -111,46 +148,55 @@ class EmbedQueue:
         )
 
     def knn_batch(self, queries: np.ndarray, k: int,
-                  exclude_ids: np.ndarray) -> list:
-        """Vectorized top-K for a batch of queries.
+                  exclude_ids: np.ndarray) -> KnnBatch:
+        """Exact top-K for a batch of queries; row i skips exclude_ids[i].
 
-        Returns a list of KnnResult or None (None where fewer than k entries
-        remain after exclusion). Uses argpartition with a slack window, then
-        resolves order (and float-tie recency) exactly within the window. When
-        the window ends on a similarity tied with the k-th (e.g. dead-ReLU keys
-        pinned to one unit vector), ties may lie outside it, so the candidates
-        are widened to every kept entry at or above the k-th similarity.
+        Each found row equals `knn` for its query (descending similarity,
+        ties newest first), with similarities from one (B, M) matmul. A row
+        is not found when fewer than k entries remain after its exclusion.
+
+        Grouped threshold: the first G*L keys (G = _GROUPS, L = M // G) form
+        G blocks of L columns, whose elementwise max gives L group maxima per
+        row, each over G distinct keys. With E the most entries any row
+        excludes, at least k kept keys reach the (k + E)-th largest group
+        max, so every top-k key and every key tied with the k-th does. Only
+        the keys at or above it, plus the M mod G tail keys, are sorted, by
+        one lexsort over (row, -similarity, -insertion order). If L < k + E
+        every key is a candidate.
         """
         queries = np.atleast_2d(queries)
-        n_entries = len(self)
-        results = []
-        if n_entries == 0:
-            return [None] * queries.shape[0]
-        sims_all = queries @ self._emb.T   # (B, n_entries)
-        for row, exc in zip(sims_all, np.asarray(exclude_ids)):
-            keep = self._ids != exc
-            n_keep = int(keep.sum())
-            if n_keep < k:
-                results.append(None)
-                continue
-            excluded = n_entries - n_keep
-            window = min(n_entries, k + excluded + 8)
-            cand = np.argpartition(-row, window - 1)[:window] \
-                if window < n_entries else np.arange(n_entries)
-            cand = cand[self._ids[cand] != exc]
-            order = cand[np.lexsort((-self._seq[cand], -row[cand]))]
-            if window < n_entries and row[order[-1]] >= row[order[k - 1]]:
-                cand = np.flatnonzero(keep & (row >= row[order[k - 1]]))
-                order = cand[np.lexsort((-self._seq[cand], -row[cand]))]
-            order = order[:k]
-            results.append(KnnResult(
-                similarities=row[order],
-                observed_labels=self._labels[order],
-                p_clean=self._p_clean[order],
-                preds=self._preds[order],
-                sample_ids=self._ids[order],
-            ))
-        return results
+        b, m = queries.shape[0], len(self)
+        exclude_ids = np.asarray(exclude_ids, dtype=np.int64)
+        sims = queries @ self._emb.T   # (B, M); unit vectors: cosine == dot
+        # entries each row excludes, by id lookup (an id may repeat)
+        sorted_ids = np.sort(self._ids)
+        n_excl = (np.searchsorted(sorted_ids, exclude_ids, side="right")
+                  - np.searchsorted(sorted_ids, exclude_ids, side="left"))
+        found = m - n_excl >= k
+
+        cand = np.ones((b, m), dtype=bool)
+        n_groups = m // _GROUPS
+        need = k + int(n_excl.max(initial=0))
+        if n_groups >= need:
+            head = _GROUPS * n_groups
+            group_max = sims[:, :head].reshape(b, _GROUPS, n_groups).max(axis=1)
+            th = np.partition(group_max, n_groups - need,
+                              axis=1)[:, n_groups - need]
+            np.greater_equal(sims[:, :head], th[:, None], out=cand[:, :head])
+        rows, cols = np.divmod(np.flatnonzero(cand), m)
+        kept = found[rows] & (self._ids[cols] != exclude_ids[rows])
+        rows, cols = rows[kept], cols[kept]
+        order = np.lexsort((-self._seq[cols], -sims[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        hit = np.flatnonzero(found)
+        top = cols[np.searchsorted(rows, hit)[:, None] + np.arange(k)]
+        return KnnBatch(
+            similarities=_rows(sims[hit[:, None], top], hit, b),
+            observed_labels=_rows(self._labels[top], hit, b),
+            p_clean=_rows(self._p_clean[top], hit, b),
+            preds=_rows(self._preds[top], hit, b),
+            sample_ids=_rows(self._ids[top], hit, b),
+            found=found)
 
     def embeddings_view(self) -> np.ndarray:
         """Read-only view of stored keys (contrastive negative pool)."""

@@ -27,7 +27,7 @@ class LabelerError(ValueError):
 class TrainingTarget:
     kind: str                      # POSITIVE or NEGATIVE
     dist: np.ndarray               # ProbVec (POSITIVE) or one-hot complement (NEGATIVE)
-    partial_set: Optional[frozenset] = None
+    partial_set: Optional[np.ndarray] = None   # PLL candidate mask, dist's shape
 
 
 def make_lsr_target(label: int, n_classes: int, epsilon: float) -> TrainingTarget:
@@ -53,32 +53,33 @@ def lsr_matrix(labels: np.ndarray, n_classes: int, epsilon: float) -> np.ndarray
 
 def make_pll_target(teacher_pred, kappa: int, t_in: float = 0.1,
                     t_out: float = 1.0) -> TrainingTarget:
-    """Partial-label target: sharpen the teacher's top-kappa classes.
+    """Partial-label targets: sharpen each row's top-kappa teacher classes.
 
-    The candidate set holds the kappa largest teacher predictions (ties go to
-    the lower class index). Entries inside the set are divided by t_in and the
-    rest by t_out before a plain softmax, so in-set mass strictly grows.
+    teacher_pred is one (C,) distribution or an (N, C) batch of rows. The
+    candidate set holds the kappa largest teacher predictions (ties go to
+    the lower class index); partial_set is its boolean mask. Entries inside
+    the set are divided by t_in and the rest by t_out before a plain
+    softmax, so in-set mass strictly grows.
     """
     pred = check_prob_vec(teacher_pred)
-    c = pred.size
+    c = pred.shape[-1]
     if not (1 <= kappa <= c):
         raise LabelerError(f"kappa must be in [1, {c}], got {kappa}")
-    # stable sort on (-pred, index): ties resolve to the lower index
-    order = np.lexsort((np.arange(c), -pred))
-    omega = frozenset(int(i) for i in order[:kappa])
-    scaled = pred / t_out
-    in_set = np.zeros(c, dtype=bool)
-    in_set[list(omega)] = True
-    scaled[in_set] = pred[in_set] / t_in
-    e = np.exp(scaled - scaled.max())
-    dist = e / e.sum()
-    return TrainingTarget(kind=POSITIVE, dist=dist, partial_set=omega)
+    # stable sort of -pred: ties resolve to the lower index
+    order = np.argsort(-pred, axis=-1, kind="stable")
+    in_set = np.zeros(pred.shape, dtype=bool)
+    np.put_along_axis(in_set, order[..., :kappa], True, axis=-1)
+    scaled = np.where(in_set, pred / t_in, pred / t_out)
+    e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+    dist = e / e.sum(axis=-1, keepdims=True)
+    return TrainingTarget(kind=POSITIVE, dist=dist, partial_set=in_set)
 
 
 def make_negative_target(teacher_pred) -> TrainingTarget:
-    """One-hot at the teacher's least-likely class (ties to the lower index)."""
+    """One-hot at each row's least-likely teacher class (ties to the lower
+    index); teacher_pred is one (C,) distribution or an (N, C) batch."""
     pred = check_prob_vec(teacher_pred)
-    idx = int(np.argmin(pred))   # argmin already takes the first minimum
-    dist = np.zeros(pred.size)
-    dist[idx] = 1.0
+    dist = np.zeros(pred.shape)
+    # argmin already takes the first minimum
+    np.put_along_axis(dist, np.argmin(pred, axis=-1)[..., None], 1.0, axis=-1)
     return TrainingTarget(kind=NEGATIVE, dist=dist)

@@ -80,10 +80,6 @@ class Model:
         """Detached copy of all parameters (teacher initialization)."""
         return {k: v.data.copy() for k, v in self.params.items()}
 
-    def predict(self, x: np.ndarray):
-        """Gradient-free forward on the student weights."""
-        return forward_arrays(self.snapshot_view(), self.config, x)
-
     def snapshot_view(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.params.items()}
 

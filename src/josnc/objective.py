@@ -86,16 +86,18 @@ def neighbor_consistency_loss(p: Tensor, mixtures: np.ndarray,
 def neighbor_mixture(similarities: np.ndarray, neighbor_preds: np.ndarray) -> np.ndarray:
     """Similarity-weighted mixture of stored neighbor predictions.
 
-    Negative cosine similarities are clipped to zero before renormalization;
-    an all-zero weight vector falls back to uniform weights.
+    similarities (K,) with neighbor_preds (K, C) gives one (C,) mixture;
+    (N, K) with (N, K, C) gives one per row. Negative cosine similarities
+    are clipped to zero before renormalization; an all-zero weight row falls
+    back to uniform weights. The stacked matmul gives each row the bits of
+    its own `w @ preds` (an einsum would not).
     """
     w = np.maximum(np.asarray(similarities, dtype=np.float64), 0.0)
-    total = w.sum()
-    if total <= 0.0:
-        w = np.full(w.size, 1.0 / w.size)
-    else:
-        w = w / total
-    return w @ np.asarray(neighbor_preds, dtype=np.float64)
+    total = w.sum(axis=-1, keepdims=True)
+    w = np.divide(w, total, out=np.full_like(w, 1.0 / w.shape[-1]),
+                  where=total > 0.0)
+    preds = np.asarray(neighbor_preds, dtype=np.float64)
+    return np.matmul(w[..., None, :], preds)[..., 0, :]
 
 
 def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
@@ -140,8 +142,7 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
         dz[rows, rows] = y_pos * (g - s)
         dz *= inv_t
         query_emb._accum(dz @ pool)
-    out._backward_fn = bw
-    return out
+    return out._record(bw)
 
 
 def total_loss(l_cls: Tensor, l_con_s: Tensor, l_con_n: Tensor, l_con_f: Tensor,

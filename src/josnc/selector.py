@@ -22,7 +22,6 @@ import numpy as np
 from .diffmath import js_divergence_rows
 
 CLEAN, ID, OOD = 0, 1, 2
-PARTITION_NAMES = {CLEAN: "CLEAN", ID: "ID", OOD: "OOD"}
 
 
 class SelectorError(ValueError):
@@ -31,6 +30,7 @@ class SelectorError(ValueError):
 
 @dataclass
 class SampleScores:
+    """Scores of one sample (floats) or of a batch (aligned (N,) arrays)."""
     p_clean: float
     p_ood: float
     neighbor_mean_p_clean: Optional[float] = None
@@ -121,16 +121,17 @@ class ThresholdState:
         self._count[:] = 0
 
 
-def classify_sample(scores: SampleScores, observed_label: int,
-                    thresholds: ThresholdState) -> int:
-    """Apply the clean criterion, then the OOD criterion, else ID."""
+def classify_sample(scores: SampleScores, observed_label,
+                    thresholds: ThresholdState):
+    """Apply the clean criterion, then the OOD criterion, else ID.
+
+    Works on one sample or elementwise on a batch (observed_label an (N,)
+    array); returns the partition code(s).
+    """
     tau_c = thresholds.tau_clean[observed_label]
-    if scores.p_clean > tau_c:
-        return CLEAN
-    if (scores.neighbors_share_label
-            and scores.neighbor_mean_p_clean is not None
-            and scores.neighbor_mean_p_clean > tau_c):
-        return CLEAN
-    if scores.p_ood > thresholds.tau_ood[observed_label]:
-        return OOD
-    return ID
+    clean = scores.p_clean > tau_c
+    if scores.neighbor_mean_p_clean is not None:
+        clean = clean | (scores.neighbors_share_label
+                         & (scores.neighbor_mean_p_clean > tau_c))
+    ood = scores.p_ood > thresholds.tau_ood[observed_label]
+    return np.where(clean, CLEAN, np.where(ood, OOD, ID))[()]

@@ -3,6 +3,12 @@ epochs with partition -> label reassignment -> joint loss -> SGD step ->
 teacher EMA -> queue update, rolling the adaptive thresholds at every epoch
 boundary.
 
+A robust step handles its batch as arrays: one `knn_batch` call gives every
+row's K queue neighbors, and `robust_targets` turns scores, neighbors and
+teacher predictions into partition codes, classification targets and
+neighbor mixtures with no per-row Python loop. Its results are bit-identical
+to classifying and labeling one sample at a time (tests/oracles.py).
+
 The loop receives only features, observed labels, and sample ids; hidden noise
 tags are not reachable from this module.
 """
@@ -16,7 +22,7 @@ import numpy as np
 from . import selector
 from .datagen import TrainingSet, augment_views
 from .diffmath import DiffMathError, Tensor, js_divergence_rows
-from .embedqueue import EmbedQueue
+from .embedqueue import EmbedQueue, KnnBatch
 from .labeler import lsr_matrix, make_negative_target, make_pll_target
 from .network import Model, ModelConfig, ema_update, forward_arrays
 from .objective import (classification_loss, cross_entropy_loss,
@@ -157,6 +163,37 @@ def _lr_at(config: TrainConfig, epoch: int) -> float:
     return config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
+def robust_targets(knn: KnnBatch, p_clean: np.ndarray, p_ood: np.ndarray,
+                   y_b: np.ndarray, y_smooth: np.ndarray,
+                   teacher_probs: np.ndarray,
+                   thresholds: selector.ThresholdState, config: TrainConfig):
+    """Selection and targets of one robust step, as array operations.
+
+    Returns (codes, positive targets, negative targets, neighbor mixtures),
+    one row per sample. CLEAN rows keep their smoothed label, ID rows get
+    partial-label targets and OOD rows a complementary one-hot from the
+    teacher; rows without K neighbors get a zero mixture.
+    """
+    scores = selector.SampleScores(
+        p_clean=p_clean, p_ood=p_ood,
+        neighbor_mean_p_clean=knn.p_clean.mean(axis=1),
+        neighbors_share_label=knn.found & np.all(
+            knn.observed_labels == y_b[:, None], axis=1))
+    codes = selector.classify_sample(scores, y_b, thresholds)
+    mixtures = np.where(knn.found[:, None],
+                        neighbor_mixture(knn.similarities, knn.preds), 0.0)
+    pos_targets = np.where((codes == selector.CLEAN)[:, None], y_smooth, 0.0)
+    neg_targets = np.zeros_like(y_smooth)
+    is_id, is_ood = codes == selector.ID, codes == selector.OOD
+    if is_id.any():
+        pos_targets[is_id] = make_pll_target(
+            teacher_probs[is_id], config.kappa, config.t_pll_in,
+            config.t_pll_out).dist
+    if is_ood.any():
+        neg_targets[is_ood] = make_negative_target(teacher_probs[is_ood]).dist
+    return codes, pos_targets, neg_targets, mixtures
+
+
 def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
         test_y: np.ndarray, n_classes: int, step_hook=None) -> FitResult:
     """Run the full schedule; deterministic for a fixed config.
@@ -176,7 +213,6 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     queue = EmbedQueue(config.queue_capacity, config.embed_dim, n_classes)
     thresholds = selector.ThresholdState(n_classes)
 
-    pos_by_id = {int(sid): i for i, sid in enumerate(train.ids)}
     history: list[EpochRecord] = []
 
     for epoch in range(1, config.epochs + 1):
@@ -230,33 +266,10 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                 total, breakdown = total_loss(l_cls, zero, zero, zero,
                                               0.0, 0.0, 0.0)
             else:
-                neighbors = queue.knn_batch(teacher_keys, config.knn_k, ids_b)
-                codes = np.empty(nb, dtype=np.int64)
-                pos_targets = np.zeros((nb, n_classes))
-                neg_targets = np.zeros((nb, n_classes))
-                mixtures = np.zeros((nb, n_classes))
-                has_neighbors = np.zeros(nb)
-                for i in range(nb):
-                    res = neighbors[i]
-                    scores = selector.SampleScores(
-                        p_clean=float(p_clean[i]), p_ood=float(p_ood[i]))
-                    if res is not None:
-                        scores.neighbor_mean_p_clean = float(res.p_clean.mean())
-                        scores.neighbors_share_label = bool(
-                            np.all(res.observed_labels == y_b[i]))
-                        mixtures[i] = neighbor_mixture(res.similarities, res.preds)
-                        has_neighbors[i] = 1.0
-                    code = selector.classify_sample(scores, int(y_b[i]), thresholds)
-                    codes[i] = code
-                    if code == selector.CLEAN:
-                        pos_targets[i] = y_smooth[i]
-                    elif code == selector.ID:
-                        pos_targets[i] = make_pll_target(
-                            teacher_probs[i], config.kappa,
-                            config.t_pll_in, config.t_pll_out).dist
-                    else:
-                        neg_targets[i] = make_negative_target(teacher_probs[i]).dist
-
+                knn = queue.knn_batch(teacher_keys, config.knn_k, ids_b)
+                codes, pos_targets, neg_targets, mixtures = robust_targets(
+                    knn, p_clean, p_ood, y_b, y_smooth, teacher_probs,
+                    thresholds, config)
                 rho = (codes != selector.OOD).astype(np.float64)
                 pos_mask = rho
                 neg_mask = 1.0 - rho
@@ -264,7 +277,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                                             neg_targets, neg_mask)
                 zero = Tensor(0.0)
                 l_s = self_consistency_loss(p1, p2, rho) if config.use_scon else zero
-                ncon_mask = rho * has_neighbors
+                ncon_mask = rho * knn.found
                 l_n = (neighbor_consistency_loss(p1, mixtures, ncon_mask)
                        if config.use_ncon else zero)
                 l_f = (feature_consistency_loss(emb_q, teacher_keys,
@@ -292,12 +305,10 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
             queue.enqueue(teacher_keys, y_b, np.clip(p_clean, 0.0, 1.0),
                           p1_np, ids_b)
 
-            for i, sid in enumerate(ids_b):
-                codes_epoch[pos_by_id[int(sid)]] = codes[i]
+            codes_epoch[idx] = codes   # sample ids are unique per position
             part = selector.Partition(
-                clean_ids={int(s) for s, c in zip(ids_b, codes) if c == selector.CLEAN},
-                id_ids={int(s) for s, c in zip(ids_b, codes) if c == selector.ID},
-                ood_ids={int(s) for s, c in zip(ids_b, codes) if c == selector.OOD})
+                *(set(ids_b[codes == c].tolist())
+                  for c in (selector.CLEAN, selector.ID, selector.OOD)))
             part.check_sound(ids_b)
             if step_hook is not None:
                 step_hook(epoch, ids_b, part)

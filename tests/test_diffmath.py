@@ -234,6 +234,34 @@ def test_backward_frees_the_graph_without_the_cycle_collector(rng):
             gc.enable()
 
 
+def test_ops_without_grad_record_no_graph(rng):
+    # SELECT_ONLY-style steps: disabled loss terms enter total_loss as
+    # 0.0 * Tensor(0.0); such nodes need no gradient, so they must keep no
+    # parents or backward closure (backward never reaches them to free one)
+    from josnc.objective import cross_entropy_loss, total_loss
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x = rng.normal(size=(5, 3))
+    targets = rng.dirichlet(np.ones(4), size=5)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(3):
+            l_cls = cross_entropy_loss((Tensor(x) @ w).softmax(), targets)
+            zero = Tensor(0.0)
+            total, _ = total_loss(l_cls, zero, zero, zero, 0.0, 0.0, 0.0)
+            w.zero_grad()
+            total.backward()
+        del l_cls, zero, total
+        assert gc.collect() == 0
+        assert w.grad is not None
+        constant = Tensor(2.0) * Tensor(3.0)
+        assert constant._parents == () and constant._backward_fn is None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
 def test_temperature_softmax_gradient(rng):
     w = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     target = rng.dirichlet(np.ones(4), size=2)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from josnc.embedqueue import EmbedQueue, InsufficientNeighbors, QueueError
@@ -92,23 +92,43 @@ def test_knn_batch_matches_scalar_knn(rng):
                                    single.similarities, atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), pinned_frac=st.floats(0.2, 0.9),
-       k=st.integers(1, 12))
-def test_knn_batch_matches_knn_with_pinned_ties(seed, pinned_frac, k):
-    # Dead-ReLU keys are pinned to one unit vector, so long runs of exactly
-    # tied similarities arise; knn_batch must keep the newest-first tie rule.
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(0, 700),
+       k=st.integers(1, 12),
+       pinned_frac=st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),
+       id_pool=st.integers(1, 400))
+# every key pinned to one vector, grouped threshold in use, with and without
+# tail keys (700 = 32*21 + 28, 640 = 32*20)
+@example(seed=1, length=700, k=10, pinned_frac=1.0, id_pool=400)
+@example(seed=5, length=640, k=10, pinned_frac=1.0, id_pool=400)
+@example(seed=6, length=512, k=7, pinned_frac=0.9, id_pool=300)
+# few distinct ids: below 32 * (k + excluded), and rows left with < k keys
+@example(seed=2, length=100, k=5, pinned_frac=0.0, id_pool=1)
+@example(seed=3, length=20, k=12, pinned_frac=0.5, id_pool=2)
+# grouped threshold with a 613 mod 32 = 5 key tail and duplicate ids
+@example(seed=4, length=613, k=10, pinned_frac=0.5, id_pool=400)
+def test_knn_batch_equals_knn_oracle(seed, length, k, pinned_frac, id_pool):
+    # knn_batch sorts only keys at or above a grouped threshold; knn sorts
+    # every kept key, so it is the oracle for ids (similarities come from a
+    # matmul instead of a matrix-vector product, hence the 1e-12). Dead-ReLU
+    # keys are pinned to one unit vector, so long runs of exact ties arise,
+    # and the newest-first tie rule must hold across them.
     rng = np.random.default_rng(seed)
-    d, n = 6, 120
-    q = EmbedQueue(100, d, 4)
+    d, c = 6, 4
+    q = EmbedQueue(max(length, 1), d, c)
+    n = length + int(rng.integers(0, 50)) if length else 0   # some evicted
     emb = unit_rows(rng, n, d)
     emb[rng.random(n) < pinned_frac] = np.eye(d)[0]
-    ids = rng.integers(0, 40, size=n)      # repeated ids: exclusion drops several
-    q.enqueue(emb, rng.integers(0, 4, n), rng.random(n),
-              rng.dirichlet(np.ones(4), n), ids)
-    queries = np.concatenate([np.eye(d)[:1], unit_rows(rng, 9, d)])
-    exclude = np.concatenate([rng.choice(ids, size=7), [-1, -1, -1]])
+    ids = rng.integers(0, id_pool, size=n)
+    q.enqueue(emb, rng.integers(0, c, n), rng.random(n),
+              rng.dirichlet(np.ones(c), n), ids)
+    stored = q.stored_ids()
+    common = np.bincount(stored).argmax() if length else -1
+    queries = np.concatenate([np.eye(d)[:1], unit_rows(rng, 11, d)])
+    exclude = np.concatenate([[common, common, -1, -1],
+                              rng.choice(np.append(stored, -1), size=8)])
     batch = q.knn_batch(queries, k=k, exclude_ids=exclude)
+    assert len(batch) == queries.shape[0]
     for query, exc, got in zip(queries, exclude, batch):
         try:
             want = q.knn(query, k=k, exclude_id=int(exc))
@@ -117,7 +137,11 @@ def test_knn_batch_matches_knn_with_pinned_ties(seed, pinned_frac, k):
             continue
         np.testing.assert_array_equal(got.sample_ids, want.sample_ids)
         np.testing.assert_allclose(got.similarities, want.similarities,
-                                   atol=1e-12)
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(got.observed_labels,
+                                      want.observed_labels)
+        np.testing.assert_array_equal(got.p_clean, want.p_clean)
+        np.testing.assert_array_equal(got.preds, want.preds)
 
 
 def test_knn_batch_none_when_too_small(rng):
@@ -131,7 +155,7 @@ def test_knn_batch_none_when_too_small(rng):
 def test_knn_batch_on_empty_queue(rng):
     q = EmbedQueue(50, 4, 3)
     out = q.knn_batch(unit_rows(rng, 3, 4), k=2, exclude_ids=np.full(3, -1))
-    assert out == [None, None, None]
+    assert list(out) == [None, None, None]
 
 
 def test_replay_log_oracle(rng):

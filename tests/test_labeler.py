@@ -66,11 +66,16 @@ def pll_oracle(pred, kappa, t_in=0.1, t_out=1.0):
     return [e / z for e in es], omega
 
 
+def candidates(target):
+    """The partial-label candidate set of a one-row target, as class ids."""
+    return frozenset(np.flatnonzero(target.partial_set).tolist())
+
+
 def test_pll_frozen_example():
     pred = [0.7, 0.2, 0.05, 0.05]
     t = make_pll_target(pred, kappa=2)
     expect, omega = pll_oracle(pred, 2)
-    assert t.partial_set == frozenset(omega) == frozenset({0, 1})
+    assert candidates(t) == frozenset(omega) == frozenset({0, 1})
     np.testing.assert_allclose(t.dist, expect, atol=1e-12)
     # frozen oracle values: softmax of [7.0, 2.0, 0.05, 0.05]
     np.testing.assert_allclose(
@@ -80,7 +85,7 @@ def test_pll_frozen_example():
 def test_pll_tie_goes_to_lower_index():
     pred = [0.25, 0.25, 0.25, 0.25]
     t = make_pll_target(pred, kappa=2)
-    assert t.partial_set == frozenset({0, 1})
+    assert candidates(t) == frozenset({0, 1})
 
 
 def test_pll_candidate_set_and_distribution(rng):
@@ -90,16 +95,16 @@ def test_pll_candidate_set_and_distribution(rng):
         kappa = int(rng.integers(1, c))
         t = make_pll_target(pred, kappa)
         # candidate set holds exactly the kappa largest teacher predictions
-        assert t.partial_set == frozenset(np.argsort(-pred)[:kappa].tolist())
+        assert candidates(t) == frozenset(np.argsort(-pred)[:kappa].tolist())
         assert t.dist.sum() == pytest.approx(1.0, abs=1e-12)
-        assert int(np.argmax(t.dist)) in t.partial_set
+        assert int(np.argmax(t.dist)) in candidates(t)
         assert t.kind == POSITIVE
 
 
 def test_pll_kappa_full_set():
     pred = [0.5, 0.3, 0.2]
     t = make_pll_target(pred, kappa=3)
-    assert t.partial_set == frozenset({0, 1, 2})
+    assert candidates(t) == frozenset({0, 1, 2})
     expect, _ = pll_oracle(pred, 3)
     np.testing.assert_allclose(t.dist, expect, atol=1e-12)
 
@@ -120,7 +125,7 @@ def test_pll_matches_oracle_random(c, seed):
     kappa = min(5, c)
     t = make_pll_target(pred, kappa)
     expect, omega = pll_oracle(pred, kappa)
-    assert t.partial_set == frozenset(omega)
+    assert candidates(t) == frozenset(omega)
     np.testing.assert_allclose(t.dist, expect, atol=1e-10)
 
 

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from josnc.datagen import NoiseSpec, inject_noise, make_blobs
-from josnc.selector import CLEAN
+from josnc.embedqueue import EmbedQueue
+from josnc.labeler import lsr_matrix
+from josnc.selector import CLEAN, ID, OOD, ThresholdState
 from josnc.trainer import (TrainConfig, TrainerError, TrainingDiverged, _lr_at,
-                           fit)
+                           fit, robust_targets)
+
+from oracles import robust_step_loop
 
 
 def tiny_data(seed=3, n_ood=1):
@@ -168,3 +174,96 @@ def test_divergence_aborts_with_artifacts():
 def test_adam_optimizer_runs():
     res = run_tiny(tiny_config(optimizer="adam", learning_rate=0.01))
     assert np.isfinite(res.history[-1].total)
+
+
+# the batched robust step against the per-row loop ----------------------------
+
+def robust_step_inputs(seed, nb=64, c=4, d=5, k=3):
+    """A queue and batch that hold every case of the robust step.
+
+    Rows 0-15 score clean, 16-31 ID-like and 32-47 OOD-like; 48-63 are
+    random. Rows 16-19 and 32-35 sit on a cluster of label-1 keys with high
+    stored p_clean (neighbor rescue), rows 24-27 and 40-43 exclude the id
+    that fills the queue (no neighbors), and rows 28-29 and 44-45 face away
+    from every key (all similarities <= 0: uniform mixture weights).
+    """
+    rng = np.random.default_rng(seed)
+    m = 40
+    keys = rng.normal(size=(m, d))
+    keys[:, 0] = np.abs(keys[:, 0])
+    keys[:6] = np.eye(d)[0] + 0.05 * rng.normal(size=(6, d))
+    keys /= np.sqrt((keys ** 2).sum(axis=1, keepdims=True))
+    labels = rng.integers(0, c, size=m)
+    labels[:6] = 1
+    stored_p_clean = rng.random(m)
+    stored_p_clean[:6] = rng.uniform(0.8, 1.0, size=6)
+    ids = np.full(m, 7)
+    ids[-2:] = [8, 9]             # id 7 holds m - 2 >= m - k + 1 entries
+    queue = EmbedQueue(m, d, c)
+    queue.enqueue(keys, labels, stored_p_clean,
+                  rng.dirichlet(np.ones(c), size=m), ids)
+
+    queries = rng.normal(size=(nb, d))
+    y_b = rng.integers(0, c, size=nb)
+    exclude = rng.choice([8, 9, 1000 + seed % 7], size=nb)
+    for rows in (slice(16, 20), slice(32, 36)):
+        queries[rows] = np.eye(d)[0] + 0.05 * rng.normal(size=(4, d))
+        y_b[rows] = 1
+    for rows in (slice(24, 28), slice(40, 44)):
+        exclude[rows] = 7
+    for rows in (slice(28, 30), slice(44, 46)):
+        queries[rows] = -np.eye(d)[0]   # keys all have a non-negative x0
+    queries /= np.sqrt((queries ** 2).sum(axis=1, keepdims=True))
+
+    tau = 0.5
+    p_clean = rng.random(nb)
+    p_clean[:16] = rng.uniform(tau + 1e-3, 1.0, size=16)
+    p_clean[16:48] = rng.uniform(0.0, tau, size=32)
+    p_clean[16] = tau              # strict inequality: not clean by itself
+    p_ood = rng.random(nb)
+    p_ood[16:32] = rng.uniform(0.0, tau, size=16)
+    p_ood[32:48] = rng.uniform(tau + 1e-3, 1.0, size=16)
+    thresholds = ThresholdState(c)
+    thresholds.tau_clean[:] = tau
+    thresholds.tau_ood[:] = tau
+
+    teacher_probs = rng.dirichlet(np.ones(c), size=nb)
+    teacher_probs[20] = 1.0 / c                  # PLL candidate tie
+    teacher_probs[36] = [0.1, 0.1, 0.4, 0.4]     # negative-target tie
+    y_smooth = lsr_matrix(y_b, c, 0.1)
+    knn = queue.knn_batch(queries, k, exclude)
+    return knn, (p_clean, p_ood, y_b, y_smooth, teacher_probs, thresholds)
+
+
+def check_against_loop(seed):
+    config = TrainConfig(knn_k=3, kappa=2, t_pll_in=0.1, t_pll_out=1.0)
+    knn, args = robust_step_inputs(seed)
+    got = robust_targets(knn, *args, config)
+    want = robust_step_loop(list(knn), *args, config.kappa,
+                            config.t_pll_in, config.t_pll_out)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert np.array_equal(knn.found.astype(np.float64), want[4])
+    return knn, args, got
+
+
+def test_robust_targets_bit_identical_to_per_row_loop():
+    knn, (p_clean, _, _, _, _, _), (codes, pos, neg, mix) = \
+        check_against_loop(0)
+    # the batch covers every case of the step
+    assert {CLEAN, ID, OOD} <= set(codes.tolist())
+    rescued = (codes == CLEAN) & (p_clean <= 0.5)
+    assert rescued[16:20].all() and rescued[32:36].all()
+    assert not knn.found[24:28].any() and not knn.found[40:44].any()
+    assert (mix[24:28] == 0).all()
+    away = knn.similarities[[28, 29, 44, 45]]
+    assert knn.found[[28, 29, 44, 45]].all() and (away <= 0).all()
+    assert (codes[16:48] == ID).sum() > 0 and (codes[16:48] == OOD).sum() > 0
+    assert (neg.sum(axis=1) == (codes == OOD)).all()
+    assert (pos[codes == OOD] == 0).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_robust_targets_match_per_row_loop_random(seed):
+    check_against_loop(seed)
