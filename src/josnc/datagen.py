@@ -9,7 +9,6 @@ sees them.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +16,6 @@ import numpy as np
 CLEAN = 0
 ID_NOISY = 1
 OOD_NOISY = 2
-
-_MAGIC = b"JSNC1"
-_TAGS_MAGIC = b"JSNCT"
 
 
 class DataGenError(ValueError):
@@ -202,84 +198,3 @@ def _augment_one(x, rng, jitter_sigma, mask_rate):
     if mask_rate > 0:
         v = np.where(rng.random(size=x.shape) < mask_rate, 0.0, v)
     return v
-
-
-# ---------------------------------------------------------------------------
-# flat binary serialization
-# ---------------------------------------------------------------------------
-#
-# Main file (little-endian):
-#   magic "JSNC1" | u32 n_train | u32 n_test | u32 dim | u16 n_id | u16 n_ood
-#   n_train x (u64 id, u16 observed_label, dim * f32 features)
-#   n_test  x (u64 id, u16 label,          dim * f32 features)
-# Hidden tags live in a "<path>.tags" sidecar so the training-path reader can
-# be physically prevented from seeing them:
-#   magic "JSNCT" | u32 n | n x (u64 id, u16 true_label, u8 noise_kind)
-
-def save_dataset(path: str, dataset: BlobDataset) -> None:
-    n_train = dataset.train.x.shape[0]
-    n_test = dataset.test_x.shape[0]
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<IIIHH", n_train, n_test, dataset.dim,
-                            dataset.n_id_classes, dataset.n_ood_classes))
-        _write_records(f, dataset.train.ids, dataset.train.observed_labels,
-                       dataset.train.x)
-        test_ids = np.arange(n_test, dtype=np.int64)
-        _write_records(f, test_ids, dataset.test_y, dataset.test_x)
-    with open(path + ".tags", "wb") as f:
-        f.write(_TAGS_MAGIC)
-        f.write(struct.pack("<I", n_train))
-        for i, t, k in zip(dataset.tags.ids, dataset.tags.true_labels,
-                           dataset.tags.noise_kinds):
-            f.write(struct.pack("<QHB", int(i), int(t), int(k)))
-
-
-def _write_records(f, ids, labels, x):
-    feats = np.ascontiguousarray(x, dtype="<f4")
-    for i in range(len(ids)):
-        f.write(struct.pack("<QH", int(ids[i]), int(labels[i])))
-        f.write(feats[i].tobytes())
-
-
-def load_training_data(path: str):
-    """Training-path reader: yields features + observed labels + ids only.
-
-    Returns (train: TrainingSet, test_x, test_y, n_id_classes, n_ood_classes).
-    Never touches the .tags sidecar.
-    """
-    with open(path, "rb") as f:
-        magic = f.read(5)
-        if magic != _MAGIC:
-            raise DataGenError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        n_train, n_test, dim, n_id, n_ood = struct.unpack("<IIIHH", f.read(16))
-        train_ids, train_labels, train_x = _read_records(f, n_train, dim)
-        _, test_y, test_x = _read_records(f, n_test, dim)
-    train = TrainingSet(x=train_x, observed_labels=train_labels, ids=train_ids)
-    return train, test_x, test_y, n_id, n_ood
-
-
-def load_tags(path: str) -> TagTable:
-    """Evaluation-only reader for the hidden tag sidecar."""
-    with open(path + ".tags", "rb") as f:
-        magic = f.read(5)
-        if magic != _TAGS_MAGIC:
-            raise DataGenError(f"bad tags magic {magic!r}")
-        (n,) = struct.unpack("<I", f.read(4))
-        ids = np.empty(n, dtype=np.int64)
-        trues = np.empty(n, dtype=np.int64)
-        kinds = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            ids[i], trues[i], kinds[i] = struct.unpack("<QHB", f.read(11))
-    return TagTable(ids=ids, true_labels=trues, noise_kinds=kinds)
-
-
-def _read_records(f, n, dim):
-    ids = np.empty(n, dtype=np.int64)
-    labels = np.empty(n, dtype=np.int64)
-    x = np.empty((n, dim), dtype=np.float64)
-    rec_feat = dim * 4
-    for i in range(n):
-        ids[i], labels[i] = struct.unpack("<QH", f.read(10))
-        x[i] = np.frombuffer(f.read(rec_feat), dtype="<f4")
-    return ids, labels, x

@@ -2,7 +2,7 @@
 
 Everything runs on float64 numpy arrays. The autodiff tape is deliberately
 minimal: it supports exactly the operations the training objective needs
-(matmul, add, relu, softmax, log, elementwise mul, sum/mean, L2-normalize).
+(matmul, add, relu, softmax, log, elementwise mul, sum, L2-normalize).
 One node is built outside this module: the fused InfoNCE node of
 `objective.feature_consistency_loss`, whose backward repeats the float steps
 of the equivalent log/softmax/matmul chain so its gradient is bit-identical.
@@ -65,41 +65,14 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def kl_divergence(p, q, base: float = 2.0) -> float:
-    """KL(p || q) for 1-D distributions.
-
-    q must have support wherever p does; a zero-support violation signals a
-    missing smoothing step upstream and is rejected.
-    """
-    p = check_prob_vec(p)
-    q = check_prob_vec(q)
-    if p.shape != q.shape:
-        raise DiffMathError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if ((p > 0) & (q == 0)).any():
-        raise DiffMathError("KL support violation: q is zero where p is nonzero")
-    diff = np.log(np.maximum(p, LOG_FLOOR)) - np.log(np.maximum(q, LOG_FLOOR))
-    return float(np.sum(p * diff) / math.log(base))
-
-
-def js_divergence(p, q) -> float:
-    """Base-2 Jensen-Shannon divergence, bounded in [0, 1]."""
-    p = check_prob_vec(p)
-    q = check_prob_vec(q)
-    if p.shape != q.shape:
-        raise DiffMathError(f"shape mismatch: {p.shape} vs {q.shape}")
-    return float(_js_rows(p[None, :], q[None, :])[0])
-
-
 def js_divergence_rows(p, q) -> np.ndarray:
-    """Row-wise base-2 JS divergence for (N, C) batches. No tape."""
+    """Row-wise base-2 JS divergence for (N, C) batches; a (C,) pair is one
+    row. No tape."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise DiffMathError(f"shape mismatch: {p.shape} vs {q.shape}")
-    return _js_rows(np.atleast_2d(p), np.atleast_2d(q))
-
-
-def _js_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    p, q = np.atleast_2d(p, q)
     m = 0.5 * (p + q)
     log_m = np.log(np.maximum(m, LOG_FLOOR))
     kl_pm = np.sum(p * (np.log(np.maximum(p, LOG_FLOOR)) - log_m), axis=-1)
@@ -292,9 +265,6 @@ class Tensor:
             if self.requires_grad:
                 self._accum(np.full_like(self.data, float(out.grad)))
         return out._record(bw)
-
-    def mean(self):
-        return self.sum() / self.data.size
 
     def l2_normalize(self, eps: float = 1e-12):
         """Normalize each row of a (N, D) tensor to unit L2 norm.

@@ -20,19 +20,6 @@ class QueueError(ValueError):
     pass
 
 
-class InsufficientNeighbors(QueueError):
-    """Fewer than K entries available after exclusion; caller falls back."""
-
-
-@dataclass
-class QueueEntry:
-    key_embedding: np.ndarray
-    observed_label: int
-    p_clean_at_enqueue: float
-    pred_at_enqueue: np.ndarray
-    sample_id: int
-
-
 @dataclass
 class KnnResult:
     """Arrays aligned by descending similarity (ties broken newest-first)."""
@@ -123,37 +110,14 @@ class EmbedQueue:
     def stored_ids(self) -> np.ndarray:
         return self._ids.copy()
 
-    def knn(self, query_embedding: np.ndarray, k: int,
-            exclude_id: int = -1) -> KnnResult:
-        """Top-K entries by descending cosine similarity to the query.
-
-        Entries with sample_id == exclude_id are skipped; exact similarity
-        ties are broken by recency (newer entries first).
-        """
-        q = np.asarray(query_embedding, dtype=np.float64)
-        keep = self._ids != exclude_id
-        if int(keep.sum()) < k:
-            raise InsufficientNeighbors(
-                f"need {k} entries, have {int(keep.sum())} after exclusion")
-        sims = self._emb[keep] @ q   # unit vectors: cosine == dot
-        seq = self._seq[keep]
-        order = np.lexsort((-seq, -sims))[:k]
-        idx = np.flatnonzero(keep)[order]
-        return KnnResult(
-            similarities=sims[order],
-            observed_labels=self._labels[idx],
-            p_clean=self._p_clean[idx],
-            preds=self._preds[idx],
-            sample_ids=self._ids[idx],
-        )
-
     def knn_batch(self, queries: np.ndarray, k: int,
                   exclude_ids: np.ndarray) -> KnnBatch:
         """Exact top-K for a batch of queries; row i skips exclude_ids[i].
 
-        Each found row equals `knn` for its query (descending similarity,
-        ties newest first), with similarities from one (B, M) matmul. A row
-        is not found when fewer than k entries remain after its exclusion.
+        Each found row holds the k kept entries of highest cosine
+        similarity, in descending order with exact ties newest first;
+        similarities come from one (B, M) matmul. A row is not found when
+        fewer than k entries remain after its exclusion.
 
         Grouped threshold: the first G*L keys (G = _GROUPS, L = M // G) form
         G blocks of L columns, whose elementwise max gives L group maxima per

@@ -1,8 +1,9 @@
 """Experiment harness: config validation, run orchestration, selection-quality
 evaluation against hidden tags, metrics CSV, and run comparison.
 
-This is the only module that touches the hidden tag sidecar; the trainer never
-sees it.
+This is the only module that reads the hidden noise tags (the dataset's
+TagTable); it passes the trainer only the TrainingSet. Every artifact file is
+written atomically.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, datagen, selector
-from .network import save_checkpoint
+from .network import save_checkpoint, write_atomic
 from .trainer import TrainConfig, TrainingDiverged, fit
 
 METRICS_COLUMNS = [
@@ -240,21 +241,41 @@ def metrics_rows(history, noise_kinds: np.ndarray) -> list:
 
 
 def write_metrics_csv(path: str, rows: list) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(METRICS_COLUMNS) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(row[c]) for c in METRICS_COLUMNS) + "\n")
+    lines = [",".join(METRICS_COLUMNS)]
+    lines += [",".join(_fmt(row[c]) for c in METRICS_COLUMNS) for row in rows]
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
+
+
+def _write_json(path: str, obj: dict) -> None:
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def read_metrics_csv(path: str) -> tuple:
-    """Returns (columns, list of row dicts with float values)."""
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    columns = lines[0].split(",")
+    """Returns (columns, list of row dicts with float values).
+
+    Raises ConfigError naming path:line when the file cannot be read, the
+    header (first column "epoch") is missing, a row's field count differs
+    from the header's, or a value is not a number.
+    """
+    try:
+        with open(path) as f:
+            lines = [(n, ln) for n, ln in enumerate(f.read().splitlines(), 1)
+                     if ln.strip()]
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    columns = lines[0][1].split(",") if lines else []
+    if columns[:1] != ["epoch"]:
+        raise ConfigError(f"{path}:1: missing header")
     rows = []
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         vals = ln.split(",")
-        rows.append({c: float(v) for c, v in zip(columns, vals)})
+        if len(vals) != len(columns):
+            raise ConfigError(f"{path}:{n}: {len(vals)} fields, header has "
+                              f"{len(columns)}")
+        try:
+            rows.append({c: float(v) for c, v in zip(columns, vals)})
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{n}: {exc}") from exc
     return columns, rows
 
 
@@ -281,9 +302,7 @@ def run(config_path: str, output_dir_override: str = None) -> str:
                or cfg["output_dir"])
     os.makedirs(out_dir, exist_ok=True)
 
-    with open(os.path.join(out_dir, "config.resolved.json"), "w") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out_dir, "config.resolved.json"), cfg)
 
     dataset = build_dataset(cfg)
     train_config = build_train_config(cfg)
@@ -311,9 +330,7 @@ def run(config_path: str, output_dir_override: str = None) -> str:
         "method": cfg["method"],
         "model_config": asdict(result.model_config),
     }
-    with open(os.path.join(out_dir, "run_manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
     return out_dir
 
 

@@ -8,58 +8,39 @@ teacher's least-likely class) for negative learning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .diffmath import check_prob_vec
-
-POSITIVE = "positive"
-NEGATIVE = "negative"
 
 
 class LabelerError(ValueError):
     pass
 
 
-@dataclass
-class TrainingTarget:
-    kind: str                      # POSITIVE or NEGATIVE
-    dist: np.ndarray               # ProbVec (POSITIVE) or one-hot complement (NEGATIVE)
-    partial_set: Optional[np.ndarray] = None   # PLL candidate mask, dist's shape
-
-
-def make_lsr_target(label: int, n_classes: int, epsilon: float) -> TrainingTarget:
-    """Smoothed one-hot: 1 - eps at the label, eps/(C-1) elsewhere."""
+def lsr_matrix(labels: np.ndarray, n_classes: int, epsilon: float) -> np.ndarray:
+    """Row-per-sample smoothed one-hots: 1 - eps at the label, eps/(C-1)
+    elsewhere."""
+    labels = np.asarray(labels, dtype=np.int64)
     if n_classes < 2:
         raise LabelerError(f"need at least 2 classes, got {n_classes}")
     if not (0.0 <= epsilon < 1.0):
         raise LabelerError(f"epsilon must be in [0, 1), got {epsilon}")
-    if not (0 <= label < n_classes):
-        raise LabelerError(f"label {label} out of range for C={n_classes}")
-    dist = np.full(n_classes, epsilon / (n_classes - 1))
-    dist[label] = 1.0 - epsilon
-    return TrainingTarget(kind=POSITIVE, dist=dist)
-
-
-def lsr_matrix(labels: np.ndarray, n_classes: int, epsilon: float) -> np.ndarray:
-    """Row-per-sample smoothed label distributions."""
-    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and not (0 <= labels.min() and labels.max() < n_classes):
+        raise LabelerError(f"labels out of range for C={n_classes}")
     out = np.full((labels.size, n_classes), epsilon / (n_classes - 1))
     out[np.arange(labels.size), labels] = 1.0 - epsilon
     return out
 
 
 def make_pll_target(teacher_pred, kappa: int, t_in: float = 0.1,
-                    t_out: float = 1.0) -> TrainingTarget:
+                    t_out: float = 1.0):
     """Partial-label targets: sharpen each row's top-kappa teacher classes.
 
-    teacher_pred is one (C,) distribution or an (N, C) batch of rows. The
-    candidate set holds the kappa largest teacher predictions (ties go to
-    the lower class index); partial_set is its boolean mask. Entries inside
-    the set are divided by t_in and the rest by t_out before a plain
-    softmax, so in-set mass strictly grows.
+    teacher_pred is one (C,) distribution or an (N, C) batch of rows.
+    Returns (dist, in_set): in_set is the boolean mask of the candidate set,
+    the kappa largest teacher predictions (ties go to the lower class
+    index). Entries inside the set are divided by t_in and the rest by t_out
+    before a plain softmax, so in-set mass strictly grows.
     """
     pred = check_prob_vec(teacher_pred)
     c = pred.shape[-1]
@@ -72,14 +53,14 @@ def make_pll_target(teacher_pred, kappa: int, t_in: float = 0.1,
     scaled = np.where(in_set, pred / t_in, pred / t_out)
     e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
     dist = e / e.sum(axis=-1, keepdims=True)
-    return TrainingTarget(kind=POSITIVE, dist=dist, partial_set=in_set)
+    return dist, in_set
 
 
-def make_negative_target(teacher_pred) -> TrainingTarget:
+def make_negative_target(teacher_pred) -> np.ndarray:
     """One-hot at each row's least-likely teacher class (ties to the lower
     index); teacher_pred is one (C,) distribution or an (N, C) batch."""
     pred = check_prob_vec(teacher_pred)
     dist = np.zeros(pred.shape)
     # argmin already takes the first minimum
     np.put_along_axis(dist, np.argmin(pred, axis=-1)[..., None], 1.0, axis=-1)
-    return TrainingTarget(kind=NEGATIVE, dist=dist)
+    return dist

@@ -9,12 +9,13 @@ student by exponential moving average, one update per optimizer step.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmath import Tensor, softmax
+from .diffmath import Tensor
 
 
 class NetworkError(ValueError):
@@ -53,28 +54,12 @@ class Model:
         self.params[f"{name}.W"] = Tensor(w, requires_grad=True)
         self.params[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def forward(self, x: np.ndarray):
         """Returns (logits, probs, embeddings) as tape Tensors.
 
         probs is softmax(logits, T=1); embeddings are unit-norm rows.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.config.input_dim:
-            raise NetworkError(
-                f"input dim {x.shape[1]} != expected {self.config.input_dim}")
-        h = Tensor(x)
-        for i in range(len(self.config.hidden_dims)):
-            w = self.params[f"encoder.{i}.W"]
-            b = self.params[f"encoder.{i}.b"]
-            h = (h @ w + b).relu()
-        logits = h @ self.params["classifier.W"] + self.params["classifier.b"]
-        probs = logits.softmax()
-        emb = (h @ self.params["projection.W"] + self.params["projection.b"])
-        emb = emb.l2_normalize()
-        return logits, probs, emb
+        return _forward(self.params, self.config, x)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Detached copy of all parameters (teacher initialization)."""
@@ -86,25 +71,27 @@ class Model:
 
 def forward_arrays(params: dict[str, np.ndarray], config: ModelConfig,
                    x: np.ndarray):
-    """Pure-numpy forward pass used for the teacher and for evaluation.
+    """Forward pass of plain parameter arrays (the teacher, evaluation).
 
-    Returns (probs, embeddings).
+    The arrays enter the shared forward as Tensors that need no gradient,
+    so no graph is recorded. Returns (probs, embeddings) as arrays.
     """
+    _, probs, emb = _forward(params, config, x)
+    return probs.data, emb.data
+
+
+def _forward(params: dict, config: ModelConfig, x: np.ndarray):
+    """(logits, probs, embeddings) Tensors; params holds Tensors or arrays."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    h = x
+    if x.shape[1] != config.input_dim:
+        raise NetworkError(
+            f"input dim {x.shape[1]} != expected {config.input_dim}")
+    h = Tensor(x)
     for i in range(len(config.hidden_dims)):
-        h = np.maximum(h @ params[f"encoder.{i}.W"] + params[f"encoder.{i}.b"], 0.0)
+        h = (h @ params[f"encoder.{i}.W"] + params[f"encoder.{i}.b"]).relu()
     logits = h @ params["classifier.W"] + params["classifier.b"]
-    probs = softmax(logits)
     emb = h @ params["projection.W"] + params["projection.b"]
-    norms = np.sqrt((emb ** 2).sum(axis=-1, keepdims=True))
-    dead = norms[:, 0] < 1e-12
-    emb = emb / np.maximum(norms, 1e-12)
-    if dead.any():
-        # dead ReLU path: pin to a fixed unit vector so keys stay unit-norm
-        emb[dead] = 0.0
-        emb[dead, 0] = 1.0
-    return probs, emb
+    return logits, logits.softmax(), emb.l2_normalize()
 
 
 def ema_update(teacher: dict[str, np.ndarray], model: Model, omega: float) -> None:
@@ -121,8 +108,24 @@ def ema_update(teacher: dict[str, np.ndarray], model: Model, omega: float) -> No
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: one flat f64 blob + a JSON manifest of (name, shape, offset)
+# artifact files, written atomically; checkpoints are one flat f64 blob +
+# a JSON manifest of (name, shape, offset)
 # ---------------------------------------------------------------------------
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Write data to a sibling temp file, then rename it over path.
+
+    A reader of path sees its old contents or all of data, never a prefix.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
 
 def save_checkpoint(path: str, student: dict[str, np.ndarray],
                     teacher: dict[str, np.ndarray]) -> None:
@@ -136,10 +139,7 @@ def save_checkpoint(path: str, student: dict[str, np.ndarray],
                             "offset": len(blob)})
             blob.extend(arr.tobytes())
     manifest = json.dumps({"entries": entries}, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(struct.pack("<I", len(manifest)))
-        f.write(manifest)
-        f.write(bytes(blob))
+    write_atomic(path, struct.pack("<I", len(manifest)) + manifest + bytes(blob))
 
 
 def load_checkpoint(path: str):

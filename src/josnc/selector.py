@@ -1,7 +1,8 @@
-"""Per-sample clean/OOD likelihood scores, batch partitioning, and the
-self-adaptive per-class thresholds.
+"""Batch partitioning by clean/OOD likelihood scores, and the self-adaptive
+per-class thresholds.
 
-Scores are divergence-based and live in [0, 1]:
+The trainer computes the scores with `js_divergence_rows`; they are
+divergence-based and live in [0, 1]:
   p_clean = 1 - JS(prediction, smoothed label distribution)
   p_ood   = JS(prediction of view 1, prediction of view 2)
 
@@ -15,26 +16,14 @@ Thresholds are per-class epoch means refined by temporal ensembling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-from .diffmath import js_divergence_rows
 
 CLEAN, ID, OOD = 0, 1, 2
 
 
 class SelectorError(ValueError):
     pass
-
-
-@dataclass
-class SampleScores:
-    """Scores of one sample (floats) or of a batch (aligned (N,) arrays)."""
-    p_clean: float
-    p_ood: float
-    neighbor_mean_p_clean: Optional[float] = None
-    neighbors_share_label: Optional[bool] = None
 
 
 @dataclass
@@ -56,23 +45,6 @@ class Partition:
             raise SelectorError("partition does not cover the batch exactly")
 
 
-def score_sample(p, p_prime, y_smoothed, neighbor_p_clean=None,
-                 neighbor_labels=None, observed_label=None) -> SampleScores:
-    """Score one sample from its two view predictions.
-
-    Neighbor fields are filled only when neighbor evidence was available.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    p_clean = 1.0 - float(js_divergence_rows(p, np.asarray(y_smoothed))[0])
-    p_ood = float(js_divergence_rows(p, np.asarray(p_prime))[0])
-    scores = SampleScores(p_clean=p_clean, p_ood=p_ood)
-    if neighbor_p_clean is not None:
-        scores.neighbor_mean_p_clean = float(np.mean(neighbor_p_clean))
-        scores.neighbors_share_label = bool(
-            np.all(np.asarray(neighbor_labels) == observed_label))
-    return scores
-
-
 class ThresholdState:
     """Per-class tau_clean / tau_ood with epoch accumulators.
 
@@ -88,11 +60,6 @@ class ThresholdState:
         self._sum_clean = np.zeros(n_classes)
         self._sum_ood = np.zeros(n_classes)
         self._count = np.zeros(n_classes, dtype=np.int64)
-
-    def accumulate(self, scores: SampleScores, observed_label: int) -> None:
-        self._sum_clean[observed_label] += scores.p_clean
-        self._sum_ood[observed_label] += scores.p_ood
-        self._count[observed_label] += 1
 
     def accumulate_batch(self, p_clean, p_ood, observed_labels) -> None:
         np.add.at(self._sum_clean, observed_labels, p_clean)
@@ -121,17 +88,17 @@ class ThresholdState:
         self._count[:] = 0
 
 
-def classify_sample(scores: SampleScores, observed_label,
+def classify_sample(p_clean, p_ood, neighbor_mean_p_clean,
+                    neighbors_share_label, observed_label,
                     thresholds: ThresholdState):
     """Apply the clean criterion, then the OOD criterion, else ID.
 
-    Works on one sample or elementwise on a batch (observed_label an (N,)
-    array); returns the partition code(s).
+    Elementwise over (N,) arrays (or on scalars for one sample); returns the
+    partition code(s). A row without neighbor evidence has
+    neighbors_share_label False.
     """
     tau_c = thresholds.tau_clean[observed_label]
-    clean = scores.p_clean > tau_c
-    if scores.neighbor_mean_p_clean is not None:
-        clean = clean | (scores.neighbors_share_label
-                         & (scores.neighbor_mean_p_clean > tau_c))
-    ood = scores.p_ood > thresholds.tau_ood[observed_label]
+    clean = (p_clean > tau_c) | (neighbors_share_label
+                                 & (neighbor_mean_p_clean > tau_c))
+    ood = p_ood > thresholds.tau_ood[observed_label]
     return np.where(clean, CLEAN, np.where(ood, OOD, ID))[()]

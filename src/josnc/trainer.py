@@ -174,12 +174,10 @@ def robust_targets(knn: KnnBatch, p_clean: np.ndarray, p_ood: np.ndarray,
     partial-label targets and OOD rows a complementary one-hot from the
     teacher; rows without K neighbors get a zero mixture.
     """
-    scores = selector.SampleScores(
-        p_clean=p_clean, p_ood=p_ood,
-        neighbor_mean_p_clean=knn.p_clean.mean(axis=1),
-        neighbors_share_label=knn.found & np.all(
-            knn.observed_labels == y_b[:, None], axis=1))
-    codes = selector.classify_sample(scores, y_b, thresholds)
+    codes = selector.classify_sample(
+        p_clean, p_ood, knn.p_clean.mean(axis=1),
+        knn.found & np.all(knn.observed_labels == y_b[:, None], axis=1),
+        y_b, thresholds)
     mixtures = np.where(knn.found[:, None],
                         neighbor_mixture(knn.similarities, knn.preds), 0.0)
     pos_targets = np.where((codes == selector.CLEAN)[:, None], y_smooth, 0.0)
@@ -188,9 +186,9 @@ def robust_targets(knn: KnnBatch, p_clean: np.ndarray, p_ood: np.ndarray,
     if is_id.any():
         pos_targets[is_id] = make_pll_target(
             teacher_probs[is_id], config.kappa, config.t_pll_in,
-            config.t_pll_out).dist
+            config.t_pll_out)[0]
     if is_ood.any():
-        neg_targets[is_ood] = make_negative_target(teacher_probs[is_ood]).dist
+        neg_targets[is_ood] = make_negative_target(teacher_probs[is_ood])
     return codes, pos_targets, neg_targets, mixtures
 
 

@@ -2,13 +2,35 @@
 
 `robust_step_loop` is the robust step's selection / target / mixture loop as
 it was written one sample at a time, with the scalar helpers it called.
-`josnc.trainer.robust_targets` must reproduce it bit for bit.
+`josnc.trainer.robust_targets` must reproduce it bit for bit. `knn` is the
+one-query top-K scan that `EmbedQueue.knn_batch` must agree with.
 """
 
 import numpy as np
 
 from josnc.diffmath import check_prob_vec
+from josnc.embedqueue import KnnResult
 from josnc.selector import CLEAN, ID, OOD
+
+
+def knn(queue, query_embedding, k, exclude_id=-1):
+    """Top-K entries of queue by descending cosine similarity to one query.
+
+    Entries with sample_id == exclude_id are skipped; exact similarity ties
+    are broken by recency (newer entries first). None when fewer than k
+    entries remain after exclusion.
+    """
+    q = np.asarray(query_embedding, dtype=np.float64)
+    keep = queue._ids != exclude_id
+    if int(keep.sum()) < k:
+        return None
+    sims = queue._emb[keep] @ q   # unit vectors: cosine == dot
+    order = np.lexsort((-queue._seq[keep], -sims))[:k]
+    idx = np.flatnonzero(keep)[order]
+    return KnnResult(similarities=sims[order],
+                     observed_labels=queue._labels[idx],
+                     p_clean=queue._p_clean[idx], preds=queue._preds[idx],
+                     sample_ids=queue._ids[idx])
 
 
 def classify_row(p_clean, p_ood, neighbor_mean_p_clean, neighbors_share_label,

@@ -3,8 +3,7 @@ import pytest
 
 from josnc.datagen import (CLEAN, ID_NOISY, OOD_NOISY, BlobDataset,
                            DataGenError, NoiseSpec, augment_views,
-                           inject_noise, load_tags, load_training_data,
-                           make_blobs, save_dataset)
+                           inject_noise, make_blobs)
 
 
 def small_dataset(seed=3, n_ood=2, per_class=40):
@@ -177,54 +176,3 @@ def test_augment_noop():
     np.testing.assert_array_equal(v, x)
     np.testing.assert_array_equal(vp, x)
     assert v is not x
-
-
-# serialization -------------------------------------------------------------------
-
-def test_roundtrip_train_and_tags(tmp_path):
-    ds = inject_noise(small_dataset(), NoiseSpec("symmetric", 0.3, 2), seed=6)
-    path = str(tmp_path / "data.bin")
-    save_dataset(path, ds)
-
-    train, test_x, test_y, n_id, n_ood = load_training_data(path)
-    assert (n_id, n_ood) == (4, 2)
-    np.testing.assert_array_equal(train.ids, ds.train.ids)
-    np.testing.assert_array_equal(train.observed_labels, ds.train.observed_labels)
-    np.testing.assert_allclose(train.x, ds.train.x, atol=1e-6)  # f32 storage
-    np.testing.assert_array_equal(test_y, ds.test_y)
-    np.testing.assert_allclose(test_x, ds.test_x, atol=1e-6)
-
-    tags = load_tags(path)
-    np.testing.assert_array_equal(tags.ids, ds.tags.ids)
-    np.testing.assert_array_equal(tags.true_labels, ds.tags.true_labels)
-    np.testing.assert_array_equal(tags.noise_kinds, ds.tags.noise_kinds)
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = str(tmp_path / "garbage.bin")
-    with open(path, "wb") as f:
-        f.write(b"NOPE!" + b"\x00" * 32)
-    with open(path + ".tags", "wb") as f:
-        f.write(b"NOPE!" + b"\x00" * 8)
-    with pytest.raises(DataGenError):
-        load_training_data(path)
-    with pytest.raises(DataGenError):
-        load_tags(path)
-
-
-def test_training_reader_never_opens_tags(tmp_path, monkeypatch):
-    ds = small_dataset()
-    path = str(tmp_path / "data.bin")
-    save_dataset(path, ds)
-
-    import builtins
-    real_open = builtins.open
-    opened = []
-
-    def spy(file, *args, **kwargs):
-        opened.append(str(file))
-        return real_open(file, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "open", spy)
-    load_training_data(path)
-    assert all(not p.endswith(".tags") for p in opened)

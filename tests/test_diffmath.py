@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from josnc.diffmath import (DiffMathError, Tensor, check_prob_vec,
-                            js_divergence, js_divergence_rows, kl_divergence,
-                            softmax)
+                            js_divergence_rows, softmax)
+from josnc.objective import neighbor_consistency_loss
 
 from conftest import central_diff_grads, rel_error
 
@@ -69,7 +69,16 @@ def test_softmax_temperature_sharpen():
     assert check_prob_vec(hot) is not None
 
 
-# kl ------------------------------------------------------------------------
+# kl: the trainer's KL term, neighbor_consistency_loss on one row, mask 1 ---
+
+def kl_divergence(p, q):
+    return neighbor_consistency_loss(Tensor(np.atleast_2d(p)),
+                                     np.atleast_2d(q), np.ones(1)).item()
+
+
+def js(p, q):
+    return float(js_divergence_rows(p, q)[0])
+
 
 def test_kl_identity_exact_zero(rng):
     for c in (2, 5, 17):
@@ -90,11 +99,6 @@ def test_kl_base2_example():
     assert got == pytest.approx(0.20752, abs=1e-5)
 
 
-def test_kl_rejects_support_violation():
-    with pytest.raises(DiffMathError):
-        kl_divergence([0.5, 0.5], [1.0, 0.0])
-
-
 def test_kl_nonnegative_random(rng):
     for _ in range(200):
         c = int(rng.integers(2, 30))
@@ -102,16 +106,16 @@ def test_kl_nonnegative_random(rng):
         assert kl_divergence(p, q) >= 0.0
 
 
-# js ------------------------------------------------------------------------
+# js: js_divergence_rows, on one row unless said otherwise -----------------
 
 def test_js_identity_and_maximum():
-    assert js_divergence([0.3, 0.7], [0.3, 0.7]) == 0.0
-    assert js_divergence([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+    assert js([0.3, 0.7], [0.3, 0.7]) == 0.0
+    assert js([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_js_halfway_example():
     expected = js_oracle([0.5, 0.5], [1.0, 0.0])
-    assert js_divergence([0.5, 0.5], [1.0, 0.0]) == pytest.approx(expected, abs=1e-12)
+    assert js([0.5, 0.5], [1.0, 0.0]) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.31128, abs=1e-5)
 
 
@@ -119,8 +123,8 @@ def test_js_bounded_and_symmetric_random(rng):
     for _ in range(500):
         c = int(rng.integers(2, 101))
         p, q = dirichlet_pair(rng, c)
-        a = js_divergence(p, q)
-        b = js_divergence(q, p)
+        a = js(p, q)
+        b = js(q, p)
         assert 0.0 <= a <= 1.0
         assert abs(a - b) <= 1e-12
 
@@ -130,14 +134,14 @@ def test_js_rows_matches_scalar(rng):
     q = rng.dirichlet(np.ones(6), size=20)
     rows = js_divergence_rows(p, q)
     for i in range(20):
-        assert rows[i] == pytest.approx(js_divergence(p[i], q[i]), abs=1e-12)
+        assert rows[i] == pytest.approx(js_oracle(p[i], q[i]), abs=1e-12)
 
 
 @given(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_js_zero_iff_equal(weights):
     p = np.asarray(weights) / np.sum(weights)
-    assert js_divergence(p, p) == 0.0
+    assert js(p, p) == 0.0
 
 
 def test_check_prob_vec_rejects():

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from josnc.embedqueue import EmbedQueue, InsufficientNeighbors, QueueError
+from josnc.embedqueue import EmbedQueue, QueueError
+
+from oracles import knn
 
 
 def unit_rows(rng, n, d):
@@ -49,7 +51,7 @@ def test_knn_matches_bruteforce_oracle(rng):
     emb, labels, p_clean, preds, ids = fill(q, rng, 150)
     for _ in range(20):
         query = unit_rows(rng, 1, 6)[0]
-        res = q.knn(query, k=7)
+        res = q.knn_batch(query, k=7, exclude_ids=[-1])[0]
         # independent oracle: full sort of all similarities
         sims = emb @ query
         oracle = np.argsort(-sims, kind="stable")[:7]
@@ -63,10 +65,9 @@ def test_knn_matches_bruteforce_oracle(rng):
 def test_knn_exclude_and_insufficient(rng):
     q = EmbedQueue(50, 4, 3)
     emb, _, _, _, ids = fill(q, rng, 10, d=4, c=3)
-    res = q.knn(emb[3], k=9, exclude_id=3)
+    res = q.knn_batch(emb[3], k=9, exclude_ids=[3])[0]
     assert 3 not in res.sample_ids
-    with pytest.raises(InsufficientNeighbors):
-        q.knn(emb[3], k=10, exclude_id=3)
+    assert q.knn_batch(emb[3], k=10, exclude_ids=[3])[0] is None
 
 
 def test_knn_recency_tie_break():
@@ -75,7 +76,7 @@ def test_knn_recency_tie_break():
     # three identical keys: equal similarity, newest must come first
     for sid in (10, 11, 12):
         q.enqueue(e, [0], [0.5], [[0.5, 0.5]], [sid])
-    res = q.knn(e, k=3)
+    res = q.knn_batch(e, k=3, exclude_ids=[-1])[0]
     np.testing.assert_array_equal(res.sample_ids, [12, 11, 10])
 
 
@@ -86,7 +87,7 @@ def test_knn_batch_matches_scalar_knn(rng):
     exclude = rng.integers(0, 250, size=30)
     batch = q.knn_batch(queries, k=10, exclude_ids=exclude)
     for i in range(30):
-        single = q.knn(queries[i], k=10, exclude_id=int(exclude[i]))
+        single = knn(q, queries[i], k=10, exclude_id=int(exclude[i]))
         np.testing.assert_array_equal(batch[i].sample_ids, single.sample_ids)
         np.testing.assert_allclose(batch[i].similarities,
                                    single.similarities, atol=1e-12)
@@ -130,9 +131,8 @@ def test_knn_batch_equals_knn_oracle(seed, length, k, pinned_frac, id_pool):
     batch = q.knn_batch(queries, k=k, exclude_ids=exclude)
     assert len(batch) == queries.shape[0]
     for query, exc, got in zip(queries, exclude, batch):
-        try:
-            want = q.knn(query, k=k, exclude_id=int(exc))
-        except InsufficientNeighbors:
+        want = knn(q, query, k=k, exclude_id=int(exc))
+        if want is None:
             assert got is None
             continue
         np.testing.assert_array_equal(got.sample_ids, want.sample_ids)
@@ -176,7 +176,7 @@ def test_replay_log_oracle(rng):
         log_emb, log_ids = log_emb[-30:], log_ids[-30:]
         if len(log_ids) >= 5:
             query = unit_rows(rng, 1, 4)[0]
-            res = q.knn(query, k=5)
+            res = q.knn_batch(query, k=5, exclude_ids=[-1])[0]
             sims = np.array([e @ query for e in log_emb])
             oracle = np.argsort(-sims, kind="stable")[:5]
             np.testing.assert_array_equal(

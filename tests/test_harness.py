@@ -1,17 +1,18 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from josnc import cli
+from josnc import cli, harness
 from josnc.datagen import CLEAN as KIND_CLEAN
-from josnc.datagen import ID_NOISY, OOD_NOISY
+from josnc.datagen import ID_NOISY, OOD_NOISY, TagTable, TrainingSet
 from josnc.harness import (METRICS_COLUMNS, METHODS, OUTPUT_DIR_ENV,
                            ConfigError, compare_runs, evaluate_selection,
                            format_compare_report, gen_config, load_config,
                            metrics_rows, read_metrics_csv, resolve_config, run,
-                           write_metrics_csv)
+                           save_checkpoint, write_metrics_csv)
 from josnc.selector import CLEAN, ID, OOD
 
 
@@ -157,6 +158,32 @@ def test_metrics_csv_roundtrip_and_bytes(tmp_path):
             assert rt[c] == pytest.approx(float(orig[c]), abs=0)
 
 
+def test_artifact_writes_are_atomic(tmp_path, monkeypatch):
+    rows = [{c: float(i) for c in METRICS_COLUMNS} for i in range(3)]
+    csv_path = str(tmp_path / "metrics.csv")
+    write_metrics_csv(csv_path, rows)
+    before = open(csv_path, "rb").read()
+    # the third row lacks a column, so formatting raises partway
+    with pytest.raises(KeyError):
+        write_metrics_csv(csv_path, rows[:2] + [{"epoch": 9}])
+    assert open(csv_path, "rb").read() == before
+
+    ckpt_path = str(tmp_path / "checkpoint.bin")
+    params = {"w": np.arange(6.0).reshape(2, 3)}
+    save_checkpoint(ckpt_path, params, params)
+    before = open(ckpt_path, "rb").read()
+
+    def crash(src, dst):
+        raise OSError("disk gone")
+
+    # new bytes that never reach the final name leave the old file intact
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        save_checkpoint(ckpt_path, {"w": np.zeros(9)}, params)
+    assert open(ckpt_path, "rb").read() == before
+    assert sorted(os.listdir(tmp_path)) == ["checkpoint.bin", "metrics.csv"]
+
+
 def test_metrics_header_fixed():
     assert len(METRICS_COLUMNS) == 15
     assert METRICS_COLUMNS[0] == "epoch"
@@ -180,6 +207,37 @@ def test_run_produces_artifacts(tmp_path):
     manifest = json.load(open(os.path.join(out, "run_manifest.json")))
     assert manifest["method"] == "JOSNC"
     assert manifest["seed"] == 5
+
+
+def test_fit_receives_no_hidden_tags(tmp_path, monkeypatch):
+    built, calls = [], []
+    build_dataset, fit = harness.build_dataset, harness.fit
+
+    def spy_build(cfg):
+        built.append(build_dataset(cfg))
+        return built[-1]
+
+    def spy_fit(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_dataset", spy_build)
+    monkeypatch.setattr(harness, "fit", spy_fit)
+    run(write_config(tmp_path, tiny_raw_config(str(tmp_path / "out"))))
+    (args, kwargs), = calls
+    train = args[1]
+    assert type(train) is TrainingSet
+    assert [f.name for f in dataclasses.fields(train)] == [
+        "x", "observed_labels", "ids"]
+    tags = built[0].tags
+    hidden = (tags.ids, tags.true_labels, tags.noise_kinds)
+    for arg in [*args, *kwargs.values()]:
+        held = ([getattr(arg, f.name) for f in dataclasses.fields(arg)]
+                if dataclasses.is_dataclass(arg) else [])
+        for value in (arg, *held):
+            assert not isinstance(value, TagTable)
+            if isinstance(value, np.ndarray):
+                assert not any(np.shares_memory(value, h) for h in hidden)
 
 
 def test_run_byte_identical_across_repeats(tmp_path):
@@ -246,6 +304,23 @@ def test_compare_rejects_schema_mismatch(tmp_path):
     (other / "metrics.csv").write_text("epoch,bogus\n1,2.0\n")
     with pytest.raises(ConfigError):
         compare_runs(out, str(other))
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", ":1: missing header"),
+    # a row cut at a field boundary
+    ("epoch,train_loss\n1,0.5\n2\n", ":3: 1 fields, header has 2"),
+    # a row cut inside its last field
+    ("epoch,train_loss\n1,0.5\n2,\n", ":3: could not convert"),
+], ids=["empty", "cut-at-field", "cut-in-field"])
+def test_cli_compare_rejects_corrupt_metrics(tmp_path, capsys, text, where):
+    out = str(tmp_path / "one")
+    run(write_config(tmp_path, tiny_raw_config(out)))
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "metrics.csv").write_text(text)
+    assert cli.main(["compare", out, str(bad)]) == 2
+    assert os.path.join(str(bad), "metrics.csv") + where in capsys.readouterr().err
 
 
 # presets + cli ------------------------------------------------------------------------

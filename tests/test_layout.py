@@ -1,0 +1,60 @@
+"""Source layout rules that keep src/ to one implementation per concept."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "josnc"
+
+# public names with no caller in src/, each for a stated reason (cli.main
+# needs no entry: its __main__ guard calls it)
+ALLOWED_UNREFERENCED = {
+    "network.load_checkpoint": "reader of checkpoint.bin, kept for resume",
+    "embedqueue.EmbedQueue.stored_ids": "read-only accessor used by tests",
+    "selector.ThresholdState.epoch_counts": "read-only accessor used by tests",
+}
+
+
+def _public_definitions(module: str, tree: ast.Module):
+    """(qualified name, bare name, first line, last line) of each public
+    module-level function or class and each public method."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        if not node.name.startswith("_"):
+            yield (f"{module}.{node.name}", node.name, node.lineno,
+                   node.end_lineno)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, kinds[:2])
+                        and not item.name.startswith("_")):
+                    yield (f"{module}.{node.name}.{item.name}", item.name,
+                           item.lineno, item.end_lineno)
+
+
+def _loads(tree: ast.Module):
+    """(bare name, line) of every name or attribute read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def test_every_public_name_has_a_caller_in_src():
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    loads = {module: list(_loads(tree)) for module, tree in trees.items()}
+    unreferenced = []
+    for module, tree in trees.items():
+        for qualified, name, first, last in _public_definitions(module, tree):
+            used = any(ref == name and not (other == module
+                                            and first <= line <= last)
+                       for other, refs in loads.items()
+                       for ref, line in refs)
+            if not used:
+                unreferenced.append(qualified)
+    missing = sorted(set(unreferenced) - set(ALLOWED_UNREFERENCED))
+    stale = sorted(set(ALLOWED_UNREFERENCED) - set(unreferenced))
+    assert missing == [], f"public names without a caller in src/: {missing}"
+    assert stale == [], f"allowlisted names that have a caller or are gone: {stale}"

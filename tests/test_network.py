@@ -41,6 +41,8 @@ def test_forward_rejects_wrong_dim(rng):
     m = make_model(rng)
     with pytest.raises(NetworkError):
         m.forward(rng.normal(size=(3, 7)))
+    with pytest.raises(NetworkError):
+        forward_arrays(m.snapshot_view(), m.config, rng.normal(size=(3, 7)))
 
 
 def test_forward_arrays_matches_tape_forward(rng):
@@ -48,8 +50,14 @@ def test_forward_arrays_matches_tape_forward(rng):
     x = rng.normal(size=(7, 6))
     _, probs_t, emb_t = m.forward(x)
     probs_a, emb_a = forward_arrays(m.snapshot_view(), m.config, x)
-    np.testing.assert_allclose(probs_a, probs_t.data, atol=1e-12)
-    np.testing.assert_allclose(emb_a, emb_t.data, atol=1e-12)
+    assert np.array_equal(probs_a, probs_t.data)
+    assert np.array_equal(emb_a, emb_t.data)
+    # a dead projection pins every embedding to the first basis vector
+    m.params["projection.W"].data[:] = 0.0
+    m.params["projection.b"].data[:] = 0.0
+    _, emb_a = forward_arrays(m.snapshot_view(), m.config, x)
+    assert np.array_equal(emb_a, np.eye(8)[[0] * 7])
+    assert np.array_equal(emb_a, m.forward(x)[2].data)
 
 
 def test_teacher_snapshot_is_off_tape(rng):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from josnc.labeler import make_lsr_target
-from josnc.selector import (CLEAN, ID, OOD, Partition, SampleScores,
-                            SelectorError, ThresholdState, classify_sample,
-                            score_sample)
+from josnc.diffmath import js_divergence_rows
+from josnc.embedqueue import KnnBatch
+from josnc.labeler import lsr_matrix
+from josnc.selector import (CLEAN, ID, OOD, Partition, SelectorError,
+                            ThresholdState, classify_sample)
+from josnc.trainer import TrainConfig, robust_targets
 
 
 def js_oracle(p, q):
@@ -16,38 +18,46 @@ def js_oracle(p, q):
     return 0.5 * kl(p, m) + 0.5 * kl(q, m)
 
 
-# scoring ----------------------------------------------------------------------
+# scoring: the trainer's p_clean = 1 - JS(p, y), p_ood = JS(p, p') -----------
 
 def test_score_sample_against_oracle():
     p = [0.5, 0.5]
     y = [0.9, 0.1]
     p2 = [0.75, 0.25]
-    s = score_sample(p, p2, y)
-    assert s.p_clean == pytest.approx(1.0 - js_oracle(p, y), abs=1e-12)
-    assert s.p_ood == pytest.approx(js_oracle(p, p2), abs=1e-12)
+    p_clean = 1.0 - js_divergence_rows(p, y)[0]
+    p_ood = js_divergence_rows(p, p2)[0]
+    assert p_clean == pytest.approx(1.0 - js_oracle(p, y), abs=1e-12)
+    assert p_ood == pytest.approx(js_oracle(p, p2), abs=1e-12)
     # frozen oracle values
-    assert s.p_clean == pytest.approx(0.85321, abs=1e-5)
-    assert s.neighbor_mean_p_clean is None
-    assert s.neighbors_share_label is None
+    assert p_clean == pytest.approx(0.85321, abs=1e-5)
 
 
 def test_score_perfect_prediction():
-    y = make_lsr_target(1, 4, 0.6).dist
-    s = score_sample(y, y, y)
-    assert s.p_clean == pytest.approx(1.0, abs=1e-12)
-    assert s.p_ood == 0.0
+    y = lsr_matrix([1], 4, 0.6)
+    assert 1.0 - js_divergence_rows(y, y)[0] == pytest.approx(1.0, abs=1e-12)
+    assert js_divergence_rows(y, y)[0] == 0.0
 
 
 def test_score_neighbor_fields():
-    s = score_sample([0.5, 0.5], [0.5, 0.5], [0.7, 0.3],
-                     neighbor_p_clean=[0.8, 0.9, 1.0],
-                     neighbor_labels=[2, 2, 2], observed_label=2)
-    assert s.neighbor_mean_p_clean == pytest.approx(0.9)
-    assert s.neighbors_share_label is True
-    s2 = score_sample([0.5, 0.5], [0.5, 0.5], [0.7, 0.3],
-                      neighbor_p_clean=[0.8, 0.9],
-                      neighbor_labels=[2, 1], observed_label=2)
-    assert s2.neighbors_share_label is False
+    # the robust step's neighbor fields: the mean enqueue-time p_clean of the
+    # K neighbors and whether all K share the observed label; row 0's mean is
+    # 0.9 with unanimous labels, row 1 has a dissenting neighbor
+    t = make_thresholds(0.85, 0.5)
+    knn = KnnBatch(similarities=np.ones((2, 3)),
+                   observed_labels=np.array([[2, 2, 2], [2, 1, 2]]),
+                   p_clean=np.array([[0.8, 0.9, 1.0], [0.8, 0.9, 1.0]]),
+                   preds=np.full((2, 3, 3), 1 / 3), sample_ids=np.zeros((2, 3)),
+                   found=np.array([True, True]))
+    y_b = np.array([2, 2])
+
+    def codes():
+        return robust_targets(knn, np.zeros(2), np.ones(2), y_b,
+                              lsr_matrix(y_b, 3, 0.1), np.full((2, 3), 1 / 3),
+                              t, TrainConfig())[0].tolist()
+
+    assert codes() == [CLEAN, OOD]
+    t.tau_clean[:] = 0.95   # the mean must clear the bar
+    assert codes() == [OOD, OOD]
 
 
 # classification ------------------------------------------------------------------
@@ -61,40 +71,31 @@ def make_thresholds(tau_clean, tau_ood, n_classes=3):
 
 def test_classify_clean_by_own_score():
     t = make_thresholds(0.6, 0.5)
-    s = SampleScores(p_clean=0.61, p_ood=0.9)
-    assert classify_sample(s, 0, t) == CLEAN
+    assert classify_sample(0.61, 0.9, 0.0, False, 0, t) == CLEAN
 
 
 def test_classify_clean_boundary_is_strict():
     t = make_thresholds(0.6, 0.5)
-    s = SampleScores(p_clean=0.6, p_ood=0.4)
-    assert classify_sample(s, 0, t) == ID
-    s = SampleScores(p_clean=0.6, p_ood=0.5)
-    assert classify_sample(s, 0, t) == ID    # strict inequality on both
-    s = SampleScores(p_clean=0.6, p_ood=0.50001)
-    assert classify_sample(s, 0, t) == OOD
+    assert classify_sample(0.6, 0.4, 0.0, False, 0, t) == ID
+    # strict inequality on both
+    assert classify_sample(0.6, 0.5, 0.0, False, 0, t) == ID
+    assert classify_sample(0.6, 0.50001, 0.0, False, 0, t) == OOD
 
 
 def test_classify_clean_by_neighbor_rescue():
     t = make_thresholds(0.6, 0.5)
-    s = SampleScores(p_clean=0.2, p_ood=0.9,
-                     neighbor_mean_p_clean=0.7, neighbors_share_label=True)
-    assert classify_sample(s, 0, t) == CLEAN
+    assert classify_sample(0.2, 0.9, 0.7, True, 0, t) == CLEAN
     # rescue requires both unanimity and the mean clearing the bar
-    s.neighbors_share_label = False
-    assert classify_sample(s, 0, t) == OOD
-    s.neighbors_share_label = True
-    s.neighbor_mean_p_clean = 0.55
-    assert classify_sample(s, 0, t) == OOD
+    assert classify_sample(0.2, 0.9, 0.7, False, 0, t) == OOD
+    assert classify_sample(0.2, 0.9, 0.55, True, 0, t) == OOD
 
 
 def test_classify_uses_per_class_thresholds():
     t = ThresholdState(2)
     t.tau_clean[:] = [0.9, 0.1]
     t.tau_ood[:] = [0.5, 0.5]
-    s = SampleScores(p_clean=0.5, p_ood=0.1)
-    assert classify_sample(s, 0, t) == ID
-    assert classify_sample(s, 1, t) == CLEAN
+    assert classify_sample(0.5, 0.1, 0.0, False, 0, t) == ID
+    assert classify_sample(0.5, 0.1, 0.0, False, 1, t) == CLEAN
 
 
 # partition soundness --------------------------------------------------------------
@@ -118,16 +119,21 @@ def test_partition_coverage_rejected():
 # thresholds ------------------------------------------------------------------------
 
 def test_accumulate_batch_matches_scalar(rng):
-    a, b = ThresholdState(5), ThresholdState(5)
+    a = ThresholdState(5)
     p_clean = rng.random(200)
     p_ood = rng.random(200)
     labels = rng.integers(0, 5, size=200)
     a.accumulate_batch(p_clean, p_ood, labels)
+    # scalar reference: one sample at a time into plain per-class sums
+    sum_clean, sum_ood, counts = np.zeros(5), np.zeros(5), np.zeros(5, int)
     for pc, po, lab in zip(p_clean, p_ood, labels):
-        b.accumulate(SampleScores(p_clean=pc, p_ood=po), int(lab))
-    np.testing.assert_allclose(a.epoch_means()[0], b.epoch_means()[0], atol=1e-12)
-    np.testing.assert_allclose(a.epoch_means()[1], b.epoch_means()[1], atol=1e-12)
-    np.testing.assert_array_equal(a.epoch_counts(), b.epoch_counts())
+        sum_clean[lab] += pc
+        sum_ood[lab] += po
+        counts[lab] += 1
+    seen = np.maximum(counts, 1)
+    np.testing.assert_allclose(a.epoch_means()[0], sum_clean / seen, atol=1e-12)
+    np.testing.assert_allclose(a.epoch_means()[1], sum_ood / seen, atol=1e-12)
+    np.testing.assert_array_equal(a.epoch_counts(), counts)
 
 
 def test_roll_closed_form_constant_mean():
