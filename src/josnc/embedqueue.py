@@ -164,4 +164,6 @@ class EmbedQueue:
 
     def embeddings_view(self) -> np.ndarray:
         """Read-only view of stored keys (contrastive negative pool)."""
-        return self._emb
+        view = self._emb.view()
+        view.flags.writeable = False
+        return view

@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, datagen, selector
+from . import __version__, blas, datagen, selector
 from .network import save_checkpoint, write_atomic
 from .trainer import TrainConfig, TrainingDiverged, fit
 
@@ -307,6 +307,18 @@ def run(config_path: str, output_dir_override: str = None) -> str:
     dataset = build_dataset(cfg)
     train_config = build_train_config(cfg)
     n_classes = dataset.n_id_classes
+    # written before the fit, so a diverged run keeps its record too
+    manifest = {
+        "version": _git_describe(),
+        "package_version": __version__,
+        "seed": cfg["train"]["seed"],
+        "dataset_seed": cfg["dataset"]["seed"],
+        "method": cfg["method"],
+        "model_config": asdict(train_config.model_config(
+            dataset.train.x.shape[1], n_classes)),
+        "blas_threads": blas.thread_count(),
+    }
+    _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
 
     try:
         result = fit(train_config, dataset.train, dataset.test_x,
@@ -322,15 +334,6 @@ def run(config_path: str, output_dir_override: str = None) -> str:
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"),
                     result.student, result.teacher)
-    manifest = {
-        "version": _git_describe(),
-        "package_version": __version__,
-        "seed": cfg["train"]["seed"],
-        "dataset_seed": cfg["dataset"]["seed"],
-        "method": cfg["method"],
-        "model_config": asdict(result.model_config),
-    }
-    _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
     return out_dir
 
 

@@ -95,6 +95,11 @@ class TrainConfig:
             raise TrainerError("temperatures must be positive")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
 
+    def model_config(self, input_dim: int, n_classes: int) -> ModelConfig:
+        return ModelConfig(input_dim=input_dim, n_classes=n_classes,
+                           hidden_dims=self.hidden_dims,
+                           embed_dim=self.embed_dim)
+
 
 @dataclass
 class EpochRecord:
@@ -115,7 +120,6 @@ class FitResult:
     history: list
     student: dict
     teacher: dict
-    model_config: ModelConfig
 
 
 class _SGD:
@@ -200,9 +204,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     every partitioned step.
     """
     n = train.x.shape[0]
-    model_config = ModelConfig(input_dim=train.x.shape[1], n_classes=n_classes,
-                               hidden_dims=config.hidden_dims,
-                               embed_dim=config.embed_dim)
+    model_config = config.model_config(train.x.shape[1], n_classes)
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     model = Model(model_config, init_rng)
     teacher = model.snapshot()
@@ -329,5 +331,4 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
             partition_codes=codes_epoch.copy()))
 
     return FitResult(history=history, student=model.snapshot(),
-                     teacher={k: a.copy() for k, a in teacher.items()},
-                     model_config=model_config)
+                     teacher={k: a.copy() for k, a in teacher.items()})

@@ -188,3 +188,10 @@ def test_embeddings_view_is_pool(rng):
     q = EmbedQueue(10, 4, 3)
     emb, *_ = fill(q, rng, 6, d=4, c=3)
     np.testing.assert_array_equal(q.embeddings_view(), emb)
+
+
+def test_embeddings_view_is_read_only(rng):
+    q = EmbedQueue(10, 4, 3)
+    fill(q, rng, 6, d=4, c=3)
+    with pytest.raises(ValueError, match="read-only"):
+        q.embeddings_view()[0, 0] = 0.0

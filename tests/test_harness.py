@@ -378,6 +378,11 @@ def test_cli_exit_code_divergence(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(["run", cfg_path]) == 3
     assert "diverged" in capsys.readouterr().err
-    # partial artifacts retained
+    # partial artifacts retained, with the run's record
     assert os.path.exists(os.path.join(out, "metrics.csv"))
     assert os.path.exists(os.path.join(out, "checkpoint.bin"))
+    manifest = json.load(open(os.path.join(out, "run_manifest.json")))
+    assert manifest["seed"] == 5
+    assert manifest["blas_threads"] == 1
+    assert manifest["model_config"] == {"input_dim": 6, "n_classes": 3,
+                                        "hidden_dims": [12], "embed_dim": 6}
