@@ -254,8 +254,8 @@ def read_metrics_csv(path: str) -> tuple:
     """Returns (columns, list of row dicts with float values).
 
     Raises ConfigError naming path:line when the file cannot be read, the
-    header (first column "epoch") is missing, a row's field count differs
-    from the header's, or a value is not a number.
+    header (first column "epoch") is missing, no epoch row follows it, a
+    row's field count differs from the header's, or a value is not a number.
     """
     try:
         with open(path) as f:
@@ -266,6 +266,8 @@ def read_metrics_csv(path: str) -> tuple:
     columns = lines[0][1].split(",") if lines else []
     if columns[:1] != ["epoch"]:
         raise ConfigError(f"{path}:1: missing header")
+    if len(lines) == 1:
+        raise ConfigError(f"{path}:1: no epoch rows")
     rows = []
     for n, ln in lines[1:]:
         vals = ln.split(",")

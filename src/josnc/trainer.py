@@ -9,6 +9,11 @@ teacher predictions into partition codes, classification targets and
 neighbor mixtures with no per-row Python loop. Its results are bit-identical
 to classifying and labeling one sample at a time (tests/oracles.py).
 
+A step computes only what it reads: teacher predictions only in robust steps
+(their targets read them), teacher keys and queue writes only in fits with
+selection (robust steps read the queue; warmup fills it). A STANDARD fit
+runs no teacher forward and writes no queue.
+
 The loop receives only features, observed labels, and sample ids; hidden noise
 tags are not reachable from this module.
 """
@@ -245,8 +250,10 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
             try:
                 _, p1, emb_q = model.forward(v)
                 _, p2, _ = model.forward(v2)
-                teacher_probs, _ = forward_arrays(teacher, model_config, x_b)
-                _, teacher_keys = forward_arrays(teacher, model_config, v2)
+                if not warmup_mode:
+                    teacher_probs, _ = forward_arrays(teacher, model_config, x_b)
+                if config.use_selection:
+                    _, teacher_keys = forward_arrays(teacher, model_config, v2)
             except DiffMathError as exc:
                 # overflow inside a forward pass (inf logits) is divergence too
                 raise TrainingDiverged(
@@ -302,8 +309,9 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
             ema_update(teacher, model, config.ema_omega)
 
             thresholds.accumulate_batch(p_clean, p_ood, y_b)
-            queue.enqueue(teacher_keys, y_b, np.clip(p_clean, 0.0, 1.0),
-                          p1_np, ids_b)
+            if config.use_selection:
+                queue.enqueue(teacher_keys, y_b, np.clip(p_clean, 0.0, 1.0),
+                              p1_np, ids_b)
 
             codes_epoch[idx] = codes   # sample ids are unique per position
             part = selector.Partition(

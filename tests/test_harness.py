@@ -312,7 +312,9 @@ def test_compare_rejects_schema_mismatch(tmp_path):
     ("epoch,train_loss\n1,0.5\n2\n", ":3: 1 fields, header has 2"),
     # a row cut inside its last field
     ("epoch,train_loss\n1,0.5\n2,\n", ":3: could not convert"),
-], ids=["empty", "cut-at-field", "cut-in-field"])
+    # a run that diverged in its first epoch writes only the header
+    (",".join(METRICS_COLUMNS) + "\n", ":1: no epoch rows"),
+], ids=["empty", "cut-at-field", "cut-in-field", "header-only"])
 def test_cli_compare_rejects_corrupt_metrics(tmp_path, capsys, text, where):
     out = str(tmp_path / "one")
     run(write_config(tmp_path, tiny_raw_config(out)))

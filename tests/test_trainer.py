@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from josnc import trainer
 from josnc.datagen import NoiseSpec, inject_noise, make_blobs
+from josnc.diffmath import DiffMathError
 from josnc.embedqueue import EmbedQueue
 from josnc.labeler import lsr_matrix
 from josnc.selector import CLEAN, ID, OOD, ThresholdState
@@ -94,11 +96,32 @@ def test_robust_epochs_produce_mixed_partition():
     assert set(np.unique(later).tolist()) == {0, 1, 2}
 
 
-def test_selection_off_stays_in_warmup_mode():
-    res = run_tiny(tiny_config(use_selection=False))
+def count_calls(monkeypatch, owner, name, calls):
+    """Wrap owner.name so that every call appends its args to calls."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_selection_off_stays_in_warmup_mode(monkeypatch):
+    # nothing reads the teacher or the queue, so neither is computed
+    enqueues, knns, forwards = [], [], []
+    count_calls(monkeypatch, EmbedQueue, "enqueue", enqueues)
+    count_calls(monkeypatch, EmbedQueue, "knn_batch", knns)
+    count_calls(monkeypatch, trainer, "forward_arrays", forwards)
+    ds = tiny_data()
+    res = run_tiny(tiny_config(use_selection=False), ds)
     for rec in res.history:
         assert np.all(rec.partition_codes == CLEAN)
         assert rec.l_con_s == 0.0 and rec.l_con_n == 0.0 and rec.l_con_f == 0.0
+    assert enqueues == [] and knns == []
+    # one evaluation forward per epoch, no teacher forward
+    assert len(forwards) == 6
+    assert all(x is ds.test_x for _, _, x in forwards)
 
 
 def test_ablation_flags_zero_their_terms():
@@ -127,18 +150,42 @@ def test_partition_sound_every_step():
     assert len(seen) == 6 * batches_per_epoch
 
 
-def test_queue_fills_during_warmup():
+def test_queue_fills_during_warmup(monkeypatch):
     # every warmup step enqueues, so robust epochs start with neighbor evidence
-    counts = []
+    events = []
+    enqueue, knn_batch = EmbedQueue.enqueue, EmbedQueue.knn_batch
+
+    def spy_enqueue(self, embeddings, *args, **kwargs):
+        events.append(("enqueue", len(embeddings)))
+        return enqueue(self, embeddings, *args, **kwargs)
+
+    def spy_knn_batch(self, *args, **kwargs):
+        events.append(("knn", len(self)))
+        return knn_batch(self, *args, **kwargs)
 
     def hook(epoch, batch_ids, part):
-        counts.append(epoch)
+        events.append(("step", epoch, len(batch_ids)))
 
+    monkeypatch.setattr(EmbedQueue, "enqueue", spy_enqueue)
+    monkeypatch.setattr(EmbedQueue, "knn_batch", spy_knn_batch)
     ds = tiny_data()
-    cfg = tiny_config(queue_capacity=100)
-    res = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes,
-              step_hook=hook)
-    assert res.history[0].mean_tau_clean > 0.0   # thresholds rolled from data
+    n = ds.train.x.shape[0]
+    for capacity in (100, 1000):   # below and above the warmup row count
+        events.clear()
+        cfg = tiny_config(queue_capacity=capacity)
+        fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes,
+            step_hook=hook)
+        steps = [i for i, e in enumerate(events) if e[0] == "step"]
+        warmup = [i for i in steps if events[i][1] <= cfg.warmup_epochs]
+        assert len(warmup) == cfg.warmup_epochs * -(-n // cfg.batch_size)
+        prev = -1
+        for i in warmup:
+            # exactly one enqueue of the step's whole batch, and no lookup
+            assert events[prev + 1:i] == [("enqueue", events[i][2])]
+            prev = i
+        first_knn = next(e for e in events if e[0] == "knn")
+        assert events.index(first_knn) == warmup[-1] + 1
+        assert first_knn[1] == min(capacity, cfg.warmup_epochs * n)
 
 
 def test_thresholds_move_into_unit_interval():
@@ -169,6 +216,30 @@ def test_divergence_aborts_with_artifacts():
     assert isinstance(exc.value.history, list)
     assert isinstance(exc.value.student, dict)
     assert isinstance(exc.value.teacher, dict)
+
+
+def test_teacher_forward_overflow_in_robust_step_aborts(monkeypatch):
+    # the first forward_arrays call after the last warmup evaluation is the
+    # teacher forward of the first robust step
+    ds = tiny_data()
+    cfg = tiny_config()
+    forward_arrays, evals = trainer.forward_arrays, []
+
+    def overflowing(params, config, x):
+        if x is ds.test_x:
+            evals.append(x)
+        elif len(evals) == cfg.warmup_epochs:
+            raise DiffMathError("inf logits")
+        return forward_arrays(params, config, x)
+
+    monkeypatch.setattr(trainer, "forward_arrays", overflowing)
+    with pytest.raises(TrainingDiverged, match="epoch 3: inf logits") as exc:
+        fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
+    assert [r.epoch for r in exc.value.history] == [1, 2]
+    student, teacher = exc.value.student, exc.value.teacher
+    assert student and set(student) == set(teacher)
+    for params in (student, teacher):
+        assert all(np.isfinite(a).all() for a in params.values())
 
 
 def test_adam_optimizer_runs():
