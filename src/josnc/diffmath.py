@@ -1,12 +1,15 @@
-"""Dense tensor arithmetic with reverse-mode autodiff, plus divergence primitives.
+"""Divergence primitives and the node type of a coarse reverse-mode graph.
 
-Everything runs on float64 numpy arrays. The autodiff tape is deliberately
-minimal: it supports exactly the operations the training objective needs
-(matmul, add, relu, softmax, log, elementwise mul, sum, L2-normalize).
-One node is built outside this module: the fused InfoNCE node of
-`objective.feature_consistency_loss`, whose backward repeats the float steps
-of the equivalent log/softmax/matmul chain so its gradient is bit-identical.
-A graph is backpropagated once; backward() tears it down as it goes.
+Everything runs on float64 numpy arrays. A training step's graph has one
+`Tensor` per forward stage (`network.Model.forward`) and one per loss term
+(`objective`), about a dozen in all. Each node's backward is explicit array
+code that repeats, in order, the float operations of the generic op-by-op
+tape kept as the reference in `tests/oracles.py`; where partials meet, the
+depth-first sweep adds them in that tape's order, so parameter gradients are
+bit-identical to it. The tape's `0 + g` copy at each intermediate op is not
+repeated: it only turns -0.0 into +0.0, no backward divides by a gradient,
+and a summed gradient starts from +0.0 in `_accum`, so a zero's sign never
+reaches a weight. backward() tears a graph down as it goes.
 
 Divergences use base-2 logarithms throughout so that the Jensen-Shannon
 divergence is bounded in [0, 1]; the selection thresholds rely on that bound.
@@ -82,24 +85,14 @@ def js_divergence_rows(p, q) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# reverse-mode autodiff tape
+# coarse reverse-mode graph
 # ---------------------------------------------------------------------------
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce grad back to `shape` after numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tensor:
-    """A float64 array node on an (implicit) reverse-mode tape.
+    """A float64 array node of a reverse-mode graph.
 
-    Tensors are value-like; a fresh graph is built for every training step and
-    torn down by backward(). Parameters are Tensors with requires_grad=True.
+    A fresh graph is built for every training step and torn down by
+    backward(). Parameters are leaf Tensors with requires_grad=True.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -109,15 +102,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        # a result that needs no gradient is not on the tape: no graph links
+        # a result that needs no gradient is not on the graph: no links
         self._parents = _parents if self.requires_grad else ()
         self._backward_fn = None
-
-    # -- plumbing ----------------------------------------------------------
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def _accum(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -125,10 +112,12 @@ class Tensor:
         self.grad += grad
 
     def _record(self, backward_fn) -> "Tensor":
-        """Attach backward_fn if this node is on the tape; returns self.
+        """Attach backward_fn if this node is on the graph; returns self.
 
-        A node that requires no gradient keeps no closure, so it forms no
-        node <-> closure cycle and is freed by reference counting.
+        backward_fn(grad) receives the node's gradient and passes partials
+        to the parents with _accum. It never refers to the node itself, so a
+        node and its closure form no reference cycle, and a graph is freed by
+        reference counting whether or not it is backpropagated.
         """
         if self.requires_grad:
             self._backward_fn = backward_fn
@@ -137,20 +126,16 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    @staticmethod
-    def _coerce(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar loss.
 
         A graph is backpropagated once: each node drops its backward closure
-        and its parents after running them, which breaks the node <-> closure
-        reference cycles so a dead graph is freed by reference counting
-        rather than waiting for the cyclic garbage collector.
+        and its parents after running them, so the arrays the closures hold
+        are freed as the sweep goes.
         """
         if self.data.size != 1:
-            raise DiffMathError(f"backward requires a scalar, got shape {self.shape}")
+            raise DiffMathError(
+                f"backward requires a scalar, got shape {self.data.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -168,133 +153,10 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward_fn is not None and node.requires_grad:
-                node._backward_fn()
+            if node._backward_fn is not None:
+                node._backward_fn(node.grad)
             node._backward_fn = None
             node._parents = ()
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = Tensor(self.data + other.data, _parents=(self, other))
-
-        def bw():
-            if self.requires_grad:
-                self._accum(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(out.grad, other.shape))
-        return out._record(bw)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        out = Tensor(self.data * other.data, _parents=(self, other))
-
-        def bw():
-            if self.requires_grad:
-                self._accum(_unbroadcast(out.grad * other.data, self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(out.grad * self.data, other.shape))
-        return out._record(bw)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise DiffMathError("tensor/tensor division is not on the op menu")
-        return self * (1.0 / float(scalar))
-
-    def matmul(self, other):
-        other = self._coerce(other)
-        out = Tensor(self.data @ other.data, _parents=(self, other))
-
-        def bw():
-            if self.requires_grad:
-                self._accum(out.grad @ other.data.T)
-            if other.requires_grad:
-                other._accum(self.data.T @ out.grad)
-        return out._record(bw)
-
-    __matmul__ = matmul
-
-    def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), _parents=(self,))
-
-        def bw():
-            if self.requires_grad:
-                self._accum(out.grad * (self.data > 0))
-        return out._record(bw)
-
-    def log(self):
-        """Natural log with the 1e-12 floor guard."""
-        floored = np.maximum(self.data, LOG_FLOOR)
-        out = Tensor(np.log(floored), _parents=(self,))
-
-        def bw():
-            if self.requires_grad:
-                self._accum(out.grad / floored)
-        return out._record(bw)
-
-    def softmax(self, temperature: float = 1.0):
-        """Row-wise temperature softmax over the last axis."""
-        y = softmax(self.data, temperature)
-        out = Tensor(y, _parents=(self,))
-
-        def bw():
-            if self.requires_grad:
-                g = out.grad
-                dz = y * (g - (g * y).sum(axis=-1, keepdims=True))
-                self._accum(dz / temperature)
-        return out._record(bw)
-
-    def sum(self):
-        out = Tensor(self.data.sum(), _parents=(self,))
-
-        def bw():
-            if self.requires_grad:
-                self._accum(np.full_like(self.data, float(out.grad)))
-        return out._record(bw)
-
-    def l2_normalize(self, eps: float = 1e-12):
-        """Normalize each row of a (N, D) tensor to unit L2 norm.
-
-        Rows with (near-)zero norm, e.g. from a dead ReLU path, map to the
-        first basis vector and receive zero gradient.
-        """
-        norms = np.sqrt((self.data ** 2).sum(axis=-1, keepdims=True))
-        dead = norms[..., 0] < eps
-        norms = np.maximum(norms, eps)
-        y = self.data / norms
-        if dead.any():
-            y = y.copy()
-            y[dead] = 0.0
-            y[dead, ..., 0] = 1.0
-
-        out = Tensor(y, _parents=(self,))
-
-        def bw():
-            if self.requires_grad:
-                g = out.grad
-                gx = (g - y * (g * y).sum(axis=-1, keepdims=True)) / norms
-                if dead.any():
-                    gx = gx.copy()
-                    gx[dead] = 0.0
-                self._accum(gx)
-        return out._record(bw)
-
     def item(self) -> float:
         return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

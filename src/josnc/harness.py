@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, blas, datagen, selector
 from .network import save_checkpoint, write_atomic
-from .trainer import TrainConfig, TrainingDiverged, fit
+from .trainer import TrainConfig, TrainerError, TrainingDiverged, fit
 
 METRICS_COLUMNS = [
     "epoch", "train_loss", "l_cls", "l_con_s", "l_con_n", "l_con_f",
@@ -166,24 +166,35 @@ def build_dataset(cfg: dict) -> datagen.BlobDataset:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
+    """The TrainConfig of a resolved config; a value TrainConfig rejects, or
+    a kappa above the class count, raises ConfigError naming its key."""
     use_sel, use_s, use_n, use_f = METHODS[cfg["method"]]
     t = cfg["train"]
-    return TrainConfig(
-        epochs=t["epochs"], warmup_epochs=t["warmup_epochs"],
-        batch_size=t["batch_size"], learning_rate=float(t["learning_rate"]),
-        momentum=float(t["momentum"]), optimizer=t["optimizer"],
-        epsilon=float(t["epsilon"]), kappa=t["kappa"], knn_k=t["knn_k"],
-        alpha=float(t["alpha"]), beta=float(t["beta"]), gamma=float(t["gamma"]),
-        ema_omega=float(t["ema_omega"]),
-        tau_omega_warmup=float(t["tau_omega_warmup"]),
-        tau_omega_main=float(t["tau_omega_main"]),
-        t_pll_in=float(t["t_pll_in"]), t_pll_out=float(t["t_pll_out"]),
-        t_ssl=float(t["t_ssl"]), queue_capacity=t["queue_capacity"],
-        hidden_dims=tuple(cfg["model"]["hidden_dims"]),
-        embed_dim=cfg["model"]["embed_dim"],
-        jitter_sigma=float(t["jitter_sigma"]), mask_rate=float(t["mask_rate"]),
-        seed=t["seed"], use_selection=use_sel, use_scon=use_s,
-        use_ncon=use_n, use_fcon=use_f)
+    n_classes = cfg["dataset"]["n_id_classes"]
+    if t["kappa"] > n_classes:
+        raise ConfigError(f"config.train.kappa: must be <= dataset.n_id_classes "
+                          f"({n_classes}), got {t['kappa']}")
+    try:
+        return TrainConfig(
+            epochs=t["epochs"], warmup_epochs=t["warmup_epochs"],
+            batch_size=t["batch_size"], learning_rate=float(t["learning_rate"]),
+            momentum=float(t["momentum"]), optimizer=t["optimizer"],
+            epsilon=float(t["epsilon"]), kappa=t["kappa"], knn_k=t["knn_k"],
+            alpha=float(t["alpha"]), beta=float(t["beta"]),
+            gamma=float(t["gamma"]), ema_omega=float(t["ema_omega"]),
+            tau_omega_warmup=float(t["tau_omega_warmup"]),
+            tau_omega_main=float(t["tau_omega_main"]),
+            t_pll_in=float(t["t_pll_in"]), t_pll_out=float(t["t_pll_out"]),
+            t_ssl=float(t["t_ssl"]), queue_capacity=t["queue_capacity"],
+            hidden_dims=tuple(cfg["model"]["hidden_dims"]),
+            embed_dim=cfg["model"]["embed_dim"],
+            jitter_sigma=float(t["jitter_sigma"]),
+            mask_rate=float(t["mask_rate"]), seed=t["seed"],
+            use_selection=use_sel, use_scon=use_s, use_ncon=use_n,
+            use_fcon=use_f)
+    except TrainerError as exc:
+        section = "model" if exc.key in _MODEL_SCHEMA else "train"
+        raise ConfigError(f"config.{section}.{exc.key}: {exc.detail}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +266,8 @@ def read_metrics_csv(path: str) -> tuple:
 
     Raises ConfigError naming path:line when the file cannot be read, the
     header (first column "epoch") is missing, no epoch row follows it, a
-    row's field count differs from the header's, or a value is not a number.
+    row's field count differs from the header's, or a value is not a finite
+    number (the engine never records a non-finite one).
     """
     try:
         with open(path) as f:
@@ -275,9 +287,12 @@ def read_metrics_csv(path: str) -> tuple:
             raise ConfigError(f"{path}:{n}: {len(vals)} fields, header has "
                               f"{len(columns)}")
         try:
-            rows.append({c: float(v) for c, v in zip(columns, vals)})
+            row = {c: float(v) for c, v in zip(columns, vals)}
         except ValueError as exc:
             raise ConfigError(f"{path}:{n}: {exc}") from exc
+        if not np.isfinite(list(row.values())).all():
+            raise ConfigError(f"{path}:{n}: non-finite value")
+        rows.append(row)
     return columns, rows
 
 
@@ -300,6 +315,7 @@ def run(config_path: str, output_dir_override: str = None) -> str:
     artifacts are retained).
     """
     cfg = load_config(config_path)
+    train_config = build_train_config(cfg)
     out_dir = (output_dir_override or os.environ.get(OUTPUT_DIR_ENV)
                or cfg["output_dir"])
     os.makedirs(out_dir, exist_ok=True)
@@ -307,7 +323,6 @@ def run(config_path: str, output_dir_override: str = None) -> str:
     _write_json(os.path.join(out_dir, "config.resolved.json"), cfg)
 
     dataset = build_dataset(cfg)
-    train_config = build_train_config(cfg)
     n_classes = dataset.n_id_classes
     # written before the fit, so a diverged run keeps its record too
     manifest = {

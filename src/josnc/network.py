@@ -1,9 +1,13 @@
 """Student MLP (encoder + classifier head + projection head) and its
 mean-teacher shadow.
 
-The student's parameters are autodiff Tensors; the teacher is a plain dict of
-numpy arrays and is therefore never on the tape. The teacher tracks the
-student by exponential moving average, one update per optimizer step.
+There is one forward pass, on plain arrays; it keeps the pre-activations a
+backward needs. The teacher and evaluation call it through `forward_arrays`
+and build no graph. `Model.forward` wraps the same pass as three graph nodes
+(encoder output, classifier head + softmax, projection head + L2-normalize)
+whose backwards are explicit array code. The student's parameters are leaf
+Tensors; the teacher is a plain dict of numpy arrays and tracks the student
+by exponential moving average, one update per optimizer step.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmath import Tensor
+from .diffmath import Tensor, softmax
 
 
 class NetworkError(ValueError):
@@ -31,7 +35,8 @@ class ModelConfig:
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        if self.input_dim < 1 or self.n_classes < 2 or self.embed_dim < 1:
+        if (self.input_dim < 1 or self.n_classes < 2 or self.embed_dim < 1
+                or min(self.hidden_dims, default=1) < 1):
             raise NetworkError("invalid model dimensions")
 
 
@@ -55,11 +60,51 @@ class Model:
         self.params[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
 
     def forward(self, x: np.ndarray):
-        """Returns (logits, probs, embeddings) as tape Tensors.
+        """Returns (h, probs, embeddings) as graph nodes.
 
-        probs is softmax(logits, T=1); embeddings are unit-norm rows.
+        h is the encoder output; probs is softmax(logits, T=1); embeddings
+        are unit-norm rows.
         """
-        return _forward(self.params, self.config, x)
+        p = self.params
+        layers, h, probs, emb, norms, dead = _forward(
+            self.snapshot_view(), self.config, x)
+        encoder = [(p[f"encoder.{i}.W"], p[f"encoder.{i}.b"])
+                   for i in range(len(layers))]
+
+        def encoder_backward(g):
+            # relu -> bias add -> matmul per layer, last layer first; the
+            # input needs no gradient
+            for i in reversed(range(len(layers))):
+                (w, b), (inp, z) = encoder[i], layers[i]
+                g = g * (z > 0)
+                b._accum(g.sum(axis=0))
+                w._accum(inp.T @ g)
+                if i:
+                    g = g @ w.data.T
+
+        h_node = Tensor(h, _parents=tuple(t for wb in encoder for t in wb))
+        h_node._record(encoder_backward)
+
+        def head(name, y, output_backward):
+            w, b = p[f"{name}.W"], p[f"{name}.b"]
+
+            def backward(g):
+                dz = output_backward(g)
+                b._accum(dz.sum(axis=0))
+                if h_node.requires_grad:
+                    h_node._accum(dz @ w.data.T)
+                w._accum(h.T @ dz)
+            return Tensor(y, _parents=(h_node, w, b))._record(backward)
+
+        def l2_normalize_backward(g):
+            gx = (g - emb * (g * emb).sum(axis=-1, keepdims=True)) / norms
+            gx[dead] = 0.0
+            return gx
+
+        return (h_node,
+                head("classifier", probs, lambda g: probs * (
+                    g - (g * probs).sum(axis=-1, keepdims=True))),
+                head("projection", emb, l2_normalize_backward))
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Detached copy of all parameters (teacher initialization)."""
@@ -73,25 +118,40 @@ def forward_arrays(params: dict[str, np.ndarray], config: ModelConfig,
                    x: np.ndarray):
     """Forward pass of plain parameter arrays (the teacher, evaluation).
 
-    The arrays enter the shared forward as Tensors that need no gradient,
-    so no graph is recorded. Returns (probs, embeddings) as arrays.
+    Builds no graph. Returns (probs, embeddings) as arrays.
     """
-    _, probs, emb = _forward(params, config, x)
-    return probs.data, emb.data
+    _, _, probs, emb, _, _ = _forward(params, config, x)
+    return probs, emb
 
 
-def _forward(params: dict, config: ModelConfig, x: np.ndarray):
-    """(logits, probs, embeddings) Tensors; params holds Tensors or arrays."""
+def _forward(params: dict[str, np.ndarray], config: ModelConfig,
+             x: np.ndarray):
+    """(layers, h, probs, embeddings, norms, dead) on plain arrays.
+
+    layers holds each encoder layer's (input, pre-activation); norms and
+    dead are the L2-normalize's clamped row norms and dead-row mask: a
+    (near-)zero row, e.g. from a dead ReLU path, maps to the first basis
+    vector and receives zero gradient.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != config.input_dim:
         raise NetworkError(
             f"input dim {x.shape[1]} != expected {config.input_dim}")
-    h = Tensor(x)
+    layers, h = [], x
     for i in range(len(config.hidden_dims)):
-        h = (h @ params[f"encoder.{i}.W"] + params[f"encoder.{i}.b"]).relu()
-    logits = h @ params["classifier.W"] + params["classifier.b"]
+        z = h @ params[f"encoder.{i}.W"] + params[f"encoder.{i}.b"]
+        layers.append((h, z))
+        h = np.maximum(z, 0.0)
+    probs = softmax(h @ params["classifier.W"] + params["classifier.b"])
     emb = h @ params["projection.W"] + params["projection.b"]
-    return logits, logits.softmax(), emb.l2_normalize()
+    norms = np.sqrt((emb ** 2).sum(axis=-1, keepdims=True))
+    dead = norms[:, 0] < 1e-12
+    norms = np.maximum(norms, 1e-12)
+    emb = emb / norms
+    if dead.any():
+        emb[dead] = 0.0
+        emb[dead, 0] = 1.0
+    return layers, h, probs, emb, norms, dead
 
 
 def ema_update(teacher: dict[str, np.ndarray], model: Model, omega: float) -> None:

@@ -1,4 +1,4 @@
-"""Loss terms and their weighted assembly.
+"""Loss terms and their weighted assembly, one graph node each.
 
 Classification dispatches per partition: positive cross-entropy (natural log)
 against smoothed / sharpened targets for CLEAN and ID samples, negative
@@ -8,13 +8,14 @@ similarity-weighted neighbor mixture, and an InfoNCE feature loss over the
 embedding queue. KL-based consistency uses base-2 logs, consistent with the
 selection metrics; the base only rescales the alpha/beta weights.
 
-The InfoNCE term is one fused tape node over an (N, N + Q) buffer that holds
-the softmax and then, in backward, the logit gradient. Its gradient is
-bit-identical to the generic matmul -> scale -> softmax -> log -> one-hot sum
-chain (the backward repeats that chain's float operations in order), so
-training trajectories do not depend on the fusion. Its loss value sums the N
-diagonal log-probabilities directly instead of a masked (N, N + Q) matrix, so
-it can differ from the chain's in the last ulp.
+Each term is one `Tensor`; its backward takes any upstream scalar and
+repeats the float operations of the generic tape's log / product / sum /
+scale chain (`tests/oracles.py`) in order, so gradients are bit-identical to
+it, and so are the values, except the InfoNCE value. That node works in an
+(N, N + Q) buffer that holds the softmax and then, in backward, the logit
+gradient, and sums the N diagonal log-probabilities directly instead of a
+masked (N, N + Q) matrix, so its value can differ from the chain's in the
+last ulp.
 """
 
 from __future__ import annotations
@@ -49,16 +50,30 @@ def classification_loss(probs: Tensor, positive_targets: np.ndarray,
     """
     n = probs.data.shape[0]
     pos = positive_targets * positive_mask[:, None]
-    l_pos = -(probs.log() * pos).sum()
     neg = negative_targets * negative_mask[:, None]
-    l_neg = -((1.0 - probs).log() * neg).sum()
-    return (l_pos + l_neg) / n
+    floored_pos = np.maximum(probs.data, LOG_FLOOR)
+    floored_neg = np.maximum(1.0 - probs.data, LOG_FLOOR)
+    l_pos = -(np.log(floored_pos) * pos).sum()
+    l_neg = -(np.log(floored_neg) * neg).sum()
+
+    def backward(g):
+        # the log(p) branch reaches p before the log(1 - p) branch
+        t = -(g * (1.0 / n))
+        probs._accum((t * pos) / floored_pos)
+        probs._accum(-((t * neg) / floored_neg))
+    return Tensor((l_pos + l_neg) * (1.0 / n),
+                  _parents=(probs,))._record(backward)
 
 
 def cross_entropy_loss(probs: Tensor, targets: np.ndarray) -> Tensor:
     """Plain mean cross-entropy against fixed target distributions."""
     n = probs.data.shape[0]
-    return -(probs.log() * targets).sum() / n
+    floored = np.maximum(probs.data, LOG_FLOOR)
+
+    def backward(g):
+        probs._accum((-(g * (1.0 / n)) * targets) / floored)
+    return Tensor(-(np.log(floored) * targets).sum() * (1.0 / n),
+                  _parents=(probs,))._record(backward)
 
 
 def self_consistency_loss(p: Tensor, p_prime: Tensor, mask: np.ndarray) -> Tensor:
@@ -67,8 +82,24 @@ def self_consistency_loss(p: Tensor, p_prime: Tensor, mask: np.ndarray) -> Tenso
     Uses the identity KL(p||q) + KL(q||p) = sum((p - q) * (log p - log q)).
     """
     n = p.data.shape[0]
-    term = (p - p_prime) * (p.log() - p_prime.log())
-    return (term * mask[:, None]).sum() / (n * LOG2)
+    scale, col = 1.0 / (n * LOG2), mask[:, None]
+    floored, floored_prime = (np.maximum(p.data, LOG_FLOOR),
+                              np.maximum(p_prime.data, LOG_FLOOR))
+    diff = p.data - p_prime.data
+    log_ratio = np.log(floored) - np.log(floored_prime)
+
+    def backward(g):
+        # the (p - p') factor's partial reaches each view before the log's
+        g_term = (g * scale) * col
+        g_diff, g_log = g_term * log_ratio, g_term * diff
+        if p.requires_grad:
+            p._accum(g_diff)
+            p._accum(g_log / floored)
+        if p_prime.requires_grad:
+            p_prime._accum(-g_diff)
+            p_prime._accum(-g_log / floored_prime)
+    return Tensor(((diff * log_ratio) * col).sum() * scale,
+                  _parents=(p, p_prime))._record(backward)
 
 
 def neighbor_consistency_loss(p: Tensor, mixtures: np.ndarray,
@@ -78,9 +109,17 @@ def neighbor_consistency_loss(p: Tensor, mixtures: np.ndarray,
     mixtures are constants read from the queue; no gradient flows into them.
     """
     n = p.data.shape[0]
-    log_mix = np.log(np.maximum(mixtures, 1e-12))
-    term = p * (p.log() - log_mix)
-    return (term * mask[:, None]).sum() / (n * LOG2)
+    scale, col = 1.0 / (n * LOG2), mask[:, None]
+    floored = np.maximum(p.data, LOG_FLOOR)
+    log_ratio = np.log(floored) - np.log(np.maximum(mixtures, LOG_FLOOR))
+
+    def backward(g):
+        # the product p * log_ratio reaches p before the log does
+        g_term = (g * scale) * col
+        p._accum(g_term * log_ratio)
+        p._accum((g_term * p.data) / floored)
+    return Tensor(((p.data * log_ratio) * col).sum() * scale,
+                  _parents=(p,))._record(backward)
 
 
 def neighbor_mixture(similarities: np.ndarray, neighbor_preds: np.ndarray) -> np.ndarray:
@@ -106,7 +145,7 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
 
     The i-th positive key is the i-th row of positive_keys; the negative pool
     is positive_keys plus the stored queue embeddings (all constants). The
-    result is a single tape node whose only parent is query_emb.
+    result is a single graph node whose only parent is query_emb.
     """
     if t_ssl <= 0:
         raise DiffMathError(f"t_ssl must be positive, got {t_ssl}")
@@ -130,27 +169,33 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
     y_pos = y[rows, rows]
     floored = np.maximum(y_pos, LOG_FLOOR)
     loss = -np.log(floored).sum() * (1.0 / n)
-    out = Tensor(loss, _parents=(query_emb,))
 
-    def bw():   # runs only if query_emb, the only parent, requires grad
+    def backward(g):
         # The float steps of the log -> softmax -> scale -> matmul tape
         # chain, in its order, so the gradient is bit-identical to it.
-        g = -(out.grad * (1.0 / n)) / floored
+        g = -(g * (1.0 / n)) / floored
         s = g * y_pos
         dz = y                      # logit gradient overwrites the softmax
         dz *= -s[:, None]
         dz[rows, rows] = y_pos * (g - s)
         dz *= inv_t
         query_emb._accum(dz @ pool)
-    return out._record(bw)
+    return Tensor(loss, _parents=(query_emb,))._record(backward)
 
 
 def total_loss(l_cls: Tensor, l_con_s: Tensor, l_con_n: Tensor, l_con_f: Tensor,
                alpha: float, beta: float, gamma: float):
     """Weighted sum; returns (scalar Tensor, LossBreakdown)."""
-    total = l_cls + alpha * l_con_s + beta * l_con_n + gamma * l_con_f
+    terms = (l_cls, l_con_s, l_con_n, l_con_f)
+    total = (l_cls.data + l_con_s.data * alpha + l_con_n.data * beta
+             + l_con_f.data * gamma)
+
+    def backward(g):
+        for term, weight in zip(terms, (1.0, alpha, beta, gamma)):
+            if term.requires_grad:
+                term._accum(g * weight)
     breakdown = LossBreakdown(
         l_cls=l_cls.item(), l_con_s=l_con_s.item(), l_con_n=l_con_n.item(),
-        l_con_f=l_con_f.item(), total=total.item(),
+        l_con_f=l_con_f.item(), total=float(total),
         alpha=alpha, beta=beta, gamma=gamma)
-    return total, breakdown
+    return Tensor(total, _parents=terms)._record(backward), breakdown

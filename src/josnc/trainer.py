@@ -9,6 +9,10 @@ teacher predictions into partition codes, classification targets and
 neighbor mixtures with no per-row Python loop. Its results are bit-identical
 to classifying and labeling one sample at a time (tests/oracles.py).
 
+A step's gradient comes from a coarse graph of about a dozen nodes: three
+per view from `Model.forward`, one per loss term and one for their weighted
+sum; the teacher and evaluation forwards are plain arrays and build none.
+
 A step computes only what it reads: teacher predictions only in robust steps
 (their targets read them), teacher keys and queue writes only in fits with
 selection (robust steps read the queue; warmup fills it). A STANDARD fit
@@ -36,7 +40,11 @@ from .objective import (classification_loss, cross_entropy_loss,
 
 
 class TrainerError(ValueError):
-    pass
+    """An invalid TrainConfig field: key names it, detail says why."""
+
+    def __init__(self, key: str, detail: str):
+        super().__init__(f"{key} {detail}")
+        self.key, self.detail = key, detail
 
 
 class TrainingDiverged(RuntimeError):
@@ -47,6 +55,20 @@ class TrainingDiverged(RuntimeError):
         self.history = history
         self.student = student
         self.teacher = teacher
+
+
+# (TrainConfig fields, requirement, test) of the single-field checks
+_FIELD_RULES = (
+    (("batch_size", "kappa", "knn_k", "queue_capacity", "embed_dim"),
+     "must be >= 1", lambda v: v >= 1),
+    (("hidden_dims",), "must all be >= 1", lambda v: min(v, default=1) >= 1),
+    (("learning_rate", "t_ssl", "t_pll_in", "t_pll_out"), "must be positive",
+     lambda v: v > 0),
+    (("epsilon", "mask_rate"), "must be in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    (("ema_omega", "tau_omega_warmup", "tau_omega_main", "momentum"),
+     "must be in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    (("optimizer",), "must be 'sgd' or 'adam'", lambda v: v in ("sgd", "adam")),
+)
 
 
 @dataclass
@@ -81,24 +103,15 @@ class TrainConfig:
     use_fcon: bool = True
 
     def __post_init__(self):
-        if not (0 < self.warmup_epochs < self.epochs):
-            raise TrainerError("need 0 < warmup_epochs < epochs")
-        if self.batch_size < 1 or self.learning_rate <= 0:
-            raise TrainerError("invalid batch size / learning rate")
-        for name in ("epsilon", "mask_rate"):
-            v = getattr(self, name)
-            if not (0.0 <= v < 1.0):
-                raise TrainerError(f"{name} must be in [0, 1), got {v}")
-        for name in ("ema_omega", "tau_omega_warmup", "tau_omega_main",
-                     "momentum"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise TrainerError(f"{name} must be in [0, 1], got {v}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise TrainerError(f"unknown optimizer {self.optimizer!r}")
-        if self.t_ssl <= 0 or self.t_pll_in <= 0 or self.t_pll_out <= 0:
-            raise TrainerError("temperatures must be positive")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+        if not 0 < self.warmup_epochs < self.epochs:
+            raise TrainerError("warmup_epochs", "must be in [1, epochs - 1], "
+                               f"got {self.warmup_epochs}")
+        for keys, requirement, ok in _FIELD_RULES:
+            for key in keys:
+                if not ok(getattr(self, key)):
+                    raise TrainerError(
+                        key, f"{requirement}, got {getattr(self, key)!r}")
 
     def model_config(self, input_dim: int, n_classes: int) -> ModelConfig:
         return ModelConfig(input_dim=input_dim, n_classes=n_classes,

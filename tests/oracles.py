@@ -1,14 +1,21 @@
-"""Per-row reference implementations that the batched code is checked against.
+"""Reference implementations that the engine's code is checked against.
 
 `robust_step_loop` is the robust step's selection / target / mixture loop as
 it was written one sample at a time, with the scalar helpers it called.
 `josnc.trainer.robust_targets` must reproduce it bit for bit. `knn` is the
 one-query top-K scan that `EmbedQueue.knn_batch` must agree with.
+
+`TapeTensor` is the generic op-by-op autodiff tape (add, mul, matmul, relu,
+log, softmax, sum, L2-normalize) that the engine's coarse graph replaced,
+with the forward pass and loss terms as they were written on it
+(`tape_forward`, `tape_*_loss`). The coarse nodes' gradients must be
+bit-identical to this tape's.
 """
 
 import numpy as np
 
-from josnc.diffmath import check_prob_vec
+from josnc.diffmath import (LOG2, LOG_FLOOR, DiffMathError, Tensor,
+                            check_prob_vec, softmax)
 from josnc.embedqueue import KnnResult
 from josnc.selector import CLEAN, ID, OOD
 
@@ -110,3 +117,203 @@ def robust_step_loop(neighbors, p_clean, p_ood, y_b, y_smooth, teacher_probs,
         else:
             neg_targets[i] = negative_row(teacher_probs[i])
     return codes, pos_targets, neg_targets, mixtures, has_neighbors
+
+
+# ---------------------------------------------------------------------------
+# the generic tape
+# ---------------------------------------------------------------------------
+
+def _unbroadcast(grad, shape):
+    """Reduce grad back to `shape` after numpy broadcasting."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+class TapeTensor(Tensor):
+    """A Tensor with the generic op menu; every op is one graph node."""
+
+    __slots__ = ()
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @staticmethod
+    def _coerce(other):
+        return other if isinstance(other, TapeTensor) else TapeTensor(other)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = TapeTensor(self.data + other.data, _parents=(self, other))
+
+        def bw(g):
+            if self.requires_grad:
+                self._accum(_unbroadcast(g, self.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(g, other.shape))
+        return out._record(bw)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        out = TapeTensor(self.data * other.data, _parents=(self, other))
+
+        def bw(g):
+            if self.requires_grad:
+                self._accum(_unbroadcast(g * other.data, self.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(g * self.data, other.shape))
+        return out._record(bw)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * (-1.0)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __truediv__(self, scalar):
+        if isinstance(scalar, Tensor):
+            raise DiffMathError("tensor/tensor division is not on the op menu")
+        return self * (1.0 / float(scalar))
+
+    def matmul(self, other):
+        other = self._coerce(other)
+        out = TapeTensor(self.data @ other.data, _parents=(self, other))
+
+        def bw(g):
+            if self.requires_grad:
+                self._accum(g @ other.data.T)
+            if other.requires_grad:
+                other._accum(self.data.T @ g)
+        return out._record(bw)
+
+    __matmul__ = matmul
+
+    def relu(self):
+        out = TapeTensor(np.maximum(self.data, 0.0), _parents=(self,))
+
+        def bw(g):
+            self._accum(g * (self.data > 0))
+        return out._record(bw)
+
+    def log(self):
+        """Natural log with the 1e-12 floor guard."""
+        floored = np.maximum(self.data, LOG_FLOOR)
+        out = TapeTensor(np.log(floored), _parents=(self,))
+
+        def bw(g):
+            self._accum(g / floored)
+        return out._record(bw)
+
+    def softmax(self, temperature=1.0):
+        """Row-wise temperature softmax over the last axis."""
+        y = softmax(self.data, temperature)
+        out = TapeTensor(y, _parents=(self,))
+
+        def bw(g):
+            dz = y * (g - (g * y).sum(axis=-1, keepdims=True))
+            self._accum(dz / temperature)
+        return out._record(bw)
+
+    def sum(self):
+        out = TapeTensor(self.data.sum(), _parents=(self,))
+
+        def bw(g):
+            self._accum(np.full_like(self.data, float(g)))
+        return out._record(bw)
+
+    def l2_normalize(self, eps=1e-12):
+        """Unit-norm rows; a (near-)zero row maps to the first basis vector
+        and receives zero gradient."""
+        norms = np.sqrt((self.data ** 2).sum(axis=-1, keepdims=True))
+        dead = norms[..., 0] < eps
+        norms = np.maximum(norms, eps)
+        y = self.data / norms
+        if dead.any():
+            y = y.copy()
+            y[dead] = 0.0
+            y[dead, ..., 0] = 1.0
+        out = TapeTensor(y, _parents=(self,))
+
+        def bw(g):
+            gx = (g - y * (g * y).sum(axis=-1, keepdims=True)) / norms
+            if dead.any():
+                gx = gx.copy()
+                gx[dead] = 0.0
+            self._accum(gx)
+        return out._record(bw)
+
+
+def on_tape(node):
+    """Any Tensor as a TapeTensor that passes its gradient straight back, so
+    a coarse node can be scaled or summed with tape ops."""
+    out = TapeTensor(node.data, _parents=(node,))
+    return out._record(node._accum)
+
+
+def tape_params(arrays):
+    """Trainable TapeTensor leaves holding copies of the parameter arrays."""
+    return {k: TapeTensor(v.copy(), requires_grad=True)
+            for k, v in arrays.items()}
+
+
+def tape_forward(params, config, x):
+    """(logits, probs, embeddings) of the MLP, built op by op."""
+    h = TapeTensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    for i in range(len(config.hidden_dims)):
+        h = (h @ params[f"encoder.{i}.W"] + params[f"encoder.{i}.b"]).relu()
+    logits = h @ params["classifier.W"] + params["classifier.b"]
+    emb = h @ params["projection.W"] + params["projection.b"]
+    return logits, logits.softmax(), emb.l2_normalize()
+
+
+def tape_cross_entropy_loss(probs, targets):
+    n = probs.data.shape[0]
+    return -(probs.log() * targets).sum() / n
+
+
+def tape_classification_loss(probs, positive_targets, positive_mask,
+                             negative_targets, negative_mask):
+    n = probs.data.shape[0]
+    pos = positive_targets * positive_mask[:, None]
+    l_pos = -(probs.log() * pos).sum()
+    neg = negative_targets * negative_mask[:, None]
+    l_neg = -((1.0 - probs).log() * neg).sum()
+    return (l_pos + l_neg) / n
+
+
+def tape_self_consistency_loss(p, p_prime, mask):
+    n = p.data.shape[0]
+    term = (p - p_prime) * (p.log() - p_prime.log())
+    return (term * mask[:, None]).sum() / (n * LOG2)
+
+
+def tape_neighbor_consistency_loss(p, mixtures, mask):
+    n = p.data.shape[0]
+    log_mix = np.log(np.maximum(mixtures, 1e-12))
+    term = p * (p.log() - log_mix)
+    return (term * mask[:, None]).sum() / (n * LOG2)
+
+
+def tape_feature_consistency_loss(query_emb, positive_keys, queue_pool, t_ssl):
+    """InfoNCE as a matmul -> scale -> softmax -> log -> one-hot sum chain."""
+    n = query_emb.data.shape[0]
+    pool = np.concatenate([positive_keys, queue_pool])
+    log_p = ((query_emb @ pool.T) * (1.0 / t_ssl)).softmax().log()
+    onehot = np.zeros((n, pool.shape[0]))
+    onehot[np.arange(n), np.arange(n)] = 1.0
+    return -(log_p * onehot).sum() / n
+
+
+def tape_total_loss(l_cls, l_con_s, l_con_n, l_con_f, alpha, beta, gamma):
+    return l_cls + alpha * l_con_s + beta * l_con_n + gamma * l_con_f

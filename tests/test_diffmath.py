@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import weakref
@@ -7,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from josnc.datagen import NoiseSpec, inject_noise, make_blobs
 from josnc.diffmath import (DiffMathError, Tensor, check_prob_vec,
                             js_divergence_rows, softmax)
+from josnc.harness import METHODS
 from josnc.objective import neighbor_consistency_loss
+from josnc.trainer import TrainConfig, fit
 
 from conftest import central_diff_grads, rel_error
+from oracles import TapeTensor
 
 
 # independent term-by-term oracles -----------------------------------------
@@ -153,37 +158,37 @@ def test_check_prob_vec_rejects():
         check_prob_vec([np.nan, 1.0])
 
 
-# autodiff ------------------------------------------------------------------
+# the generic tape (tests/oracles.py) -------------------------------------------
 
 def test_backward_sum_is_ones():
-    w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    w = TapeTensor([1.0, 2.0, 3.0], requires_grad=True)
     w.sum().backward()
     np.testing.assert_array_equal(w.grad, np.ones(3))
 
 
 def test_backward_dot_quadratic():
-    w = Tensor([1.0, 2.0], requires_grad=True)
+    w = TapeTensor([1.0, 2.0], requires_grad=True)
     (w * w).sum().backward()
     np.testing.assert_allclose(w.grad, [2.0, 4.0])
 
 
 def test_backward_rejects_nonscalar():
-    w = Tensor([1.0, 2.0], requires_grad=True)
+    w = TapeTensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(DiffMathError):
         (w * 2.0).backward()
 
 
 def test_backward_matmul_softmax_log_chain(rng):
     x = rng.normal(size=(4, 3))
-    w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    b = Tensor(rng.normal(size=5), requires_grad=True)
+    w = TapeTensor(rng.normal(size=(3, 5)), requires_grad=True)
+    b = TapeTensor(rng.normal(size=5), requires_grad=True)
     target = rng.dirichlet(np.ones(5), size=4)
 
     def loss_value():
         probs = softmax(x @ w.data + b.data)
         return float(-(target * np.log(np.maximum(probs, 1e-12))).sum() / 4)
 
-    logits = Tensor(x) @ w + b
+    logits = TapeTensor(x) @ w + b
     loss = -(logits.softmax().log() * target).sum() / 4
     loss.backward()
 
@@ -194,7 +199,7 @@ def test_backward_matmul_softmax_log_chain(rng):
 
 def test_backward_relu_and_l2norm(rng):
     x = rng.normal(size=(3, 4))
-    w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    w = TapeTensor(rng.normal(size=(4, 4)), requires_grad=True)
     anchor = rng.normal(size=(3, 4))
 
     def loss_value():
@@ -202,72 +207,22 @@ def test_backward_relu_and_l2norm(rng):
         n = h / np.maximum(np.sqrt((h ** 2).sum(-1, keepdims=True)), 1e-12)
         return float((n * anchor).sum())
 
-    out = ((Tensor(x) @ w).relu().l2_normalize() * anchor).sum()
+    out = ((TapeTensor(x) @ w).relu().l2_normalize() * anchor).sum()
     out.backward()
     fd = central_diff_grads(loss_value, {"w": w.data})
     assert rel_error(w.grad, fd["w"]) < 1e-4
 
 
 def test_grad_accumulates_across_reuse():
-    w = Tensor([2.0], requires_grad=True)
+    w = TapeTensor([2.0], requires_grad=True)
     # w appears twice: d/dw (w*w + 3w) = 2w + 3 = 7
     loss = (w * w).sum() + (w * 3.0).sum()
     loss.backward()
     np.testing.assert_allclose(w.grad, [7.0])
 
 
-def test_backward_frees_the_graph_without_the_cycle_collector(rng):
-    # Tensor has __slots__ and no weakref slot; an intermediate node owns its
-    # data array, so that array outlives the node only if something else
-    # (a backward closure) still holds it.
-    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        hidden = (Tensor(rng.normal(size=(2, 3))) @ w).relu()
-        probs = hidden.softmax()
-        refs = [weakref.ref(hidden.data), weakref.ref(probs.data)]
-        loss = (probs.log() * rng.dirichlet(np.ones(4), size=2)).sum()
-        del hidden, probs
-        loss.backward()
-        del loss
-        assert all(r() is None for r in refs)
-        assert w.grad is not None and w.grad.shape == (3, 4)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def test_ops_without_grad_record_no_graph(rng):
-    # SELECT_ONLY-style steps: disabled loss terms enter total_loss as
-    # 0.0 * Tensor(0.0); such nodes need no gradient, so they must keep no
-    # parents or backward closure (backward never reaches them to free one)
-    from josnc.objective import cross_entropy_loss, total_loss
-    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    x = rng.normal(size=(5, 3))
-    targets = rng.dirichlet(np.ones(4), size=5)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        gc.collect()
-        for _ in range(3):
-            l_cls = cross_entropy_loss((Tensor(x) @ w).softmax(), targets)
-            zero = Tensor(0.0)
-            total, _ = total_loss(l_cls, zero, zero, zero, 0.0, 0.0, 0.0)
-            w.zero_grad()
-            total.backward()
-        del l_cls, zero, total
-        assert gc.collect() == 0
-        assert w.grad is not None
-        constant = Tensor(2.0) * Tensor(3.0)
-        assert constant._parents == () and constant._backward_fn is None
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
 def test_temperature_softmax_gradient(rng):
-    w = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    w = TapeTensor(rng.normal(size=(2, 4)), requires_grad=True)
     target = rng.dirichlet(np.ones(4), size=2)
 
     def loss_value():
@@ -278,3 +233,73 @@ def test_temperature_softmax_gradient(rng):
     loss.backward()
     fd = central_diff_grads(loss_value, {"w": w.data})
     assert rel_error(w.grad, fd["w"]) < 1e-4
+
+
+# the graph the trainer builds -------------------------------------------------
+
+def tiny_fit(method, step_hook=None):
+    """Three epochs (two robust) of a tiny fit of `method`."""
+    ds = make_blobs(3, 1, 30, 6, 0.6, seed=3)
+    ds = inject_noise(ds, NoiseSpec("symmetric", 0.3, 1), seed=3)
+    use_sel, use_s, use_n, use_f = METHODS[method]
+    cfg = TrainConfig(epochs=3, warmup_epochs=1, batch_size=32,
+                      hidden_dims=(16, 16), embed_dim=8, queue_capacity=64,
+                      knn_k=3, kappa=2, seed=1, use_selection=use_sel,
+                      use_scon=use_s, use_ncon=use_n, use_fcon=use_f)
+    return fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes,
+               step_hook=step_hook)
+
+
+@contextlib.contextmanager
+def cycle_collector_off():
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_backward_frees_the_graph_without_the_cycle_collector(monkeypatch):
+    # every backward closure a step records (Tensor has __slots__ and no
+    # weakref slot; functions have one) is freed by reference counting
+    closures = []
+    record = Tensor._record
+
+    def tracked(self, backward_fn):
+        closures.append(weakref.ref(backward_fn))
+        return record(self, backward_fn)
+
+    monkeypatch.setattr(Tensor, "_record", tracked)
+    for method in ("STANDARD", "JOSNC"):
+        closures.clear()
+        with cycle_collector_off():
+            tiny_fit(method)
+            assert closures
+            assert all(r() is None for r in closures), method
+            assert gc.collect() == 0, method
+
+
+def test_ops_without_grad_record_no_graph(monkeypatch):
+    # disabled loss terms enter total_loss as Tensor(0.0); such nodes need
+    # no gradient, so they keep no parents or backward closure
+    built = []
+    init = Tensor.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", tracked)
+    for method in ("STANDARD", "JOSNC"):
+        built.clear()
+        with cycle_collector_off():
+            tiny_fit(method)
+            constants = [t for t in built if not t.requires_grad]
+            assert constants, method
+            assert all(t._parents == () and t._backward_fn is None
+                       for t in constants), method
+            built.clear()
+            assert gc.collect() == 0, method

@@ -314,7 +314,9 @@ def test_compare_rejects_schema_mismatch(tmp_path):
     ("epoch,train_loss\n1,0.5\n2,\n", ":3: could not convert"),
     # a run that diverged in its first epoch writes only the header
     (",".join(METRICS_COLUMNS) + "\n", ":1: no epoch rows"),
-], ids=["empty", "cut-at-field", "cut-in-field", "header-only"])
+    # the engine never records a non-finite value
+    ("epoch,train_loss\n1,0.5\n2,nan\n3,inf\n", ":3: non-finite value"),
+], ids=["empty", "cut-at-field", "cut-in-field", "header-only", "non-finite"])
 def test_cli_compare_rejects_corrupt_metrics(tmp_path, capsys, text, where):
     out = str(tmp_path / "one")
     run(write_config(tmp_path, tiny_raw_config(out)))
@@ -371,6 +373,30 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     raw["method"] = "NOPE"
     assert cli.main(["run", write_config(tmp_path, raw, "m.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "warmup_epochs", 5),     # with epochs 3 below
+    ("train", "epsilon", 1.5),
+    ("train", "optimizer", "rmsprop"),
+    ("train", "knn_k", 0),
+    ("train", "knn_k", -1),
+    ("train", "queue_capacity", 0),
+    ("model", "hidden_dims", [0]),
+    ("model", "embed_dim", 0),
+    ("train", "kappa", 0),
+    ("train", "kappa", 4),             # the dataset has 3 known classes
+])
+def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key,
+                                         value):
+    out = tmp_path / "out"
+    raw = tiny_raw_config(str(out), epochs=3)
+    raw[section][key] = value
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: config.{section}.{key}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_exit_code_divergence(tmp_path, capsys):

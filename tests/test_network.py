@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from josnc.diffmath import Tensor
 from josnc.network import (Model, ModelConfig, NetworkError, ema_update,
                            forward_arrays, load_checkpoint, save_checkpoint)
+
+from oracles import tape_forward, tape_params
 
 
 def make_model(rng, input_dim=6, n_classes=4, hidden=(16, 16), embed=8):
@@ -16,13 +19,16 @@ def test_config_validation():
         ModelConfig(6, 1)
     with pytest.raises(NetworkError):
         ModelConfig(6, 4, embed_dim=0)
+    with pytest.raises(NetworkError):
+        ModelConfig(6, 4, hidden_dims=(16, 0))
 
 
 def test_forward_shapes_and_probs(rng):
     m = make_model(rng)
     x = rng.normal(size=(5, 6))
-    logits, probs, emb = m.forward(x)
-    assert logits.data.shape == (5, 4)
+    h, probs, emb = m.forward(x)
+    assert h.data.shape == (5, 16)
+    assert probs.data.shape == (5, 4)
     np.testing.assert_allclose(probs.data.sum(axis=1), np.ones(5), atol=1e-12)
     assert np.all(probs.data > 0)
     norms = np.sqrt((emb.data ** 2).sum(axis=1))
@@ -46,18 +52,38 @@ def test_forward_rejects_wrong_dim(rng):
 
 
 def test_forward_arrays_matches_tape_forward(rng):
+    # the one forward pass, as arrays and as graph nodes, has the bits of
+    # the generic tape's op-by-op forward
     m = make_model(rng)
     x = rng.normal(size=(7, 6))
-    _, probs_t, emb_t = m.forward(x)
+    _, probs_n, emb_n = m.forward(x)
+    _, probs_t, emb_t = tape_forward(tape_params(m.snapshot()), m.config, x)
     probs_a, emb_a = forward_arrays(m.snapshot_view(), m.config, x)
-    assert np.array_equal(probs_a, probs_t.data)
-    assert np.array_equal(emb_a, emb_t.data)
+    for got in (probs_a, probs_n.data):
+        assert np.array_equal(got, probs_t.data)
+    for got in (emb_a, emb_n.data):
+        assert np.array_equal(got, emb_t.data)
     # a dead projection pins every embedding to the first basis vector
     m.params["projection.W"].data[:] = 0.0
     m.params["projection.b"].data[:] = 0.0
     _, emb_a = forward_arrays(m.snapshot_view(), m.config, x)
     assert np.array_equal(emb_a, np.eye(8)[[0] * 7])
     assert np.array_equal(emb_a, m.forward(x)[2].data)
+
+
+def test_forward_arrays_builds_no_graph(rng, monkeypatch):
+    m = make_model(rng)
+    built = []
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    forward_arrays(m.snapshot_view(), m.config, rng.normal(size=(7, 6)))
+    assert built == []
+    assert len(m.forward(rng.normal(size=(7, 6)))) == len(built) == 3
 
 
 def test_teacher_snapshot_is_off_tape(rng):

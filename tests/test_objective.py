@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from josnc.diffmath import LOG2, DiffMathError, Tensor, softmax
-from josnc.network import Model, ModelConfig
+from josnc.diffmath import LOG2, LOG_FLOOR, DiffMathError, Tensor, softmax
+from josnc.harness import METHODS
+from josnc.labeler import lsr_matrix
+from josnc.network import Model, ModelConfig, forward_arrays
 from josnc.objective import (classification_loss, cross_entropy_loss,
                              feature_consistency_loss, neighbor_consistency_loss,
                              neighbor_mixture, self_consistency_loss,
                              total_loss)
 
 from conftest import central_diff_grads, rel_error
+from oracles import (TapeTensor, on_tape, tape_classification_loss,
+                     tape_cross_entropy_loss, tape_feature_consistency_loss,
+                     tape_forward, tape_neighbor_consistency_loss, tape_params,
+                     tape_self_consistency_loss, tape_total_loss)
 
 N, D, C, E = 6, 8, 3, 4
 
@@ -141,17 +147,6 @@ def test_feature_consistency_validation(rng):
         feature_consistency_loss(q, np.eye(E)[:3], None)
 
 
-def infonce_tape_chain(query_emb, positive_keys, queue_pool, t_ssl):
-    """Oracle: InfoNCE built from generic tape nodes (matmul, scale, softmax,
-    log, one-hot product, sum), the construction the fused node replaces."""
-    n = query_emb.data.shape[0]
-    pool = np.concatenate([positive_keys, queue_pool])
-    log_p = ((query_emb @ pool.T) * (1.0 / t_ssl)).softmax().log()
-    onehot = np.zeros((n, pool.shape[0]))
-    onehot[np.arange(n), np.arange(n)] = 1.0
-    return -(log_p * onehot).sum() / n
-
-
 @pytest.mark.parametrize("t_ssl", [0.07, 0.1, 0.5, 1.0])
 def test_feature_consistency_bit_exact_against_tape_chain(t_ssl):
     rng = np.random.default_rng(2024)
@@ -167,10 +162,10 @@ def test_feature_consistency_bit_exact_against_tape_chain(t_ssl):
     queue[: q // 4] = np.eye(e)[0]  # dead-row keys pinned to one unit vector
 
     grads, losses = [], []
-    for build in (feature_consistency_loss, infonce_tape_chain):
-        emb = Tensor(query.copy(), requires_grad=True)
+    for build in (feature_consistency_loss, tape_feature_consistency_loss):
+        emb = TapeTensor(query.copy(), requires_grad=True)
         loss = build(emb, keys, queue, t_ssl)
-        (loss * gamma).backward()   # upstream gradient gamma, as in total_loss
+        (on_tape(loss) * gamma).backward()   # upstream gamma, as in total_loss
         grads.append(emb.grad)
         losses.append(loss.item())
     assert np.array_equal(grads[0], grads[1])
@@ -333,3 +328,140 @@ def test_neighbor_preds_receive_no_gradient(rng):
     _, probs, _ = m.forward(x)
     neighbor_consistency_loss(probs, mix, np.ones(N)).backward()
     np.testing.assert_array_equal(mix, before)
+
+
+# the coarse graph against the generic op-by-op tape ----------------------------
+
+WEIGHTS = {"alpha": 0.3, "beta": 0.1, "gamma": 0.01}
+
+
+def edge_case_batch(seed):
+    """A model and a two-view batch that hold the gradient's edge cases.
+
+    Row 0 is all zeros, so every ReLU of its path sits at exactly 0 and its
+    projection is the dead row; encoder units 0-3 never fire; rows 1-6 are
+    scaled until some probabilities fall under the 1e-12 log floor and some
+    reach 1.0 (so 1 - p is floored too, where the OOD rows 1-3 put their
+    complementary label); rows 7-12 are OOD; about a third of the ncon mask
+    is zero.
+    """
+    rng = np.random.default_rng(seed)
+    n, d, c, e, q = 40, 7, 5, 6, 30
+    model = Model(ModelConfig(d, c, hidden_dims=(16, 12), embed_dim=e), rng)
+    model.params["encoder.0.b"].data[:4] = -50.0
+    x1 = rng.normal(size=(n, d))
+    x1[1:7] *= 200.0
+    x2 = x1 + 0.3 * rng.normal(size=(n, d))
+    x1[0] = x2[0] = 0.0
+    p1 = forward_arrays(model.snapshot_view(), model.config, x1)[0]
+    rho = np.ones(n)
+    rho[1:4] = rho[7:13] = 0.0
+    neg_t = np.eye(c)[rng.integers(0, c, n)]
+    neg_t[1:4] = np.eye(c)[p1[1:4].argmax(axis=1)]
+    keys = rng.normal(size=(n, e))
+    queue = rng.normal(size=(q, e))
+    batch = {
+        "x1": x1, "x2": x2, "rho": rho, "neg_t": neg_t,
+        "y_smooth": lsr_matrix(rng.integers(0, c, n), c, 0.1),
+        "pos_t": rng.dirichlet(np.ones(c), size=n),
+        "mix": rng.dirichlet(np.ones(c), size=n),
+        "ncon_mask": rho * (rng.random(n) < 0.6),
+        "keys": keys / np.sqrt((keys ** 2).sum(-1, keepdims=True)),
+        "queue": queue / np.sqrt((queue ** 2).sum(-1, keepdims=True)),
+    }
+    return model, batch
+
+
+def step_loss(method, b, forward, zero, ce, cls, scon, ncon, fcon, total):
+    """(the trainer's loss for `method`, the first view's probabilities),
+    built from the given functions."""
+    use_sel, use_s, use_n, use_f = METHODS[method]
+    _, p1, emb = forward(b["x1"])
+    _, p2, _ = forward(b["x2"])
+    if not use_sel:
+        return total(ce(p1, b["y_smooth"]), zero, zero, zero, 0.0, 0.0, 0.0), p1
+    return total(
+        cls(p1, b["pos_t"], b["rho"], b["neg_t"], 1.0 - b["rho"]),
+        scon(p1, p2, b["rho"]) if use_s else zero,
+        ncon(p1, b["mix"], b["ncon_mask"]) if use_n else zero,
+        fcon(emb, b["keys"], b["queue"], 0.5) if use_f else zero,
+        WEIGHTS["alpha"] if use_s else 0.0, WEIGHTS["beta"] if use_n else 0.0,
+        WEIGHTS["gamma"] if use_f else 0.0), p1
+
+
+def coarse_loss(model, method, b):
+    return step_loss(
+        method, b, model.forward, Tensor(0.0), cross_entropy_loss,
+        classification_loss, self_consistency_loss, neighbor_consistency_loss,
+        feature_consistency_loss, lambda *a: total_loss(*a)[0])
+
+
+def tape_loss(params, config, method, b):
+    return step_loss(
+        method, b, lambda x: tape_forward(params, config, x), TapeTensor(0.0),
+        tape_cross_entropy_loss, tape_classification_loss,
+        tape_self_consistency_loss, tape_neighbor_consistency_loss,
+        tape_feature_consistency_loss, tape_total_loss)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_gradient_bit_identical_to_generic_tape(method, seed):
+    model, b = edge_case_batch(seed)
+    params = tape_params(model.snapshot())
+    _, probs, emb = tape_forward(params, model.config, b["x1"])
+    # the batch reaches the edge cases it is built for
+    assert (probs.data[1:7] < LOG_FLOOR).any()
+    assert (1.0 - probs.data[1:4] < LOG_FLOOR).any()
+    assert emb.data[0].tolist() == [1.0] + [0.0] * (emb.data.shape[1] - 1)
+
+    loss, _ = coarse_loss(model, method, b)
+    loss.backward()
+    want, _ = tape_loss(params, model.config, method, b)
+    want.backward()
+    # the InfoNCE value may differ in the last ulp (module docstring)
+    assert loss.item() == want.item() or METHODS[method][3]
+    for name, param in model.params.items():
+        # tobytes: the sign of every zero agrees too; the projection head
+        # gets no gradient without the feature term
+        got, expected = param.grad, params[name].grad
+        assert (got is None) == (expected is None), name
+        assert got is None or got.tobytes() == expected.tobytes(), name
+
+
+def test_p1_partials_arrive_in_the_tapes_order(monkeypatch):
+    # The tape adds the classification term's two partials into the first
+    # view's probabilities, then view consistency's two, then neighbor
+    # consistency's two; the coarse graph must add the same six in turn.
+    model, b = edge_case_batch(0)
+    received = []
+    accum = Tensor._accum
+
+    def recording(self, grad):
+        received.append((self, np.array(grad)))
+        accum(self, grad)
+
+    monkeypatch.setattr(Tensor, "_accum", recording)
+
+    def into_p1(loss_and_p1):
+        loss, p1 = loss_and_p1
+        received.clear()
+        loss.backward()
+        return [g for node, g in received if node is p1]
+
+    def tape(method):
+        return into_p1(tape_loss(tape_params(model.snapshot()), model.config,
+                                 method, b))
+
+    def same(a, b):
+        # by value: the coarse backward skips the tape's `0 + g` copies, so
+        # a zero inside a partial may carry the other sign (it cannot reach
+        # the sum, which starts from +0.0)
+        return len(a) == len(b) and all(map(np.array_equal, a, b))
+
+    whole = tape("JOSNC")
+    assert len(whole) == 6
+    assert same(whole[:2], tape("SELECT_ONLY"))
+    assert same(whole[:4], tape("SCON"))
+    assert same(whole, tape("SCON_NCON"))
+    assert same(into_p1(coarse_loss(model, "JOSNC", b)), whole)

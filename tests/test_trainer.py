@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from josnc import trainer
 from josnc.datagen import NoiseSpec, inject_noise, make_blobs
-from josnc.diffmath import DiffMathError
+from josnc.diffmath import DiffMathError, Tensor
 from josnc.embedqueue import EmbedQueue
 from josnc.labeler import lsr_matrix
 from josnc.selector import CLEAN, ID, OOD, ThresholdState
@@ -186,6 +186,28 @@ def test_queue_fills_during_warmup(monkeypatch):
         first_knn = next(e for e in events if e[0] == "knn")
         assert events.index(first_knn) == warmup[-1] + 1
         assert first_knn[1] == min(capacity, cfg.warmup_epochs * n)
+
+
+def test_robust_step_builds_a_coarse_graph(monkeypatch):
+    # one node per forward stage (3 per view) and per loss term (4, their
+    # weighted sum, and the zero that stands in for a disabled term)
+    built, counts = [0], []
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def hook(epoch, batch_ids, part):
+        counts.append((epoch, built[0]))
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    ds = tiny_data()
+    cfg = tiny_config()
+    fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes, step_hook=hook)
+    robust = [b - a for (_, a), (epoch, b) in zip(counts, counts[1:])
+              if epoch > cfg.warmup_epochs]
+    assert robust and max(robust) <= 16
 
 
 def test_thresholds_move_into_unit_interval():
