@@ -9,8 +9,8 @@ import argparse
 import json
 import sys
 
-from .harness import (ConfigError, compare_runs, format_compare_report,
-                      gen_config, run)
+from .harness import (PRESETS, ConfigError, compare_runs,
+                      format_compare_report, gen_config, run)
 from .trainer import TrainingDiverged
 
 EXIT_OK = 0
@@ -35,9 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the machine-readable report instead of text")
 
     p_gen = sub.add_parser("gen-config", help="print a preset config")
-    p_gen.add_argument("preset",
-                       choices=["sym20", "sym50", "sym80", "asym40",
-                                "openset-sym40"])
+    p_gen.add_argument("preset", choices=list(PRESETS))
     return parser
 
 

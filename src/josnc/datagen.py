@@ -19,7 +19,11 @@ OOD_NOISY = 2
 
 
 class DataGenError(ValueError):
-    pass
+    """An invalid generator argument: key names it, detail says why."""
+
+    def __init__(self, key: str, detail: str):
+        super().__init__(f"{key} {detail}")
+        self.key, self.detail = key, detail
 
 
 @dataclass
@@ -30,12 +34,14 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in ("symmetric", "asymmetric"):
-            raise DataGenError(f"unknown noise kind: {self.kind!r}")
+            raise DataGenError("kind", "must be 'symmetric' or 'asymmetric', "
+                               f"got {self.kind!r}")
         # rate 0 is the documented no-op; rates >= 1 or < 0 are rejected
         if not (0.0 <= self.rate_id < 1.0):
-            raise DataGenError(f"rate_id must be in [0, 1), got {self.rate_id}")
+            raise DataGenError("rate_id", f"must be in [0, 1), got {self.rate_id}")
         if self.ood_class_count < 0:
-            raise DataGenError("ood_class_count must be >= 0")
+            raise DataGenError("ood_class_count",
+                               f"must be >= 0, got {self.ood_class_count}")
 
 
 @dataclass
@@ -75,15 +81,17 @@ def make_blobs(n_id_classes: int, n_ood_classes: int, per_class: int, dim: int,
     Deterministic for a fixed seed. The held-out test set is drawn from ID
     classes only and carries true labels.
     """
-    if n_id_classes < 2 or per_class < 1 or test_per_class < 1:
-        raise DataGenError("need >= 2 ID classes and positive per-class counts")
-    if dim < 2:
-        raise DataGenError(f"dim must be >= 2, got {dim}")
+    for key, value, least in (
+            ("n_id_classes", n_id_classes, 2), ("n_ood_classes", n_ood_classes, 0),
+            ("per_class", per_class, 1), ("test_per_class", test_per_class, 1),
+            ("dim", dim, 2)):
+        if value < least:
+            raise DataGenError(key, f"must be >= {least}, got {value}")
     if per_class < knn_k + 1:
-        raise DataGenError(
-            f"per_class={per_class} too small for K={knn_k} nearest neighbors")
+        raise DataGenError("per_class", f"must exceed knn_k = {knn_k} for K "
+                           f"nearest neighbors, got {per_class}")
     if spread < 0:
-        raise DataGenError("spread must be non-negative")
+        raise DataGenError("spread", f"must be non-negative, got {spread}")
 
     n_total_classes = n_id_classes + n_ood_classes
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB10B]))
@@ -92,7 +100,7 @@ def make_blobs(n_id_classes: int, n_ood_classes: int, per_class: int, dim: int,
     diffs = centroids[:, None, :] - centroids[None, :, :]
     dists = np.sqrt((diffs ** 2).sum(-1)) + np.eye(n_total_classes)
     if dists.min() <= 1e-9:
-        raise DataGenError("degenerate centroid draw")  # pragma: no cover
+        raise DataGenError("seed", "draws coinciding centroids")  # pragma: no cover
 
     xs, trues = [], []
     for c in range(n_total_classes):
@@ -139,8 +147,8 @@ def inject_noise(dataset: BlobDataset, spec: NoiseSpec, seed: int) -> BlobDatase
     """
     if spec.ood_class_count != dataset.n_ood_classes:
         raise DataGenError(
-            f"spec expects {spec.ood_class_count} OOD classes, dataset has "
-            f"{dataset.n_ood_classes}")
+            "ood_class_count", f"is {spec.ood_class_count}, the dataset has "
+            f"{dataset.n_ood_classes} OOD classes")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4015E]))
     c_id = dataset.n_id_classes
     true_labels = dataset.tags.true_labels

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import __version__, blas, datagen, selector
-from .network import save_checkpoint, write_atomic
+from .network import ModelConfig, save_checkpoint, write_atomic
 from .trainer import TrainConfig, TrainerError, TrainingDiverged, fit
 
 METRICS_COLUMNS = [
@@ -61,36 +61,20 @@ _DATASET_SCHEMA = {
     "noise": (dict, True, None),
 }
 
-_MODEL_SCHEMA = {
-    "hidden_dims": (list, False, [64, 64]),
-    "embed_dim": (int, False, 32),
-}
-
-_TRAIN_SCHEMA = {
-    "seed": (int, True, None),
-    "epochs": (int, False, 60),
-    "warmup_epochs": (int, False, 5),
-    "batch_size": (int, False, 128),
-    "learning_rate": ((int, float), False, 0.05),
-    "momentum": ((int, float), False, 0.9),
-    "optimizer": (str, False, "sgd"),
-    "epsilon": ((int, float), False, 0.6),
-    "kappa": (int, False, 5),
-    "knn_k": (int, False, 10),
-    "alpha": ((int, float), False, 0.3),
-    "beta": ((int, float), False, 0.1),
-    "gamma": ((int, float), False, 0.0001),
-    "ema_omega": ((int, float), False, 0.99),
-    "tau_omega_warmup": ((int, float), False, 0.75),
-    "tau_omega_main": ((int, float), False, 0.975),
-    "t_pll_in": ((int, float), False, 0.1),
-    "t_pll_out": ((int, float), False, 1.0),
-    "t_ssl": ((int, float), False, 0.1),
-    "queue_capacity": (int, False, 4096),
-    # default jitter is 0.1 * dataset spread, resolved at run time
-    "jitter_sigma": ((int, float), False, None),
-    "mask_rate": ((int, float), False, 0.1),
-}
+# The train and model keys are TrainConfig's fields, with its types and
+# defaults; the model keys are the ones ModelConfig shares, and METHODS sets
+# the use_* flags. _FILE_RULES gives (required, default) of the two keys whose
+# config-file rule differs: a config must state its run's seed, and the jitter
+# default is 0.1 * dataset spread, resolved in resolve_config.
+_FILE_RULES = {"seed": (True, None), "jitter_sigma": (False, None)}
+_JSON_TYPES = {"int": int, "float": (int, float), "tuple": list}
+_FIELD_SCHEMA = {
+    f.name: (_JSON_TYPES[f.type], *_FILE_RULES.get(f.name, (False, f.default)))
+    for f in fields(TrainConfig) if not f.name.startswith("use_")}
+_MODEL_KEYS = {f.name for f in fields(ModelConfig)}
+_MODEL_SCHEMA = {k: v for k, v in _FIELD_SCHEMA.items() if k in _MODEL_KEYS}
+_TRAIN_SCHEMA = {k: v for k, v in _FIELD_SCHEMA.items() if k not in _MODEL_KEYS}
+_FLOAT_KEYS = {f.name for f in fields(TrainConfig) if f.type == "float"}
 
 _TOP_SCHEMA = {
     "dataset": (dict, True, None),
@@ -98,7 +82,6 @@ _TOP_SCHEMA = {
     "train": (dict, True, None),
     "method": (str, True, None),
     "output_dir": (str, True, None),
-    "checkpoint_every": (int, False, 0),   # 0: final checkpoint only
 }
 
 
@@ -116,6 +99,9 @@ def _validate_section(section: dict, schema: dict, path: str) -> dict:
                 if not (value is None and default is None):
                     raise ConfigError(
                         f"{path}.{key}: expected {typ}, got {type(value).__name__}")
+            if isinstance(value, list) and not all(type(v) is int for v in value):
+                raise ConfigError(f"{path}.{key}: expected a list of ints, "
+                                  f"got {value!r}")
             out[key] = value
         elif required:
             raise ConfigError(f"{path}.{key}: missing required key")
@@ -153,45 +139,37 @@ def load_config(path: str) -> dict:
 
 
 def build_dataset(cfg: dict) -> datagen.BlobDataset:
+    """The noisy dataset of a resolved config; a value datagen rejects
+    raises ConfigError naming its key."""
     ds = cfg["dataset"]
-    blobs = datagen.make_blobs(
-        n_id_classes=ds["n_id_classes"], n_ood_classes=ds["n_ood_classes"],
-        per_class=ds["per_class"], dim=ds["dim"], spread=float(ds["spread"]),
-        seed=ds["seed"], test_per_class=ds["test_per_class"],
-        knn_k=cfg["train"]["knn_k"])
-    spec = datagen.NoiseSpec(kind=ds["noise"]["kind"],
-                             rate_id=float(ds["noise"]["rate_id"]),
-                             ood_class_count=ds["n_ood_classes"])
-    return datagen.inject_noise(blobs, spec, seed=ds["seed"])
+    try:
+        blobs = datagen.make_blobs(
+            n_id_classes=ds["n_id_classes"], n_ood_classes=ds["n_ood_classes"],
+            per_class=ds["per_class"], dim=ds["dim"],
+            spread=float(ds["spread"]), seed=ds["seed"],
+            test_per_class=ds["test_per_class"], knn_k=cfg["train"]["knn_k"])
+        spec = datagen.NoiseSpec(kind=ds["noise"]["kind"],
+                                 rate_id=float(ds["noise"]["rate_id"]),
+                                 ood_class_count=ds["n_ood_classes"])
+        return datagen.inject_noise(blobs, spec, seed=ds["seed"])
+    except datagen.DataGenError as exc:
+        section = "dataset.noise" if exc.key in _NOISE_SCHEMA else "dataset"
+        raise ConfigError(f"config.{section}.{exc.key}: {exc.detail}") from exc
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
     """The TrainConfig of a resolved config; a value TrainConfig rejects, or
     a kappa above the class count, raises ConfigError naming its key."""
     use_sel, use_s, use_n, use_f = METHODS[cfg["method"]]
-    t = cfg["train"]
-    n_classes = cfg["dataset"]["n_id_classes"]
-    if t["kappa"] > n_classes:
+    kappa, n_classes = cfg["train"]["kappa"], cfg["dataset"]["n_id_classes"]
+    if kappa > n_classes:
         raise ConfigError(f"config.train.kappa: must be <= dataset.n_id_classes "
-                          f"({n_classes}), got {t['kappa']}")
+                          f"({n_classes}), got {kappa}")
+    values = {key: float(value) if key in _FLOAT_KEYS else value
+              for key, value in {**cfg["train"], **cfg["model"]}.items()}
     try:
-        return TrainConfig(
-            epochs=t["epochs"], warmup_epochs=t["warmup_epochs"],
-            batch_size=t["batch_size"], learning_rate=float(t["learning_rate"]),
-            momentum=float(t["momentum"]), optimizer=t["optimizer"],
-            epsilon=float(t["epsilon"]), kappa=t["kappa"], knn_k=t["knn_k"],
-            alpha=float(t["alpha"]), beta=float(t["beta"]),
-            gamma=float(t["gamma"]), ema_omega=float(t["ema_omega"]),
-            tau_omega_warmup=float(t["tau_omega_warmup"]),
-            tau_omega_main=float(t["tau_omega_main"]),
-            t_pll_in=float(t["t_pll_in"]), t_pll_out=float(t["t_pll_out"]),
-            t_ssl=float(t["t_ssl"]), queue_capacity=t["queue_capacity"],
-            hidden_dims=tuple(cfg["model"]["hidden_dims"]),
-            embed_dim=cfg["model"]["embed_dim"],
-            jitter_sigma=float(t["jitter_sigma"]),
-            mask_rate=float(t["mask_rate"]), seed=t["seed"],
-            use_selection=use_sel, use_scon=use_s, use_ncon=use_n,
-            use_fcon=use_f)
+        return TrainConfig(**values, use_selection=use_sel, use_scon=use_s,
+                           use_ncon=use_n, use_fcon=use_f)
     except TrainerError as exc:
         section = "model" if exc.key in _MODEL_SCHEMA else "train"
         raise ConfigError(f"config.{section}.{exc.key}: {exc.detail}") from exc
@@ -316,13 +294,13 @@ def run(config_path: str, output_dir_override: str = None) -> str:
     """
     cfg = load_config(config_path)
     train_config = build_train_config(cfg)
+    dataset = build_dataset(cfg)
     out_dir = (output_dir_override or os.environ.get(OUTPUT_DIR_ENV)
                or cfg["output_dir"])
     os.makedirs(out_dir, exist_ok=True)
 
     _write_json(os.path.join(out_dir, "config.resolved.json"), cfg)
 
-    dataset = build_dataset(cfg)
     n_classes = dataset.n_id_classes
     # written before the fit, so a diverged run keeps its record too
     manifest = {
@@ -399,24 +377,27 @@ def format_compare_report(report: dict) -> str:
 # presets
 # ---------------------------------------------------------------------------
 
+_BASE_DATASET = {"n_id_classes": 10, "n_ood_classes": 0, "per_class": 500,
+                 "dim": 32, "spread": 1.0, "seed": 7, "test_per_class": 100}
+
+# preset name -> (noise, dataset) of the standard noise scenarios
+PRESETS = {
+    "sym20": ({"kind": "symmetric", "rate_id": 0.2}, _BASE_DATASET),
+    "sym50": ({"kind": "symmetric", "rate_id": 0.5}, _BASE_DATASET),
+    "sym80": ({"kind": "symmetric", "rate_id": 0.8}, _BASE_DATASET),
+    "asym40": ({"kind": "asymmetric", "rate_id": 0.4}, _BASE_DATASET),
+    "openset-sym40": ({"kind": "symmetric", "rate_id": 0.4},
+                      {**_BASE_DATASET, "n_id_classes": 8, "n_ood_classes": 2}),
+}
+
+
 def gen_config(preset: str) -> dict:
-    """Ready-to-run configs for the standard noise scenarios."""
-    base_dataset = {"n_id_classes": 10, "n_ood_classes": 0, "per_class": 500,
-                    "dim": 32, "spread": 1.0, "seed": 7, "test_per_class": 100}
-    presets = {
-        "sym20": ({"kind": "symmetric", "rate_id": 0.2}, base_dataset),
-        "sym50": ({"kind": "symmetric", "rate_id": 0.5}, base_dataset),
-        "sym80": ({"kind": "symmetric", "rate_id": 0.8}, base_dataset),
-        "asym40": ({"kind": "asymmetric", "rate_id": 0.4}, base_dataset),
-        "openset-sym40": ({"kind": "symmetric", "rate_id": 0.4},
-                          {**base_dataset, "n_id_classes": 8,
-                           "n_ood_classes": 2}),
-    }
-    if preset not in presets:
-        raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(presets)}")
-    noise, dataset = presets[preset]
+    """A ready-to-run config of one of the PRESETS."""
+    if preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+    noise, dataset = PRESETS[preset]
     return {
-        "dataset": {**dataset, "noise": noise},
+        "dataset": {**dataset, "noise": {**noise}},
         "model": {"hidden_dims": [64, 64], "embed_dim": 32},
         "train": {"seed": 7},
         "method": "JOSNC",

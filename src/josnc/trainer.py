@@ -67,7 +67,6 @@ _FIELD_RULES = (
     (("epsilon", "mask_rate"), "must be in [0, 1)", lambda v: 0.0 <= v < 1.0),
     (("ema_omega", "tau_omega_warmup", "tau_omega_main", "momentum"),
      "must be in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    (("optimizer",), "must be 'sgd' or 'adam'", lambda v: v in ("sgd", "adam")),
 )
 
 
@@ -78,7 +77,6 @@ class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 0.05
     momentum: float = 0.9
-    optimizer: str = "sgd"            # "sgd" | "adam"
     epsilon: float = 0.6              # label smoothing amount
     kappa: int = 5                    # partial label set size
     knn_k: int = 10
@@ -156,26 +154,6 @@ class _SGD:
             t.data -= lr * v
 
 
-class _Adam:
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.t = 0
-
-    def step(self, lr):
-        self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        for name, t in self.params.items():
-            if t.grad is None:
-                continue
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * t.grad
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * t.grad ** 2
-            t.data -= lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
-
-
 def _lr_at(config: TrainConfig, epoch: int) -> float:
     """Constant through warmup, cosine decay afterwards."""
     if epoch <= config.warmup_epochs:
@@ -226,8 +204,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     model = Model(model_config, init_rng)
     teacher = model.snapshot()
-    optimizer = (_SGD(model.params, config.momentum) if config.optimizer == "sgd"
-                 else _Adam(model.params))
+    optimizer = _SGD(model.params, config.momentum)
     queue = EmbedQueue(config.queue_capacity, config.embed_dim, n_classes)
     thresholds = selector.ThresholdState(n_classes)
 

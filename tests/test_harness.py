@@ -9,11 +9,13 @@ from josnc import cli, harness
 from josnc.datagen import CLEAN as KIND_CLEAN
 from josnc.datagen import ID_NOISY, OOD_NOISY, TagTable, TrainingSet
 from josnc.harness import (METRICS_COLUMNS, METHODS, OUTPUT_DIR_ENV,
-                           ConfigError, compare_runs, evaluate_selection,
-                           format_compare_report, gen_config, load_config,
-                           metrics_rows, read_metrics_csv, resolve_config, run,
+                           ConfigError, build_train_config, compare_runs,
+                           evaluate_selection, format_compare_report,
+                           gen_config, load_config, metrics_rows,
+                           read_metrics_csv, resolve_config, run,
                            save_checkpoint, write_metrics_csv)
 from josnc.selector import CLEAN, ID, OOD
+from josnc.trainer import TrainConfig
 
 
 def tiny_raw_config(out_dir, **train_overrides):
@@ -45,7 +47,6 @@ def test_resolve_fills_defaults():
     assert cfg["train"]["epsilon"] == 0.6
     assert cfg["train"]["gamma"] == 0.0001
     assert cfg["dataset"]["test_per_class"] == 20
-    assert cfg["checkpoint_every"] == 0
     # jitter default derives from dataset spread
     assert cfg["train"]["jitter_sigma"] == pytest.approx(0.05)
 
@@ -386,17 +387,52 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     ("model", "embed_dim", 0),
     ("train", "kappa", 0),
     ("train", "kappa", 4),             # the dataset has 3 known classes
+    ("model", "hidden_dims", ["x"]),
+    ("model", "hidden_dims", [1.5]),
+    ("model", "hidden_dims", [True]),
+    ("dataset", "per_class", 0),
+    ("dataset", "per_class", 5),       # below knn_k + 1
+    ("dataset", "test_per_class", 0),
+    ("dataset", "dim", 0),
+    ("dataset", "spread", -1.0),
+    ("dataset", "n_ood_classes", -1),
+    ("dataset.noise", "rate_id", 1.5),
+    ("dataset.noise", "kind", "bogus"),
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key,
                                          value):
     out = tmp_path / "out"
     raw = tiny_raw_config(str(out), epochs=3)
-    raw[section][key] = value
+    node = raw
+    for part in section.split("."):
+        node = node[part]
+    node[key] = value
     assert cli.main(["run", write_config(tmp_path, raw)]) == 2
     err = capsys.readouterr().err
     assert f"config error: config.{section}.{key}: " in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _other_valid_value(value):
+    """A valid value that differs from a resolved tiny-config value."""
+    if isinstance(value, list):
+        return [v + 1 for v in value]
+    return value + 1 if isinstance(value, int) else value / 2
+
+
+@pytest.mark.parametrize("key", [
+    f.name for f in dataclasses.fields(TrainConfig)
+    if not f.name.startswith("use_")])
+def test_every_train_config_field_is_a_config_key(key):
+    section = "model" if key in harness._MODEL_SCHEMA else "train"
+    base = resolve_config(tiny_raw_config("out"))
+    value = _other_valid_value(base[section][key])
+    raw = tiny_raw_config("out")
+    raw[section][key] = value
+    expected = tuple(value) if isinstance(value, list) else value
+    assert getattr(build_train_config(base), key) != expected
+    assert getattr(build_train_config(resolve_config(raw)), key) == expected
 
 
 def test_cli_exit_code_divergence(tmp_path, capsys):
