@@ -84,7 +84,7 @@ def make_blobs(n_id_classes: int, n_ood_classes: int, per_class: int, dim: int,
     for key, value, least in (
             ("n_id_classes", n_id_classes, 2), ("n_ood_classes", n_ood_classes, 0),
             ("per_class", per_class, 1), ("test_per_class", test_per_class, 1),
-            ("dim", dim, 2)):
+            ("dim", dim, 2), ("seed", seed, 0)):
         if value < least:
             raise DataGenError(key, f"must be >= {least}, got {value}")
     if per_class < knn_k + 1:
@@ -149,6 +149,8 @@ def inject_noise(dataset: BlobDataset, spec: NoiseSpec, seed: int) -> BlobDatase
         raise DataGenError(
             "ood_class_count", f"is {spec.ood_class_count}, the dataset has "
             f"{dataset.n_ood_classes} OOD classes")
+    if seed < 0:
+        raise DataGenError("seed", f"must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4015E]))
     c_id = dataset.n_id_classes
     true_labels = dataset.tags.true_labels

@@ -4,6 +4,12 @@ Serves two consumers: the contrastive negative pool and the K-nearest-neighbor
 evidence for clean-sample identification / neighbor-prediction consistency.
 Exact cosine scans only; the queue is small enough that approximate indexes
 would be pointless.
+
+The queue is a ring: its arrays are allocated once at capacity, and
+`enqueue` writes each batch in place over the oldest slots. The insertion
+counter says where the oldest entry sits, so the oldest-first order (the
+newest-first tie rule, the contrastive pool) is read from it rather than
+kept by copying.
 """
 
 from __future__ import annotations
@@ -71,20 +77,28 @@ class EmbedQueue:
         self.capacity = capacity
         self.embed_dim = embed_dim
         self.n_classes = n_classes
-        self._emb = np.empty((0, embed_dim))
-        self._labels = np.empty(0, dtype=np.int64)
-        self._p_clean = np.empty(0)
-        self._preds = np.empty((0, n_classes))
-        self._ids = np.empty(0, dtype=np.int64)
-        self._seq = np.empty(0, dtype=np.int64)   # monotonic insertion counter
-        self._next_seq = 0
+        # ring storage: insertion number s lives in slot s % capacity
+        self._emb = np.empty((capacity, embed_dim))
+        self._labels = np.empty(capacity, dtype=np.int64)
+        self._p_clean = np.empty(capacity)
+        self._preds = np.empty((capacity, n_classes))
+        self._ids = np.empty(capacity, dtype=np.int64)
+        self._count = 0   # insertions so far
 
     def __len__(self):
-        return self._emb.shape[0]
+        return min(self._count, self.capacity)
+
+    def _head(self) -> int:
+        """Slot of the oldest stored entry."""
+        return (self._count - len(self)) % self.capacity
 
     def enqueue(self, embeddings, observed_labels, p_clean, preds, sample_ids,
                 unit_tol: float = 1e-6) -> None:
-        """Append a batch (insertion order preserved), evicting oldest-first."""
+        """Append a batch (insertion order preserved), evicting oldest-first.
+
+        The rows are written in place over the oldest slots; no queue-sized
+        array is allocated.
+        """
         embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
         n = embeddings.shape[0]
         if n == 0:
@@ -95,20 +109,29 @@ class EmbedQueue:
         p_clean = np.asarray(p_clean, dtype=np.float64)
         if ((p_clean < 0) | (p_clean > 1)).any():
             raise QueueError("p_clean must lie in [0, 1]")
-        seq = np.arange(self._next_seq, self._next_seq + n, dtype=np.int64)
-        self._next_seq += n
-        self._emb = np.concatenate([self._emb, embeddings])[-self.capacity:]
-        self._labels = np.concatenate(
-            [self._labels, np.asarray(observed_labels, dtype=np.int64)])[-self.capacity:]
-        self._p_clean = np.concatenate([self._p_clean, p_clean])[-self.capacity:]
-        self._preds = np.concatenate(
-            [self._preds, np.atleast_2d(np.asarray(preds, dtype=np.float64))])[-self.capacity:]
-        self._ids = np.concatenate(
-            [self._ids, np.asarray(sample_ids, dtype=np.int64)])[-self.capacity:]
-        self._seq = np.concatenate([self._seq, seq])[-self.capacity:]
+        stores = (self._emb, self._labels, self._p_clean, self._preds,
+                  self._ids)
+        columns = (embeddings, np.asarray(observed_labels), p_clean,
+                   np.atleast_2d(np.asarray(preds, dtype=np.float64)),
+                   np.asarray(sample_ids))
+        if any(v.shape != (n,) + s.shape[1:] for v, s in zip(columns, stores)):
+            raise QueueError("every batch array needs one row per key, "
+                             "of the queue's width")
+        # rows beyond capacity would be evicted by their own batch
+        drop = max(n - self.capacity, 0)
+        self._count += drop
+        n -= drop
+        start = self._count % self.capacity
+        split = min(n, self.capacity - start)   # rows before the ring wraps
+        for store, values in zip(stores, columns):
+            store[start:start + split] = values[drop:drop + split]
+            store[:n - split] = values[drop + split:]
+        self._count += n
 
     def stored_ids(self) -> np.ndarray:
-        return self._ids.copy()
+        """Stored sample ids, oldest first."""
+        head, m = self._head(), len(self)
+        return np.concatenate([self._ids[head:m], self._ids[:head]])
 
     def knn_batch(self, queries: np.ndarray, k: int,
                   exclude_ids: np.ndarray) -> KnnBatch:
@@ -116,24 +139,31 @@ class EmbedQueue:
 
         Each found row holds the k kept entries of highest cosine
         similarity, in descending order with exact ties newest first;
-        similarities come from one (B, M) matmul. A row is not found when
-        fewer than k entries remain after its exclusion.
+        similarities come from one (B, M) matmul over the ring's slots. A
+        row is not found when fewer than k entries remain after its
+        exclusion. A row's result does not depend on the other rows of its
+        call: numpy multiplies a one-row matrix by its matrix-vector path,
+        whose last bit can differ from the batched product's, so a lone
+        query is multiplied as two copies of itself.
 
-        Grouped threshold: the first G*L keys (G = _GROUPS, L = M // G) form
-        G blocks of L columns, whose elementwise max gives L group maxima per
-        row, each over G distinct keys. With E the most entries any row
-        excludes, at least k kept keys reach the (k + E)-th largest group
-        max, so every top-k key and every key tied with the k-th does. Only
-        the keys at or above it, plus the M mod G tail keys, are sorted, by
-        one lexsort over (row, -similarity, -insertion order). If L < k + E
-        every key is a candidate.
+        Grouped threshold: the first G*L slots (G = _GROUPS, L = M // G)
+        form G blocks of L columns, whose elementwise max gives L group
+        maxima per row, each over G distinct keys. With E the most entries
+        any row excludes, at least k kept keys reach the (k + E)-th largest
+        group max, so every top-k key and every key tied with the k-th does.
+        Only the keys at or above it, plus the M mod G tail keys, are
+        sorted, by one lexsort over (row, -similarity, -insertion order). If
+        L < k + E every key is a candidate.
         """
         queries = np.atleast_2d(queries)
         b, m = queries.shape[0], len(self)
         exclude_ids = np.asarray(exclude_ids, dtype=np.int64)
-        sims = queries @ self._emb.T   # (B, M); unit vectors: cosine == dot
+        keys, ids = self._emb[:m], self._ids[:m]
+        # unit vectors: cosine == dot
+        sims = (queries @ keys.T if b > 1
+                else (np.repeat(queries, 2, axis=0) @ keys.T)[:1])   # (B, M)
         # entries each row excludes, by id lookup (an id may repeat)
-        sorted_ids = np.sort(self._ids)
+        sorted_ids = np.sort(ids)
         n_excl = (np.searchsorted(sorted_ids, exclude_ids, side="right")
                   - np.searchsorted(sorted_ids, exclude_ids, side="left"))
         found = m - n_excl >= k
@@ -148,9 +178,10 @@ class EmbedQueue:
                               axis=1)[:, n_groups - need]
             np.greater_equal(sims[:, :head], th[:, None], out=cand[:, :head])
         rows, cols = np.divmod(np.flatnonzero(cand), m)
-        kept = found[rows] & (self._ids[cols] != exclude_ids[rows])
+        kept = found[rows] & (ids[cols] != exclude_ids[rows])
         rows, cols = rows[kept], cols[kept]
-        order = np.lexsort((-self._seq[cols], -sims[rows, cols], rows))
+        age = (cols - self._head()) % self.capacity   # 0 = oldest
+        order = np.lexsort((-age, -sims[rows, cols], rows))
         rows, cols = rows[order], cols[order]
         hit = np.flatnonzero(found)
         top = cols[np.searchsorted(rows, hit)[:, None] + np.arange(k)]
@@ -159,11 +190,14 @@ class EmbedQueue:
             observed_labels=_rows(self._labels[top], hit, b),
             p_clean=_rows(self._p_clean[top], hit, b),
             preds=_rows(self._preds[top], hit, b),
-            sample_ids=_rows(self._ids[top], hit, b),
+            sample_ids=_rows(ids[top], hit, b),
             found=found)
 
-    def embeddings_view(self) -> np.ndarray:
-        """Read-only view of stored keys (contrastive negative pool)."""
-        view = self._emb.view()
-        view.flags.writeable = False
-        return view
+    def key_views(self) -> tuple:
+        """Read-only views of the stored keys, oldest first, as the ring's
+        two pieces (the contrastive negative pool)."""
+        head, m = self._head(), len(self)
+        views = (self._emb[head:m], self._emb[:head])
+        for view in views:
+            view.flags.writeable = False
+        return views

@@ -68,6 +68,10 @@ _DATASET_SCHEMA = {
 # default is 0.1 * dataset spread, resolved in resolve_config.
 _FILE_RULES = {"seed": (True, None), "jitter_sigma": (False, None)}
 _JSON_TYPES = {"int": int, "float": (int, float), "tuple": list}
+# JSON names of the schema's types and of the values json.load returns
+_JSON_NAMES = {int: "integer", (int, float): "number", float: "number",
+               bool: "boolean", str: "string", list: "array", dict: "object",
+               type(None): "null"}
 _FIELD_SCHEMA = {
     f.name: (_JSON_TYPES[f.type], *_FILE_RULES.get(f.name, (False, f.default)))
     for f in fields(TrainConfig) if not f.name.startswith("use_")}
@@ -98,10 +102,11 @@ def _validate_section(section: dict, schema: dict, path: str) -> dict:
             if isinstance(value, bool) or not isinstance(value, typ):
                 if not (value is None and default is None):
                     raise ConfigError(
-                        f"{path}.{key}: expected {typ}, got {type(value).__name__}")
+                        f"{path}.{key}: expected {_JSON_NAMES[typ]}, got "
+                        f"{_JSON_NAMES.get(type(value), type(value).__name__)}")
             if isinstance(value, list) and not all(type(v) is int for v in value):
-                raise ConfigError(f"{path}.{key}: expected a list of ints, "
-                                  f"got {value!r}")
+                raise ConfigError(f"{path}.{key}: expected an array of "
+                                  f"integers, got {json.dumps(value)}")
             out[key] = value
         elif required:
             raise ConfigError(f"{path}.{key}: missing required key")

@@ -118,10 +118,16 @@ def forward_arrays(params: dict[str, np.ndarray], config: ModelConfig,
                    x: np.ndarray):
     """Forward pass of plain parameter arrays (the teacher, evaluation).
 
-    Builds no graph. Returns (probs, embeddings) as arrays.
+    Builds no graph. Returns (probs, embeddings) as arrays. A row's outputs
+    do not depend on the other rows of its call: numpy multiplies a one-row
+    matrix by its matrix-vector path, whose last bit can differ from the
+    batched product's, so a lone row is run as two copies of itself.
     """
-    _, _, probs, emb, _, _ = _forward(params, config, x)
-    return probs, emb
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    rows = x.shape[0]
+    _, _, probs, emb, _, _ = _forward(
+        params, config, np.repeat(x, 2, axis=0) if rows == 1 else x)
+    return probs[:rows], emb[:rows]
 
 
 def _forward(params: dict[str, np.ndarray], config: ModelConfig,

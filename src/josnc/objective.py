@@ -144,8 +144,10 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
     """InfoNCE over cosine similarities; applied to the whole batch.
 
     The i-th positive key is the i-th row of positive_keys; the negative pool
-    is positive_keys plus the stored queue embeddings (all constants). The
-    result is a single graph node whose only parent is query_emb.
+    is positive_keys plus the stored queue embeddings (all constants), given
+    as one array or as a tuple of arrays whose rows follow each other (the
+    queue's `key_views`). The result is a single graph node whose only
+    parent is query_emb.
     """
     if t_ssl <= 0:
         raise DiffMathError(f"t_ssl must be positive, got {t_ssl}")
@@ -153,8 +155,9 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
     n = query_emb.data.shape[0]
     if positive_keys.shape[0] != n:
         raise DiffMathError("one positive key per query required")
-    pool = positive_keys if queue_pool is None or len(queue_pool) == 0 \
-        else np.concatenate([positive_keys, queue_pool])
+    pieces = [p for p in (queue_pool if isinstance(queue_pool, tuple)
+                          else (queue_pool,)) if p is not None and len(p)]
+    pool = np.concatenate([positive_keys, *pieces]) if pieces else positive_keys
     if pool.shape[0] == 0:
         raise DiffMathError("empty contrastive pool")
     inv_t = 1.0 / t_ssl

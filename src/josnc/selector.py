@@ -88,6 +88,13 @@ class ThresholdState:
         self._count[:] = 0
 
 
+def fails_own_test(p_clean, observed_label, thresholds: ThresholdState):
+    """True where a sample's own clean-likelihood does not clear its class
+    threshold, the first test of `classify_sample`: only such a sample's
+    neighbors can change its code."""
+    return ~(p_clean > thresholds.tau_clean[observed_label])
+
+
 def classify_sample(p_clean, p_ood, neighbor_mean_p_clean,
                     neighbors_share_label, observed_label,
                     thresholds: ThresholdState):
@@ -102,3 +109,13 @@ def classify_sample(p_clean, p_ood, neighbor_mean_p_clean,
                                  & (neighbor_mean_p_clean > tau_c))
     ood = p_ood > thresholds.tau_ood[observed_label]
     return np.where(clean, CLEAN, np.where(ood, OOD, ID))[()]
+
+
+def check_codes(codes: np.ndarray, batch_size: int) -> None:
+    """One code per row of the batch, each CLEAN, ID or OOD; raises
+    otherwise. Over a batch of unique ids (a TrainingSet's are) this is what
+    `Partition.check_sound` checks of the three id sets."""
+    if codes.shape != (batch_size,) or not ((codes >= CLEAN)
+                                            & (codes <= OOD)).all():
+        raise SelectorError("partition codes do not give each row of the "
+                            "batch exactly one of CLEAN, ID, OOD")

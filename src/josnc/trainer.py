@@ -3,20 +3,29 @@ epochs with partition -> label reassignment -> joint loss -> SGD step ->
 teacher EMA -> queue update, rolling the adaptive thresholds at every epoch
 boundary.
 
-A robust step handles its batch as arrays: one `knn_batch` call gives every
-row's K queue neighbors, and `robust_targets` turns scores, neighbors and
-teacher predictions into partition codes, classification targets and
-neighbor mixtures with no per-row Python loop. Its results are bit-identical
-to classifying and labeling one sample at a time (tests/oracles.py).
+A robust step handles its batch as arrays: one `knn_batch` call gives the
+K queue neighbors of the rows that read them, `robust_codes` turns scores and
+neighbors into partition codes, and `robust_targets` turns codes and teacher
+predictions into classification targets, with no per-row Python loop. Its
+results are bit-identical to classifying and labeling one sample at a time
+with every row's neighbors at hand (tests/oracles.py).
 
 A step's gradient comes from a coarse graph of about a dozen nodes: three
 per view from `Model.forward`, one per loss term and one for their weighted
 sum; the teacher and evaluation forwards are plain arrays and build none.
 
-A step computes only what it reads: teacher predictions only in robust steps
-(their targets read them), teacher keys and queue writes only in fits with
-selection (robust steps read the queue; warmup fills it). A STANDARD fit
-runs no teacher forward and writes no queue.
+A step computes only what it reads:
+- teacher keys and the queue only in fits with selection (robust steps
+  read the queue; warmup fills it); a STANDARD fit runs no teacher forward
+  and holds no queue;
+- neighbors for every row only under neighbor consistency, whose mixtures
+  cover every non-OOD row; otherwise only for the rows that fail their own
+  clean test, since neighbors can rescue no other row, and no lookup at all
+  when there are none;
+- the teacher's predictions of the batch only for the ID and OOD rows, whose
+  targets read them, after classification.
+Neighbors and teacher predictions of a row do not depend on which other rows
+share its call, so skipping rows changes no bit of the rest.
 
 The loop receives only features, observed labels, and sample ids; hidden noise
 tags are not reachable from this module.
@@ -62,6 +71,7 @@ _FIELD_RULES = (
     (("batch_size", "kappa", "knn_k", "queue_capacity", "embed_dim"),
      "must be >= 1", lambda v: v >= 1),
     (("hidden_dims",), "must all be >= 1", lambda v: min(v, default=1) >= 1),
+    (("seed",), "must be >= 0", lambda v: v >= 0),
     (("learning_rate", "t_ssl", "t_pll_in", "t_pll_out"), "must be positive",
      lambda v: v > 0),
     (("epsilon", "mask_rate"), "must be in [0, 1)", lambda v: 0.0 <= v < 1.0),
@@ -163,33 +173,46 @@ def _lr_at(config: TrainConfig, epoch: int) -> float:
     return config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def robust_targets(knn: KnnBatch, p_clean: np.ndarray, p_ood: np.ndarray,
-                   y_b: np.ndarray, y_smooth: np.ndarray,
-                   teacher_probs: np.ndarray,
-                   thresholds: selector.ThresholdState, config: TrainConfig):
-    """Selection and targets of one robust step, as array operations.
+def robust_codes(knn: KnnBatch | None, asked: np.ndarray,
+                 p_clean: np.ndarray, p_ood: np.ndarray, y_b: np.ndarray,
+                 thresholds: selector.ThresholdState) -> np.ndarray:
+    """Partition codes of one robust step, as array operations.
 
-    Returns (codes, positive targets, negative targets, neighbor mixtures),
-    one row per sample. CLEAN rows keep their smoothed label, ID rows get
-    partial-label targets and OOD rows a complementary one-hot from the
-    teacher; rows without K neighbors get a zero mixture.
+    knn holds the queue neighbors of the rows where asked is True, in batch
+    order, or is None when no row was asked. A row must be asked unless it
+    passes its own clean test, where neighbors change nothing.
     """
-    codes = selector.classify_sample(
-        p_clean, p_ood, knn.p_clean.mean(axis=1),
-        knn.found & np.all(knn.observed_labels == y_b[:, None], axis=1),
-        y_b, thresholds)
-    mixtures = np.where(knn.found[:, None],
-                        neighbor_mixture(knn.similarities, knn.preds), 0.0)
+    mean_p_clean = np.zeros(p_clean.shape)
+    share_label = np.zeros(p_clean.shape, dtype=bool)
+    if knn is not None:
+        mean_p_clean[asked] = knn.p_clean.mean(axis=1)
+        share_label[asked] = knn.found & np.all(
+            knn.observed_labels == y_b[asked, None], axis=1)
+    return selector.classify_sample(p_clean, p_ood, mean_p_clean, share_label,
+                                    y_b, thresholds)
+
+
+def robust_targets(codes: np.ndarray, y_smooth: np.ndarray,
+                   noisy_probs: np.ndarray | None, config: TrainConfig):
+    """(positive targets, negative targets) of one robust step, one row per
+    sample.
+
+    CLEAN rows keep their smoothed label, ID rows get partial-label targets
+    and OOD rows a complementary one-hot from the teacher. noisy_probs holds
+    the teacher's predictions of the non-CLEAN rows only, in batch order.
+    """
     pos_targets = np.where((codes == selector.CLEAN)[:, None], y_smooth, 0.0)
     neg_targets = np.zeros_like(y_smooth)
+    noisy_codes = codes[codes != selector.CLEAN]
     is_id, is_ood = codes == selector.ID, codes == selector.OOD
     if is_id.any():
         pos_targets[is_id] = make_pll_target(
-            teacher_probs[is_id], config.kappa, config.t_pll_in,
-            config.t_pll_out)[0]
+            noisy_probs[noisy_codes == selector.ID], config.kappa,
+            config.t_pll_in, config.t_pll_out)[0]
     if is_ood.any():
-        neg_targets[is_ood] = make_negative_target(teacher_probs[is_ood])
-    return codes, pos_targets, neg_targets, mixtures
+        neg_targets[is_ood] = make_negative_target(
+            noisy_probs[noisy_codes == selector.OOD])
+    return pos_targets, neg_targets
 
 
 def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
@@ -205,8 +228,13 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     model = Model(model_config, init_rng)
     teacher = model.snapshot()
     optimizer = _SGD(model.params, config.momentum)
-    queue = EmbedQueue(config.queue_capacity, config.embed_dim, n_classes)
+    queue = (EmbedQueue(config.queue_capacity, config.embed_dim, n_classes)
+             if config.use_selection else None)
     thresholds = selector.ThresholdState(n_classes)
+
+    def diverged(message):
+        return TrainingDiverged(message, history, model.snapshot(),
+                                {k: a.copy() for k, a in teacher.items()})
 
     history: list[EpochRecord] = []
 
@@ -233,23 +261,16 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
 
             for t in model.params.values():
                 if not np.isfinite(t.data).all():
-                    raise TrainingDiverged(
-                        f"non-finite parameters at epoch {epoch}", history,
-                        model.snapshot(),
-                        {k: a.copy() for k, a in teacher.items()})
+                    raise diverged(f"non-finite parameters at epoch {epoch}")
             try:
                 _, p1, emb_q = model.forward(v)
                 _, p2, _ = model.forward(v2)
-                if not warmup_mode:
-                    teacher_probs, _ = forward_arrays(teacher, model_config, x_b)
                 if config.use_selection:
                     _, teacher_keys = forward_arrays(teacher, model_config, v2)
             except DiffMathError as exc:
                 # overflow inside a forward pass (inf logits) is divergence too
-                raise TrainingDiverged(
-                    f"forward pass overflow at epoch {epoch}: {exc}", history,
-                    model.snapshot(),
-                    {k: a.copy() for k, a in teacher.items()}) from exc
+                raise diverged(
+                    f"forward pass overflow at epoch {epoch}: {exc}") from exc
 
             y_smooth = lsr_matrix(y_b, n_classes, config.epsilon)
             p1_np, p2_np = p1.data, p2.data
@@ -263,10 +284,27 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                 total, breakdown = total_loss(l_cls, zero, zero, zero,
                                               0.0, 0.0, 0.0)
             else:
-                knn = queue.knn_batch(teacher_keys, config.knn_k, ids_b)
-                codes, pos_targets, neg_targets, mixtures = robust_targets(
-                    knn, p_clean, p_ood, y_b, y_smooth, teacher_probs,
-                    thresholds, config)
+                # neighbors for the rows that read them: all rows under
+                # neighbor consistency, else those failing their own test
+                asked = (np.ones(nb, dtype=bool) if config.use_ncon
+                         else selector.fails_own_test(p_clean, y_b, thresholds))
+                knn = (queue.knn_batch(teacher_keys[asked], config.knn_k,
+                                       ids_b[asked])
+                       if asked.any() else None)
+                codes = robust_codes(knn, asked, p_clean, p_ood, y_b,
+                                     thresholds)
+                # teacher predictions for the rows whose targets read them
+                noisy = codes != selector.CLEAN
+                noisy_probs = None
+                if noisy.any():
+                    try:
+                        noisy_probs, _ = forward_arrays(teacher, model_config,
+                                                        x_b[noisy])
+                    except DiffMathError as exc:
+                        raise diverged(f"forward pass overflow at epoch "
+                                       f"{epoch}: {exc}") from exc
+                pos_targets, neg_targets = robust_targets(
+                    codes, y_smooth, noisy_probs, config)
                 rho = (codes != selector.OOD).astype(np.float64)
                 pos_mask = rho
                 neg_mask = 1.0 - rho
@@ -274,11 +312,16 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                                             neg_targets, neg_mask)
                 zero = Tensor(0.0)
                 l_s = self_consistency_loss(p1, p2, rho) if config.use_scon else zero
-                ncon_mask = rho * knn.found
-                l_n = (neighbor_consistency_loss(p1, mixtures, ncon_mask)
-                       if config.use_ncon else zero)
+                if config.use_ncon:
+                    # every row was asked; a row without K neighbors holds
+                    # zero predictions, so its mixture is zero
+                    l_n = neighbor_consistency_loss(
+                        p1, neighbor_mixture(knn.similarities, knn.preds),
+                        rho * knn.found)
+                else:
+                    l_n = zero
                 l_f = (feature_consistency_loss(emb_q, teacher_keys,
-                                                queue.embeddings_view(),
+                                                queue.key_views(),
                                                 config.t_ssl)
                        if config.use_fcon else zero)
                 total, breakdown = total_loss(
@@ -288,9 +331,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                     config.gamma if config.use_fcon else 0.0)
 
             if not np.isfinite(breakdown.total):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}", history,
-                    model.snapshot(), {k: a.copy() for k, a in teacher.items()})
+                raise diverged(f"non-finite loss at epoch {epoch}")
 
             for t in model.params.values():
                 t.zero_grad()
@@ -303,13 +344,14 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                 queue.enqueue(teacher_keys, y_b, np.clip(p_clean, 0.0, 1.0),
                               p1_np, ids_b)
 
-            codes_epoch[idx] = codes   # sample ids are unique per position
-            part = selector.Partition(
-                *(set(ids_b[codes == c].tolist())
-                  for c in (selector.CLEAN, selector.ID, selector.OOD)))
-            part.check_sound(ids_b)
+            # TrainingSet ids are unique, so one valid code per row is a
+            # sound partition of the batch
+            selector.check_codes(codes, nb)
+            codes_epoch[idx] = codes
             if step_hook is not None:
-                step_hook(epoch, ids_b, part)
+                step_hook(epoch, ids_b, selector.Partition(
+                    *(set(ids_b[codes == c].tolist())
+                      for c in (selector.CLEAN, selector.ID, selector.OOD))))
 
             sums += (breakdown.l_cls, breakdown.l_con_s, breakdown.l_con_n,
                      breakdown.l_con_f, breakdown.total)

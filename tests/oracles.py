@@ -28,12 +28,15 @@ def knn(queue, query_embedding, k, exclude_id=-1):
     entries remain after exclusion.
     """
     q = np.asarray(query_embedding, dtype=np.float64)
-    keep = queue._ids != exclude_id
+    m = len(queue)
+    # the ring's slots, oldest entry first
+    slots = (queue._count - m + np.arange(m)) % queue.capacity
+    keep = queue._ids[slots] != exclude_id
     if int(keep.sum()) < k:
         return None
-    sims = queue._emb[keep] @ q   # unit vectors: cosine == dot
-    order = np.lexsort((-queue._seq[keep], -sims))[:k]
-    idx = np.flatnonzero(keep)[order]
+    sims = queue._emb[slots[keep]] @ q   # unit vectors: cosine == dot
+    order = np.lexsort((-np.flatnonzero(keep), -sims))[:k]
+    idx = slots[keep][order]
     return KnnResult(similarities=sims[order],
                      observed_labels=queue._labels[idx],
                      p_clean=queue._p_clean[idx], preds=queue._preds[idx],

@@ -53,6 +53,9 @@ def test_make_blobs_rejections():
         make_blobs(4, 0, 10, 8, 0.5, 0, knn_k=10)
     with pytest.raises(DataGenError):
         make_blobs(4, 0, 40, 8, -0.1, 0)
+    with pytest.raises(DataGenError, match="must be >= 0, got -1") as exc:
+        make_blobs(4, 0, 40, 8, 0.5, -1)
+    assert exc.value.key == "seed"
 
 
 def test_blobs_separable_at_tiny_spread():
@@ -130,6 +133,14 @@ def test_inject_rejects_ood_count_mismatch():
     ds = small_dataset(n_ood=2)
     with pytest.raises(DataGenError):
         inject_noise(ds, NoiseSpec("symmetric", 0.2, ood_class_count=1), seed=0)
+
+
+def test_inject_rejects_negative_seed():
+    ds = small_dataset(n_ood=2)
+    with pytest.raises(DataGenError, match="must be >= 0, got -1") as exc:
+        inject_noise(ds, NoiseSpec("symmetric", 0.2, ood_class_count=2),
+                     seed=-1)
+    assert exc.value.key == "seed"
 
 
 def test_inject_determinism_and_rate_zero():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -184,14 +186,90 @@ def test_replay_log_oracle(rng):
     np.testing.assert_array_equal(q.stored_ids(), log_ids)
 
 
-def test_embeddings_view_is_pool(rng):
+def test_key_views_are_pool_oldest_first(rng):
     q = EmbedQueue(10, 4, 3)
     emb, *_ = fill(q, rng, 6, d=4, c=3)
-    np.testing.assert_array_equal(q.embeddings_view(), emb)
+    np.testing.assert_array_equal(np.concatenate(q.key_views()), emb)
+    more, *_ = fill(q, rng, 7, d=4, c=3, start_id=6)   # wraps the ring
+    older, newer = q.key_views()
+    assert len(older) and len(newer)
+    np.testing.assert_array_equal(np.concatenate([older, newer]),
+                                  np.concatenate([emb, more])[-10:])
 
 
-def test_embeddings_view_is_read_only(rng):
+def test_key_views_are_read_only(rng):
     q = EmbedQueue(10, 4, 3)
-    fill(q, rng, 6, d=4, c=3)
-    with pytest.raises(ValueError, match="read-only"):
-        q.embeddings_view()[0, 0] = 0.0
+    fill(q, rng, 13, d=4, c=3)
+    for view in q.key_views():
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 0.0
+
+
+def test_enqueue_rejects_misshapen_batches(rng):
+    q = EmbedQueue(10, 4, 3)
+    emb = unit_rows(rng, 2, 4)
+    with pytest.raises(QueueError, match="one row per key"):
+        q.enqueue(emb, [0], [0.5, 0.5], np.full((2, 3), 1 / 3), [0, 1])
+    with pytest.raises(QueueError, match="one row per key"):
+        q.enqueue(emb, [0, 1], [0.5, 0.5], np.full((2, 2), 0.5), [0, 1])
+    assert len(q) == 0
+
+
+def test_enqueue_allocates_no_queue_sized_array(rng):
+    q = EmbedQueue(4096, 32, 8)
+    for start in range(0, 4096 + 64, 128):   # full, and wrapped mid-batch
+        fill(q, rng, 128, d=32, c=8, start_id=start)
+    batch = [unit_rows(rng, 128, 32), rng.integers(0, 8, 128),
+             rng.random(128), rng.dirichlet(np.ones(8), 128),
+             np.arange(128)]
+    tracemalloc.start()
+    try:
+        q.enqueue(*batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < q._emb.nbytes / 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(1, 90),
+       batches=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+       k=st.integers(1, 8), pinned_frac=st.sampled_from([0.0, 0.5, 1.0]))
+def test_wrapped_ring_knn_equals_bruteforce(seed, capacity, batches, k,
+                                            pinned_frac):
+    # brute force over a plain list of every enqueued row: the last
+    # `capacity` rows, their similarities by the same batched product, and
+    # exact ties (pinned keys) newest first
+    rng = np.random.default_rng(seed)
+    d, c = 5, 3
+    q = EmbedQueue(capacity, d, c)
+    log = []
+    for n in batches:
+        emb = unit_rows(rng, n, d)
+        emb[rng.random(n) < pinned_frac] = np.eye(d)[0]
+        row = (emb, rng.integers(0, c, n), rng.random(n),
+               rng.dirichlet(np.ones(c), n), rng.integers(0, 30, n))
+        q.enqueue(*row)
+        log.append(row)
+    emb, labels, p_clean, preds, ids = (np.concatenate(col)[-capacity:]
+                                        for col in zip(*log))
+    np.testing.assert_array_equal(q.stored_ids(), ids)
+    queries = np.concatenate([np.eye(d)[:1], unit_rows(rng, 5, d)])
+    exclude = rng.choice(np.append(ids, -1), size=len(queries))
+    got = q.knn_batch(queries, k, exclude)
+    sims = queries @ emb.T
+    newest_first = np.arange(len(ids))[::-1]
+    for i, query in enumerate(queries):
+        keep = np.flatnonzero(ids != exclude[i])
+        if len(keep) < k:
+            assert not got.found[i]
+            continue
+        order = keep[np.lexsort((newest_first[keep], -sims[i, keep]))[:k]]
+        assert got.found[i]
+        np.testing.assert_array_equal(got.sample_ids[i], ids[order])
+        assert got.similarities[i].tobytes() == sims[i, order].tobytes()
+        np.testing.assert_array_equal(got.observed_labels[i], labels[order])
+        np.testing.assert_array_equal(got.p_clean[i], p_clean[order])
+        np.testing.assert_array_equal(got.preds[i], preds[order])
+        lone = q.knn_batch(query, k, exclude[i:i + 1])
+        assert lone.similarities.tobytes() == got.similarities[i].tobytes()

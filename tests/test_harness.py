@@ -80,6 +80,24 @@ def test_wrong_type_rejected():
         resolve_config(raw2)
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("train", "epochs", "sixty", "expected integer, got string"),
+    ("train", "learning_rate", "fast", "expected number, got string"),
+    ("train", "learning_rate", None, "expected number, got null"),
+    ("model", "hidden_dims", 64, "expected array, got integer"),
+    ("model", "hidden_dims", [64, 1.5], "expected an array of integers, "
+                                        "got [64, 1.5]"),
+    ("dataset", "per_class", True, "expected integer, got boolean"),
+    ("dataset", "noise", [], "expected object, got array"),
+])
+def test_wrong_type_message_names_json_types(section, key, value, message):
+    raw = tiny_raw_config("out")
+    raw[section][key] = value
+    with pytest.raises(ConfigError) as exc:
+        resolve_config(raw)
+    assert str(exc.value) == f"config.{section}.{key}: {message}"
+
+
 def test_unknown_method_rejected():
     raw = tiny_raw_config("out")
     raw["method"] = "MAGIC"
@@ -398,6 +416,8 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     ("dataset", "n_ood_classes", -1),
     ("dataset.noise", "rate_id", 1.5),
     ("dataset.noise", "kind", "bogus"),
+    ("train", "seed", -1),
+    ("dataset", "seed", -1),
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key,
                                          value):

@@ -71,6 +71,19 @@ def test_forward_arrays_matches_tape_forward(rng):
     assert np.array_equal(emb_a, m.forward(x)[2].data)
 
 
+def test_forward_arrays_row_bits_do_not_depend_on_other_rows(rng):
+    # the trainer runs the teacher on a batch's ID and OOD rows only, which
+    # may be a single row: each row gets the bits of the full-batch forward
+    m = make_model(rng, input_dim=32, n_classes=8, hidden=(64, 64), embed=32)
+    params = m.snapshot()
+    x = rng.normal(size=(128, 32))
+    probs, emb = forward_arrays(params, m.config, x)
+    for rows in ([5], [0, 127], rng.random(128) < 0.3, np.arange(128)):
+        sub_probs, sub_emb = forward_arrays(params, m.config, x[rows])
+        assert sub_probs.tobytes() == probs[rows].tobytes()
+        assert sub_emb.tobytes() == emb[rows].tobytes()
+
+
 def test_forward_arrays_builds_no_graph(rng, monkeypatch):
     m = make_model(rng)
     built = []

@@ -7,8 +7,9 @@ from josnc.diffmath import js_divergence_rows
 from josnc.embedqueue import KnnBatch
 from josnc.labeler import lsr_matrix
 from josnc.selector import (CLEAN, ID, OOD, Partition, SelectorError,
-                            ThresholdState, classify_sample)
-from josnc.trainer import TrainConfig, robust_targets
+                            ThresholdState, check_codes, classify_sample,
+                            fails_own_test)
+from josnc.trainer import robust_codes
 
 
 def js_oracle(p, q):
@@ -51,9 +52,8 @@ def test_score_neighbor_fields():
     y_b = np.array([2, 2])
 
     def codes():
-        return robust_targets(knn, np.zeros(2), np.ones(2), y_b,
-                              lsr_matrix(y_b, 3, 0.1), np.full((2, 3), 1 / 3),
-                              t, TrainConfig())[0].tolist()
+        return robust_codes(knn, np.ones(2, dtype=bool), np.zeros(2),
+                            np.ones(2), y_b, t).tolist()
 
     assert codes() == [CLEAN, OOD]
     t.tau_clean[:] = 0.95   # the mean must clear the bar
@@ -72,6 +72,31 @@ def make_thresholds(tau_clean, tau_ood, n_classes=3):
 def test_classify_clean_by_own_score():
     t = make_thresholds(0.6, 0.5)
     assert classify_sample(0.61, 0.9, 0.0, False, 0, t) == CLEAN
+
+
+def test_fails_own_test_is_the_negated_own_score_criterion():
+    t = make_thresholds(0.6, 0.5)
+    t.tau_clean[1] = 0.2
+    p_clean = np.array([0.61, 0.6, 0.59, 0.21, np.nan])
+    y = np.array([0, 0, 0, 1, 0])
+    np.testing.assert_array_equal(fails_own_test(p_clean, y, t),
+                                  [False, True, True, False, True])
+    # a row that passes is CLEAN whatever its neighbors say
+    passes = ~fails_own_test(p_clean, y, t)
+    for share in (False, True):
+        codes = classify_sample(p_clean, np.ones(5), np.zeros(5),
+                                np.full(5, share), y, t)
+        assert (codes[passes] == CLEAN).all()
+
+
+def test_check_codes():
+    check_codes(np.array([CLEAN, ID, OOD, ID]), 4)
+    for codes, n in ((np.array([CLEAN, ID]), 3),
+                     (np.array([CLEAN, 3]), 2),
+                     (np.array([-1, CLEAN]), 2),
+                     (np.array([[CLEAN, ID]]), 2)):
+        with pytest.raises(SelectorError, match="exactly one of"):
+            check_codes(codes, n)
 
 
 def test_classify_clean_boundary_is_strict():

@@ -1,16 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from josnc import trainer
+from josnc import harness, selector, trainer
 from josnc.datagen import NoiseSpec, inject_noise, make_blobs
 from josnc.diffmath import DiffMathError, Tensor
 from josnc.embedqueue import EmbedQueue
 from josnc.labeler import lsr_matrix
-from josnc.selector import CLEAN, ID, OOD, ThresholdState
+from josnc.objective import neighbor_mixture
+from josnc.selector import CLEAN, ID, OOD, ThresholdState, fails_own_test
 from josnc.trainer import (TrainConfig, TrainerError, TrainingDiverged, _lr_at,
-                           fit, robust_targets)
+                           fit, robust_codes, robust_targets)
 
 from oracles import robust_step_loop
 
@@ -186,6 +189,132 @@ def test_queue_fills_during_warmup(monkeypatch):
         assert first_knn[1] == min(capacity, cfg.warmup_epochs * n)
 
 
+# a robust step reads neighbors and teacher predictions of some rows only ----
+
+NO_NCON = {"SELECT_ONLY": dict(use_scon=False, use_ncon=False, use_fcon=False),
+           "SCON": dict(use_ncon=False, use_fcon=False)}
+
+
+def evidence_config(method):
+    """A tiny fit whose thresholds start at the warmup's mean score, so
+    some rows fail their own test from the first robust step on."""
+    return tiny_config(tau_omega_warmup=0.0, **NO_NCON.get(method, {}))
+
+
+def train_row_ids(ds, x):
+    """Ids of x's rows if each is a row of the training matrix, else None
+    (augmented views never are)."""
+    index = {row.tobytes(): i for row, i in zip(ds.train.x, ds.train.ids)}
+    ids = [index.get(row.tobytes()) for row in x]
+    return None if None in ids else ids
+
+
+def fit_artifacts(path, cfg, ds):
+    """(metrics.csv bytes, per-epoch codes) of one fit."""
+    res = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
+    harness.write_metrics_csv(
+        str(path), harness.metrics_rows(res.history, ds.tags.noise_kinds))
+    return (path.read_bytes(),
+            np.stack([r.partition_codes for r in res.history]).tobytes())
+
+
+@pytest.mark.parametrize("method", sorted(NO_NCON))
+def test_neighbors_of_every_row_change_no_byte(tmp_path, monkeypatch, method):
+    cfg, ds = evidence_config(method), tiny_data()
+    calls = []
+    count_calls(monkeypatch, EmbedQueue, "knn_batch", calls)
+    lean = fit_artifacts(tmp_path / "lean.csv", cfg, ds)
+    n_lean = sum(len(queries) for _, queries, *_ in calls)
+    calls.clear()
+    monkeypatch.setattr(selector, "fails_own_test",
+                        lambda p_clean, *_: np.ones(p_clean.shape, dtype=bool))
+    assert fit_artifacts(tmp_path / "all.csv", cfg, ds) == lean
+    n_all = sum(len(queries) for _, queries, *_ in calls)
+    assert 0 < n_lean < n_all
+
+
+@pytest.mark.parametrize("method", sorted(NO_NCON) + ["JOSNC"])
+def test_lookups_and_teacher_rows_are_the_ones_read(monkeypatch, method):
+    # without neighbor consistency, knn_batch gets exactly the rows that
+    # fail their own test, and no call when none does; the teacher's batch
+    # forward gets exactly the ID and OOD rows
+    cfg, ds = evidence_config(method), tiny_data()
+    events = []
+    knn_batch, forward, codes_of = (EmbedQueue.knn_batch,
+                                    trainer.forward_arrays, trainer.robust_codes)
+
+    def spy_knn(self, queries, k, exclude_ids):
+        events.append(("knn", list(exclude_ids)))
+        return knn_batch(self, queries, k, exclude_ids)
+
+    def spy_forward(params, config, x):
+        ids = train_row_ids(ds, x)
+        if ids is not None:
+            events.append(("teacher", ids))
+        return forward(params, config, x)
+
+    def spy_codes(knn, asked, p_clean, p_ood, y_b, thresholds):
+        fails = ~(p_clean > thresholds.tau_clean[y_b])
+        events.append(("fails", fails))
+        return codes_of(knn, asked, p_clean, p_ood, y_b, thresholds)
+
+    def hook(epoch, batch_ids, part):
+        events.append(("step", epoch, list(batch_ids), part))
+
+    monkeypatch.setattr(EmbedQueue, "knn_batch", spy_knn)
+    monkeypatch.setattr(trainer, "forward_arrays", spy_forward)
+    monkeypatch.setattr(trainer, "robust_codes", spy_codes)
+    fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes, step_hook=hook)
+    step, seen = [], Counter()
+    for event in events:
+        if event[0] != "step":
+            step.append(event)
+            continue
+        _, epoch, ids, part = event
+        if epoch <= cfg.warmup_epochs:
+            assert step == []
+        else:
+            got = dict(step)
+            fails = got["fails"]
+            asked = (np.ones(len(ids), dtype=bool) if method == "JOSNC"
+                     else fails)
+            want_knn = [i for i, a in zip(ids, asked) if a]
+            assert got.get("knn", []) == want_knn
+            seen["some asked"] += 0 < len(want_knn) < len(ids)
+            seen["teacher"] += "teacher" in got
+            assert (sorted(got.get("teacher", []))
+                    == sorted(part.id_ids | part.ood_ids))
+            assert part.id_ids | part.ood_ids <= {
+                i for i, f in zip(ids, fails) if f}
+        step = []
+    assert seen["teacher"] > 0
+    assert (seen["some asked"] > 0) == (method != "JOSNC")
+
+
+@pytest.mark.parametrize("method", sorted(NO_NCON) + ["JOSNC"])
+def test_clean_step_looks_up_nothing_it_does_not_read(monkeypatch, method):
+    # thresholds below every score: each row passes its own test, so no
+    # row is ID or OOD
+    roll = selector.ThresholdState.roll
+
+    def low_roll(self, omega_tau):
+        roll(self, omega_tau)
+        self.tau_clean[:] = -1.0
+
+    monkeypatch.setattr(selector.ThresholdState, "roll", low_roll)
+    knns, forwards = [], []
+    count_calls(monkeypatch, EmbedQueue, "knn_batch", knns)
+    count_calls(monkeypatch, trainer, "forward_arrays", forwards)
+    cfg, ds = tiny_config(**NO_NCON.get(method, {})), tiny_data()
+    res = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
+    assert all((r.partition_codes == CLEAN).all() for r in res.history)
+    assert not any(train_row_ids(ds, x) for _, _, x in forwards)
+    robust_steps = (cfg.epochs - cfg.warmup_epochs) * -(-len(ds.train.x)
+                                                        // cfg.batch_size)
+    # neighbor consistency reads every row's neighbors all the same
+    assert len(knns) == (robust_steps if method == "JOSNC" else 0)
+
+
 def test_robust_step_builds_a_coarse_graph(monkeypatch):
     # one node per forward stage (3 per view) and per loss term (4, their
     # weighted sum, and the zero that stands in for a disabled term)
@@ -239,27 +368,31 @@ def test_divergence_aborts_with_artifacts():
 
 
 def test_teacher_forward_overflow_in_robust_step_aborts(monkeypatch):
-    # the first forward_arrays call after the last warmup evaluation is the
-    # teacher forward of the first robust step
+    # the first teacher forward after the last warmup evaluation, of the
+    # augmented view (keys) or of the batch's ID and OOD rows (predictions)
     ds = tiny_data()
-    cfg = tiny_config()
-    forward_arrays, evals = trainer.forward_arrays, []
+    cfg = evidence_config("JOSNC")
+    forward_arrays = trainer.forward_arrays
+    for batch_forward in (False, True):
+        evals = []
 
-    def overflowing(params, config, x):
-        if x is ds.test_x:
-            evals.append(x)
-        elif len(evals) == cfg.warmup_epochs:
-            raise DiffMathError("inf logits")
-        return forward_arrays(params, config, x)
+        def overflowing(params, config, x):
+            if x is ds.test_x:
+                evals.append(x)
+            elif (len(evals) == cfg.warmup_epochs
+                  and (train_row_ids(ds, x) is not None) == batch_forward):
+                raise DiffMathError("inf logits")
+            return forward_arrays(params, config, x)
 
-    monkeypatch.setattr(trainer, "forward_arrays", overflowing)
-    with pytest.raises(TrainingDiverged, match="epoch 3: inf logits") as exc:
-        fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
-    assert [r.epoch for r in exc.value.history] == [1, 2]
-    student, teacher = exc.value.student, exc.value.teacher
-    assert student and set(student) == set(teacher)
-    for params in (student, teacher):
-        assert all(np.isfinite(a).all() for a in params.values())
+        monkeypatch.setattr(trainer, "forward_arrays", overflowing)
+        with pytest.raises(TrainingDiverged,
+                           match="epoch 3: inf logits") as exc:
+            fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
+        assert [r.epoch for r in exc.value.history] == [1, 2]
+        student, teacher = exc.value.student, exc.value.teacher
+        assert student and set(student) == set(teacher)
+        for params in (student, teacher):
+            assert all(np.isfinite(a).all() for a in params.values())
 
 
 # the batched robust step against the per-row loop ----------------------------
@@ -317,16 +450,39 @@ def robust_step_inputs(seed, nb=64, c=4, d=5, k=3):
     teacher_probs[20] = 1.0 / c                  # PLL candidate tie
     teacher_probs[36] = [0.1, 0.1, 0.4, 0.4]     # negative-target tie
     y_smooth = lsr_matrix(y_b, c, 0.1)
-    knn = queue.knn_batch(queries, k, exclude)
-    return knn, (p_clean, p_ood, y_b, y_smooth, teacher_probs, thresholds)
+    return (queue, queries, exclude,
+            (p_clean, p_ood, y_b, y_smooth, teacher_probs, thresholds))
+
+
+STEP_CONFIG = TrainConfig(knn_k=3, kappa=2, t_pll_in=0.1, t_pll_out=1.0)
+
+
+def batched_step(queue, queries, exclude, asked, args, config=STEP_CONFIG):
+    """The trainer's robust step on arrays: neighbors of the asked rows,
+    teacher predictions of the non-CLEAN rows; (knn, codes, pos, neg)."""
+    p_clean, p_ood, y_b, y_smooth, teacher_probs, thresholds = args
+    knn = (queue.knn_batch(queries[asked], config.knn_k, exclude[asked])
+           if asked.any() else None)
+    codes = robust_codes(knn, asked, p_clean, p_ood, y_b, thresholds)
+    pos, neg = robust_targets(codes, y_smooth,
+                              teacher_probs[codes != CLEAN], config)
+    return knn, codes, pos, neg
+
+
+def loop_step(queue, queries, exclude, args, config=STEP_CONFIG):
+    """The per-row loop with every row's neighbors at hand."""
+    full = queue.knn_batch(queries, config.knn_k, exclude)
+    return full, robust_step_loop(list(full), *args, config.kappa,
+                                  config.t_pll_in, config.t_pll_out)
 
 
 def check_against_loop(seed):
-    config = TrainConfig(knn_k=3, kappa=2, t_pll_in=0.1, t_pll_out=1.0)
-    knn, args = robust_step_inputs(seed)
-    got = robust_targets(knn, *args, config)
-    want = robust_step_loop(list(knn), *args, config.kappa,
-                            config.t_pll_in, config.t_pll_out)
+    # every row asked, as under neighbor consistency
+    queue, queries, exclude, args = robust_step_inputs(seed)
+    knn, *got = batched_step(queue, queries, exclude,
+                             np.ones(len(queries), dtype=bool), args)
+    got.append(neighbor_mixture(knn.similarities, knn.preds))
+    _, want = loop_step(queue, queries, exclude, args)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert np.array_equal(knn.found.astype(np.float64), want[4])
@@ -353,3 +509,34 @@ def test_robust_targets_bit_identical_to_per_row_loop():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_robust_targets_match_per_row_loop_random(seed):
     check_against_loop(seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       failing=st.sampled_from(["none", "one", "some", "all"]))
+def test_rows_that_pass_their_own_test_need_no_neighbors(seed, failing):
+    # asking neighbors for the rows that fail their own test only gives the
+    # codes and targets of the loop that reads every row's neighbors, and
+    # each asked row gets the bits of its full-batch lookup
+    queue, queries, exclude, args = robust_step_inputs(seed)
+    p_clean, y_b, thresholds = args[0], args[2], args[5]
+    asked = fails_own_test(p_clean, y_b, thresholds)
+    if failing != "some":   # "some" keeps the designed mix of cases
+        nb, rng = len(queries), np.random.default_rng(seed)
+        asked = {"none": np.zeros(nb, dtype=bool),
+                 "one": np.arange(nb) == rng.integers(nb),
+                 "all": np.ones(nb, dtype=bool)}[failing]
+        p_clean[:] = np.where(asked, rng.uniform(0.0, 0.5, nb),
+                              rng.uniform(0.501, 1.0, nb))
+        assert (fails_own_test(p_clean, y_b, thresholds) == asked).all()
+    knn, *got = batched_step(queue, queries, exclude, asked, args)
+    full, want = loop_step(queue, queries, exclude, args)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    if not asked.any():
+        assert knn is None
+        return
+    for name in ("similarities", "observed_labels", "p_clean", "preds",
+                 "sample_ids", "found"):
+        assert (getattr(knn, name).tobytes()
+                == getattr(full, name)[asked].tobytes())
