@@ -84,6 +84,25 @@ def js_divergence_rows(p, q) -> np.ndarray:
     return np.clip(js, 0.0, 1.0)
 
 
+class Scratch:
+    """One flat float64 buffer that successive products are written into.
+
+    view(shape) returns a C-contiguous view of the buffer's first
+    prod(shape) elements. The buffer is allocated on the first call and
+    grows, never shrinks, to the largest view asked for; a view is valid
+    until the next call, which may overwrite or replace its memory.
+    """
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+
+    def view(self, shape) -> np.ndarray:
+        size = math.prod(shape)
+        if size > self.buffer.size:
+            self.buffer = np.empty(size)
+        return self.buffer[:size].reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # coarse reverse-mode graph
 # ---------------------------------------------------------------------------

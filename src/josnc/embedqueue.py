@@ -10,6 +10,11 @@ The queue is a ring: its arrays are allocated once at capacity, and
 counter says where the oldest entry sits, so the oldest-first order (the
 newest-first tie rule, the contrastive pool) is read from it rather than
 kept by copying.
+
+The (B, M) similarity product of `knn_batch` is the one queue-sized array a
+lookup makes. A caller may pass a reusable buffer for it (`trainer.fit`
+passes its fit's one `diffmath.Scratch`); the buffer is free again when the
+call returns.
 """
 
 from __future__ import annotations
@@ -128,13 +133,8 @@ class EmbedQueue:
             store[:n - split] = values[drop + split:]
         self._count += n
 
-    def stored_ids(self) -> np.ndarray:
-        """Stored sample ids, oldest first."""
-        head, m = self._head(), len(self)
-        return np.concatenate([self._ids[head:m], self._ids[:head]])
-
     def knn_batch(self, queries: np.ndarray, k: int,
-                  exclude_ids: np.ndarray) -> KnnBatch:
+                  exclude_ids: np.ndarray, out=None) -> KnnBatch:
         """Exact top-K for a batch of queries; row i skips exclude_ids[i].
 
         Each found row holds the k kept entries of highest cosine
@@ -145,6 +145,10 @@ class EmbedQueue:
         call: numpy multiplies a one-row matrix by its matrix-vector path,
         whose last bit can differ from the batched product's, so a lone
         query is multiplied as two copies of itself.
+
+        out, a `diffmath.Scratch` or None, receives the similarity product;
+        with None it is allocated. The returned KnnBatch is built by gathers
+        and holds no view of it, so the caller may reuse out at once.
 
         Grouped threshold: the first G*L slots (G = _GROUPS, L = M // G)
         form G blocks of L columns, whose elementwise max gives L group
@@ -160,8 +164,10 @@ class EmbedQueue:
         exclude_ids = np.asarray(exclude_ids, dtype=np.int64)
         keys, ids = self._emb[:m], self._ids[:m]
         # unit vectors: cosine == dot
-        sims = (queries @ keys.T if b > 1
-                else (np.repeat(queries, 2, axis=0) @ keys.T)[:1])   # (B, M)
+        if b == 1:
+            queries = np.repeat(queries, 2, axis=0)
+        sims = np.matmul(queries, keys.T, out=None if out is None else
+                         out.view((queries.shape[0], m)))[:b]   # (B, M)
         # entries each row excludes, by id lookup (an id may repeat)
         sorted_ids = np.sort(ids)
         n_excl = (np.searchsorted(sorted_ids, exclude_ids, side="right")

@@ -100,7 +100,8 @@ def _validate_section(section: dict, schema: dict, path: str) -> dict:
         if key in section:
             value = section[key]
             if isinstance(value, bool) or not isinstance(value, typ):
-                if not (value is None and default is None):
+                # null stands for an optional key's null default
+                if not (value is None and not required and default is None):
                     raise ConfigError(
                         f"{path}.{key}: expected {_JSON_NAMES[typ]}, got "
                         f"{_JSON_NAMES.get(type(value), type(value).__name__)}")

@@ -15,7 +15,10 @@ it, and so are the values, except the InfoNCE value. That node works in an
 (N, N + Q) buffer that holds the softmax and then, in backward, the logit
 gradient, and sums the N diagonal log-probabilities directly instead of a
 masked (N, N + Q) matrix, so its value can differ from the chain's in the
-last ulp.
+last ulp. The buffer may be a view of a caller's `diffmath.Scratch` (in
+`trainer.fit`, the fit's one scratch): it is then in use from the forward
+until the node's backward has run, and the caller writes nothing else into
+the scratch in between.
 """
 
 from __future__ import annotations
@@ -140,14 +143,16 @@ def neighbor_mixture(similarities: np.ndarray, neighbor_preds: np.ndarray) -> np
 
 
 def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
-                             queue_pool: np.ndarray, t_ssl: float = 0.1) -> Tensor:
+                             queue_pool: np.ndarray, t_ssl: float = 0.1,
+                             out=None) -> Tensor:
     """InfoNCE over cosine similarities; applied to the whole batch.
 
     The i-th positive key is the i-th row of positive_keys; the negative pool
     is positive_keys plus the stored queue embeddings (all constants), given
     as one array or as a tuple of arrays whose rows follow each other (the
     queue's `key_views`). The result is a single graph node whose only
-    parent is query_emb.
+    parent is query_emb. out, a `diffmath.Scratch` or None, receives the
+    (N, N + Q) logit buffer; with None it is allocated.
     """
     if t_ssl <= 0:
         raise DiffMathError(f"t_ssl must be positive, got {t_ssl}")
@@ -161,11 +166,16 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
     if pool.shape[0] == 0:
         raise DiffMathError("empty contrastive pool")
     inv_t = 1.0 / t_ssl
-    y = query_emb.data @ pool.T        # (N, N + Q) logits, softmaxed in place
+    # (N, N + Q) logits, softmaxed in place
+    y = np.matmul(query_emb.data, pool.T, out=None if out is None else
+                  out.view((n, pool.shape[0])))
     y *= inv_t
-    if not np.isfinite(y).all():
+    # a NaN or +inf reaches its row's max, a -inf its row's min: no
+    # (N, N + Q) mask is needed
+    row_max = y.max(axis=-1, keepdims=True)
+    if not (np.isfinite(row_max).all() and np.isfinite(y.min(axis=-1)).all()):
         raise DiffMathError("softmax input contains non-finite values")
-    y -= y.max(axis=-1, keepdims=True)
+    y -= row_max
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     rows = np.arange(n)

@@ -66,9 +66,6 @@ class ThresholdState:
         np.add.at(self._sum_ood, observed_labels, p_ood)
         np.add.at(self._count, observed_labels, 1)
 
-    def epoch_counts(self) -> np.ndarray:
-        return self._count.copy()
-
     def epoch_means(self):
         counts = np.maximum(self._count, 1)
         return self._sum_clean / counts, self._sum_ood / counts

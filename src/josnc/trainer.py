@@ -27,6 +27,14 @@ A step computes only what it reads:
 Neighbors and teacher predictions of a row do not depend on which other rows
 share its call, so skipping rows changes no bit of the rest.
 
+A fit owns one `diffmath.Scratch` for the two queue-sized products of a
+robust step: the KNN similarities and the InfoNCE logit buffer. Its memory
+is allocated by the first robust step that asks for one and grows, never
+shrinks, to the largest product asked for. The two products take turns: the
+lookup is done with it when `knn_batch` returns (the KnnBatch is gathered),
+the InfoNCE node holds it from its forward until its backward, and the next
+step's lookup comes after that backward.
+
 The loop receives only features, observed labels, and sample ids; hidden noise
 tags are not reachable from this module.
 """
@@ -39,7 +47,7 @@ import numpy as np
 
 from . import selector
 from .datagen import TrainingSet, augment_views
-from .diffmath import DiffMathError, Tensor, js_divergence_rows
+from .diffmath import DiffMathError, Scratch, Tensor, js_divergence_rows
 from .embedqueue import EmbedQueue, KnnBatch
 from .labeler import lsr_matrix, make_negative_target, make_pll_target
 from .network import Model, ModelConfig, ema_update, forward_arrays
@@ -230,6 +238,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     optimizer = _SGD(model.params, config.momentum)
     queue = (EmbedQueue(config.queue_capacity, config.embed_dim, n_classes)
              if config.use_selection else None)
+    scratch = Scratch()
     thresholds = selector.ThresholdState(n_classes)
 
     def diverged(message):
@@ -289,7 +298,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                 asked = (np.ones(nb, dtype=bool) if config.use_ncon
                          else selector.fails_own_test(p_clean, y_b, thresholds))
                 knn = (queue.knn_batch(teacher_keys[asked], config.knn_k,
-                                       ids_b[asked])
+                                       ids_b[asked], out=scratch)
                        if asked.any() else None)
                 codes = robust_codes(knn, asked, p_clean, p_ood, y_b,
                                      thresholds)
@@ -322,7 +331,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                     l_n = zero
                 l_f = (feature_consistency_loss(emb_q, teacher_keys,
                                                 queue.key_views(),
-                                                config.t_ssl)
+                                                config.t_ssl, out=scratch)
                        if config.use_fcon else zero)
                 total, breakdown = total_loss(
                     l_cls, l_s, l_n, l_f,

@@ -3,7 +3,8 @@
 `robust_step_loop` is the robust step's selection / target / mixture loop as
 it was written one sample at a time, with the scalar helpers it called.
 `josnc.trainer.robust_targets` must reproduce it bit for bit. `knn` is the
-one-query top-K scan that `EmbedQueue.knn_batch` must agree with.
+one-query top-K scan that `EmbedQueue.knn_batch` must agree with, and
+`ring_slots` reads the queue's stored entries oldest first.
 
 `TapeTensor` is the generic op-by-op autodiff tape (add, mul, matmul, relu,
 log, softmax, sum, L2-normalize) that the engine's coarse graph replaced,
@@ -20,6 +21,14 @@ from josnc.embedqueue import KnnResult
 from josnc.selector import CLEAN, ID, OOD
 
 
+def ring_slots(queue):
+    """The queue ring's occupied slots, oldest entry first: with
+    `queue._ids[ring_slots(queue)]`, its stored sample ids in insertion
+    order."""
+    m = len(queue)
+    return (queue._count - m + np.arange(m)) % queue.capacity
+
+
 def knn(queue, query_embedding, k, exclude_id=-1):
     """Top-K entries of queue by descending cosine similarity to one query.
 
@@ -28,9 +37,7 @@ def knn(queue, query_embedding, k, exclude_id=-1):
     entries remain after exclusion.
     """
     q = np.asarray(query_embedding, dtype=np.float64)
-    m = len(queue)
-    # the ring's slots, oldest entry first
-    slots = (queue._count - m + np.arange(m)) % queue.capacity
+    slots = ring_slots(queue)
     keep = queue._ids[slots] != exclude_id
     if int(keep.sum()) < k:
         return None

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from josnc.datagen import NoiseSpec, inject_noise, make_blobs
-from josnc.diffmath import (DiffMathError, Tensor, check_prob_vec,
+from josnc.diffmath import (DiffMathError, Scratch, Tensor, check_prob_vec,
                             js_divergence_rows, softmax)
 from josnc.harness import METHODS
 from josnc.objective import neighbor_consistency_loss
@@ -156,6 +156,24 @@ def test_check_prob_vec_rejects():
         check_prob_vec([-0.1, 1.1])
     with pytest.raises(DiffMathError):
         check_prob_vec([np.nan, 1.0])
+
+
+# the reusable scratch buffer ---------------------------------------------------
+
+def test_scratch_grows_to_its_largest_view_and_never_shrinks():
+    scratch = Scratch()
+    assert scratch.buffer.size == 0
+    sizes = []
+    for shape in [(3, 4), (2, 5), (4, 4), (1, 2), (0, 7)]:
+        view = scratch.view(shape)
+        assert view.shape == shape and view.dtype == np.float64
+        assert view.flags.c_contiguous and view.flags.writeable
+        sizes.append(scratch.buffer.size)
+        assert np.shares_memory(view, scratch.buffer) or view.size == 0
+    assert sizes == [12, 12, 16, 16, 16]
+    first = scratch.buffer
+    scratch.view((2, 8))
+    assert scratch.buffer is first   # no reallocation within its size
 
 
 # the generic tape (tests/oracles.py) -------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from josnc.diffmath import Scratch
 from josnc.embedqueue import EmbedQueue, QueueError
 
-from oracles import knn
+from oracles import knn, ring_slots
 
 
 def unit_rows(rng, n, d):
@@ -42,9 +43,9 @@ def test_fifo_eviction_order(rng):
     fill(q, rng, 8, d=4, c=3)
     assert len(q) == 5
     # oldest three evicted: ids 3..7 remain in insertion order
-    np.testing.assert_array_equal(q.stored_ids(), [3, 4, 5, 6, 7])
+    np.testing.assert_array_equal(q._ids[ring_slots(q)], [3, 4, 5, 6, 7])
     fill(q, rng, 2, d=4, c=3, start_id=100)
-    np.testing.assert_array_equal(q.stored_ids(), [5, 6, 7, 100, 101])
+    np.testing.assert_array_equal(q._ids[ring_slots(q)], [5, 6, 7, 100, 101])
     assert len(q) == 5
 
 
@@ -125,7 +126,7 @@ def test_knn_batch_equals_knn_oracle(seed, length, k, pinned_frac, id_pool):
     ids = rng.integers(0, id_pool, size=n)
     q.enqueue(emb, rng.integers(0, c, n), rng.random(n),
               rng.dirichlet(np.ones(c), n), ids)
-    stored = q.stored_ids()
+    stored = q._ids[ring_slots(q)]
     common = np.bincount(stored).argmax() if length else -1
     queries = np.concatenate([np.eye(d)[:1], unit_rows(rng, 11, d)])
     exclude = np.concatenate([[common, common, -1, -1],
@@ -152,6 +153,27 @@ def test_knn_batch_none_when_too_small(rng):
     out = q.knn_batch(emb[:2], k=5, exclude_ids=np.array([0, -1]))
     assert out[0] is None           # exclusion drops below k
     assert out[1] is not None
+
+
+@pytest.mark.parametrize("b", [1, 2, 9])
+def test_knn_batch_keeps_nothing_of_its_scratch(rng, b):
+    # a scratch product gives the bits of an allocated one, and the KnnBatch
+    # is unchanged when the scratch is overwritten after the call
+    q = EmbedQueue(300, 6, 4)
+    fill(q, rng, 400)
+    queries = unit_rows(rng, b, 6)
+    exclude = q._ids[rng.integers(0, 300, size=b)]
+    scratch = Scratch()
+    got = q.knn_batch(queries, 5, exclude, out=scratch)
+    assert scratch.buffer.size == max(b, 2) * 300
+    want = q.knn_batch(queries, 5, exclude)
+    kept = {name: getattr(got, name).copy() for name in vars(got)}
+    scratch.buffer[:] = np.nan
+    for name, value in kept.items():
+        field = getattr(got, name)
+        assert not np.shares_memory(field, scratch.buffer)
+        assert field.tobytes() == value.tobytes()
+        assert field.tobytes() == getattr(want, name).tobytes()
 
 
 def test_knn_batch_on_empty_queue(rng):
@@ -183,7 +205,7 @@ def test_replay_log_oracle(rng):
             oracle = np.argsort(-sims, kind="stable")[:5]
             np.testing.assert_array_equal(
                 res.sample_ids, np.array(log_ids)[oracle])
-    np.testing.assert_array_equal(q.stored_ids(), log_ids)
+    np.testing.assert_array_equal(q._ids[ring_slots(q)], log_ids)
 
 
 def test_key_views_are_pool_oldest_first(rng):
@@ -253,7 +275,7 @@ def test_wrapped_ring_knn_equals_bruteforce(seed, capacity, batches, k,
         log.append(row)
     emb, labels, p_clean, preds, ids = (np.concatenate(col)[-capacity:]
                                         for col in zip(*log))
-    np.testing.assert_array_equal(q.stored_ids(), ids)
+    np.testing.assert_array_equal(q._ids[ring_slots(q)], ids)
     queries = np.concatenate([np.eye(d)[:1], unit_rows(rng, 5, d)])
     exclude = rng.choice(np.append(ids, -1), size=len(queries))
     got = q.knn_batch(queries, k, exclude)

@@ -51,6 +51,12 @@ def test_resolve_fills_defaults():
     assert cfg["train"]["jitter_sigma"] == pytest.approx(0.05)
 
 
+def test_null_jitter_resolves_to_spread_default():
+    # jitter_sigma is the one optional key whose default is null
+    raw = tiny_raw_config("out", jitter_sigma=None)
+    assert resolve_config(raw)["train"]["jitter_sigma"] == 0.1 * 0.5
+
+
 def test_unknown_key_rejected_with_dotted_path():
     raw = tiny_raw_config("out")
     raw["train"]["learning_rte"] = 0.1
@@ -418,18 +424,27 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     ("dataset.noise", "kind", "bogus"),
     ("train", "seed", -1),
     ("dataset", "seed", -1),
+    # null is no value for a required key ("" is the top level)
+    ("train", "seed", None),
+    ("dataset", "seed", None),
+    ("dataset", "n_id_classes", None),
+    ("dataset", "per_class", None),
+    ("dataset", "spread", None),
+    ("dataset.noise", "rate_id", None),
+    ("", "output_dir", None),
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key,
                                          value):
     out = tmp_path / "out"
     raw = tiny_raw_config(str(out), epochs=3)
     node = raw
-    for part in section.split("."):
+    for part in filter(None, section.split(".")):
         node = node[part]
     node[key] = value
     assert cli.main(["run", write_config(tmp_path, raw)]) == 2
     err = capsys.readouterr().err
-    assert f"config error: config.{section}.{key}: " in err
+    path = ".".join(filter(None, ("config", section, key)))
+    assert f"config error: {path}: " in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -9,8 +9,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "josnc"
 # needs no entry: its __main__ guard calls it)
 ALLOWED_UNREFERENCED = {
     "network.load_checkpoint": "reader of checkpoint.bin, kept for resume",
-    "embedqueue.EmbedQueue.stored_ids": "read-only accessor used by tests",
-    "selector.ThresholdState.epoch_counts": "read-only accessor used by tests",
     "selector.Partition.check_sound":
         "set-level soundness check for step_hook consumers; the trainer "
         "checks its codes with selector.check_codes",

@@ -179,6 +179,11 @@ def test_feature_consistency_rejects_nonfinite(rng):
         q[2, 1] = bad
         with np.errstate(invalid="ignore"), pytest.raises(DiffMathError):
             feature_consistency_loss(Tensor(q), keys, keys)
+    # a -inf logit beside finite ones: every row's max stays finite
+    pool = np.ones((3, E))
+    pool[1, 0] = -np.inf
+    with pytest.raises(DiffMathError):
+        feature_consistency_loss(Tensor(rng.random((3, E)) + 1.0), pool, pool)
 
 
 def test_total_loss_weighting(rng):

@@ -158,7 +158,7 @@ def test_accumulate_batch_matches_scalar(rng):
     seen = np.maximum(counts, 1)
     np.testing.assert_allclose(a.epoch_means()[0], sum_clean / seen, atol=1e-12)
     np.testing.assert_allclose(a.epoch_means()[1], sum_ood / seen, atol=1e-12)
-    np.testing.assert_array_equal(a.epoch_counts(), counts)
+    np.testing.assert_array_equal(a._count, counts)
 
 
 def test_roll_closed_form_constant_mean():
@@ -190,7 +190,7 @@ def test_roll_clears_accumulators():
     t = ThresholdState(2)
     t.accumulate_batch([0.5], [0.5], [0])
     t.roll(0.9)
-    assert t.epoch_counts().sum() == 0
+    assert t._count.sum() == 0
     means = t.epoch_means()
     np.testing.assert_array_equal(means[0], np.zeros(2))
 

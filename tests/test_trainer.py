@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from josnc import harness, selector, trainer
 from josnc.datagen import NoiseSpec, inject_noise, make_blobs
-from josnc.diffmath import DiffMathError, Tensor
+from josnc.diffmath import DiffMathError, Scratch, Tensor
 from josnc.embedqueue import EmbedQueue
 from josnc.labeler import lsr_matrix
 from josnc.objective import neighbor_mixture
@@ -243,9 +244,9 @@ def test_lookups_and_teacher_rows_are_the_ones_read(monkeypatch, method):
     knn_batch, forward, codes_of = (EmbedQueue.knn_batch,
                                     trainer.forward_arrays, trainer.robust_codes)
 
-    def spy_knn(self, queries, k, exclude_ids):
+    def spy_knn(self, queries, k, exclude_ids, out=None):
         events.append(("knn", list(exclude_ids)))
-        return knn_batch(self, queries, k, exclude_ids)
+        return knn_batch(self, queries, k, exclude_ids, out=out)
 
     def spy_forward(params, config, x):
         ids = train_row_ids(ds, x)
@@ -393,6 +394,91 @@ def test_teacher_forward_overflow_in_robust_step_aborts(monkeypatch):
         assert student and set(student) == set(teacher)
         for params in (student, teacher):
             assert all(np.isfinite(a).all() for a in params.values())
+
+
+# a fit's queue-sized products share one scratch -----------------------------
+
+def record_scratches(monkeypatch):
+    """Every Scratch that fit creates, in creation order."""
+    made = []
+
+    class Recorded(Scratch):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(trainer, "Scratch", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("method", ["JOSNC", "SCON_NCON"])
+def test_scratch_reuse_changes_no_byte(tmp_path, monkeypatch, method):
+    # the KNN similarities and the InfoNCE logits written into one reused
+    # buffer give the bytes of a fresh array for every product
+    cfg = tiny_config(**({} if method == "JOSNC" else {"use_fcon": False}))
+    ds = tiny_data()
+    made = record_scratches(monkeypatch)
+    reused = fit_artifacts(tmp_path / "reused.csv", cfg, ds)
+    weights = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
+    assert len(made) == 2 and made[0].buffer.size > 0   # one per fit
+    monkeypatch.setattr(Scratch, "view",
+                        lambda self, shape: np.full(shape, np.nan))
+    assert fit_artifacts(tmp_path / "fresh.csv", cfg, ds) == reused
+    fresh = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
+    for name in ("student", "teacher"):
+        want, got = getattr(weights, name), getattr(fresh, name)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+
+def test_select_only_scratch_is_its_largest_product(monkeypatch):
+    # a fit holds one scratch, and under SELECT_ONLY it grows only to the
+    # largest asked-rows x queue product (a lone row is multiplied twice)
+    made = record_scratches(monkeypatch)
+    products, knn_batch = [], EmbedQueue.knn_batch
+
+    def spy_knn(self, queries, *args, **kwargs):
+        products.append(max(len(queries), 2) * len(self))
+        return knn_batch(self, queries, *args, **kwargs)
+
+    monkeypatch.setattr(EmbedQueue, "knn_batch", spy_knn)
+    cfg, ds = evidence_config("SELECT_ONLY"), tiny_data()
+    fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
+    assert len(made) == 1
+    assert made[0].buffer.size == max(products)
+    assert max(products) < cfg.batch_size * cfg.queue_capacity
+
+
+def test_robust_step_allocates_no_queue_sized_product(monkeypatch):
+    # once the first robust step has sized the scratch, a JOSNC step's
+    # traced allocation peak stays under half of one (B, M) product; a step
+    # runs from its augmentation to its hook
+    ds = make_blobs(n_id_classes=4, n_ood_classes=1, per_class=210, dim=8,
+                    spread=0.6, seed=3)
+    ds = inject_noise(ds, NoiseSpec("symmetric", 0.3, 1), seed=3)
+    cfg = TrainConfig(epochs=6, warmup_epochs=4, kappa=2, seed=1)
+    assert cfg.warmup_epochs * len(ds.train.x) >= cfg.queue_capacity
+    growth, start = [], [0]
+    augment_views = trainer.augment_views
+
+    def step_start(*args):
+        tracemalloc.reset_peak()
+        start[0] = tracemalloc.get_traced_memory()[0]
+        return augment_views(*args)
+
+    def hook(epoch, batch_ids, part):
+        if epoch > cfg.warmup_epochs:
+            growth.append(tracemalloc.get_traced_memory()[1] - start[0])
+
+    monkeypatch.setattr(trainer, "augment_views", step_start)
+    tracemalloc.start()
+    try:
+        fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes,
+            step_hook=hook)
+    finally:
+        tracemalloc.stop()
+    product = cfg.batch_size * cfg.queue_capacity * 8
+    assert len(growth) > 2 and growth[0] > product
+    assert max(growth[1:]) < product / 2
 
 
 # the batched robust step against the per-row loop ----------------------------
