@@ -8,8 +8,8 @@ tape kept as the reference in `tests/oracles.py`; where partials meet, the
 depth-first sweep adds them in that tape's order, so parameter gradients are
 bit-identical to it. The tape's `0 + g` copy at each intermediate op is not
 repeated: it only turns -0.0 into +0.0, no backward divides by a gradient,
-and a summed gradient starts from +0.0 in `_accum`, so a zero's sign never
-reaches a weight. backward() tears a graph down as it goes.
+and a summed gradient starts from +0.0 (in `_accum` or `Model.zero_grad`),
+so a zero's sign never reaches a weight. backward() tears a graph down.
 
 Divergences use base-2 logarithms throughout so that the Jensen-Shannon
 divergence is bounded in [0, 1]; the selection thresholds rely on that bound.
@@ -55,15 +55,12 @@ def check_prob_vec(v, tol: float = 1e-9) -> np.ndarray:
     return v
 
 
-def softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    """Temperature softmax over the last axis. Rejects non-finite input."""
+def softmax(logits) -> np.ndarray:
+    """Softmax over the last axis. Rejects non-finite input."""
     x = np.asarray(logits, dtype=np.float64)
-    if temperature <= 0:
-        raise DiffMathError(f"temperature must be positive, got {temperature}")
     if not np.isfinite(x).all():
         raise DiffMathError("softmax input contains non-finite values")
-    z = x / temperature
-    z = z - z.max(axis=-1, keepdims=True)
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -111,15 +108,15 @@ class Tensor:
     """A float64 array node of a reverse-mode graph.
 
     A fresh graph is built for every training step and torn down by
-    backward(). Parameters are leaf Tensors with requires_grad=True.
+    backward(). Parameters are leaf views of `network.Model`'s buffers.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = ()):
+                 _parents: tuple = (), grad: np.ndarray | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.grad = grad
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         # a result that needs no gradient is not on the graph: no links
         self._parents = _parents if self.requires_grad else ()
@@ -141,9 +138,6 @@ class Tensor:
         if self.requires_grad:
             self._backward_fn = backward_fn
         return self
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar loss.

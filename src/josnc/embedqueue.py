@@ -141,10 +141,11 @@ class EmbedQueue:
         similarity, in descending order with exact ties newest first;
         similarities come from one (B, M) matmul over the ring's slots. A
         row is not found when fewer than k entries remain after its
-        exclusion. A row's result does not depend on the other rows of its
-        call: numpy multiplies a one-row matrix by its matrix-vector path,
-        whose last bit can differ from the batched product's, so a lone
-        query is multiplied as two copies of itself.
+        exclusion. A lone query is multiplied as two copies of itself, since
+        numpy's one-row matrix-vector path can differ in the last bit from
+        the batched product. A row's bits then equal the full batch's with a
+        4,096-key queue, embed 32 and up to 128 queries, but not at every
+        queue length: OpenBLAS picks its kernels by shape.
 
         out, a `diffmath.Scratch` or None, receives the similarity product;
         with None it is allocated. The returned KnnBatch is built by gathers

@@ -5,14 +5,18 @@ There is one forward pass, on plain arrays; it keeps the pre-activations a
 backward needs. The teacher and evaluation call it through `forward_arrays`
 and build no graph. `Model.forward` wraps the same pass as three graph nodes
 (encoder output, classifier head + softmax, projection head + L2-normalize)
-whose backwards are explicit array code. The student's parameters are leaf
-Tensors; the teacher is a plain dict of numpy arrays and tracks the student
-by exponential moving average, one update per optimizer step.
+whose backwards are explicit array code. The weights live in one flat float64
+buffer, `Model.flat`, and their gradients in another, `Model.grad`, laid out
+by `Model.layout` (name -> shape, in checkpoint.bin's sorted-name order); the
+leaf Tensors of `Model.params` view both. The teacher and the SGD velocity
+are flat arrays of the same layout, so SGD, the teacher's EMA and the
+finiteness check are one array op each.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -45,19 +49,37 @@ class Model:
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
-        self.params: dict[str, Tensor] = {}
         dims = [config.input_dim, *config.hidden_dims]
-        for i in range(len(dims) - 1):
-            self._add_layer(f"encoder.{i}", dims[i], dims[i + 1], rng)
-        feat = dims[-1]
-        self._add_layer("classifier", feat, config.n_classes, rng)
-        self._add_layer("projection", feat, config.embed_dim, rng)
+        init = {}
+        for name, fan_in, fan_out in (
+                [(f"encoder.{i}", dims[i], dims[i + 1])
+                 for i in range(len(dims) - 1)]
+                + [("classifier", dims[-1], config.n_classes),
+                   ("projection", dims[-1], config.embed_dim)]):
+            # He init for the ReLU stack; heads share the same scheme
+            init[f"{name}.W"] = rng.normal(0.0, np.sqrt(2.0 / fan_in),
+                                           size=(fan_in, fan_out))
+            init[f"{name}.b"] = np.zeros(fan_out)
+        self.layout = {name: init[name].shape for name in sorted(init)}
+        self._ends = np.cumsum([math.prod(s) for s in self.layout.values()])
+        self.flat = np.concatenate([init[name].ravel() for name in self.layout])
+        self.grad = np.zeros_like(self.flat)
+        self.arrays = self.views(self.flat)   # name -> weight view
+        grads = self.views(self.grad)
+        self.params = {name: Tensor(data, requires_grad=True, grad=grads[name])
+                       for name, data in self.arrays.items()}
 
-    def _add_layer(self, name, fan_in, fan_out, rng):
-        # He init for the ReLU stack; heads share the same scheme
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        self.params[f"{name}.W"] = Tensor(w, requires_grad=True)
-        self.params[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> view of flat, an array of the layout."""
+        return {name: part.reshape(shape) for (name, shape), part
+                in zip(self.layout.items(), np.split(flat, self._ends[:-1]))}
+
+    def name_at(self, index: int) -> str:
+        """The parameter whose view of a flat array holds element index."""
+        return list(self.layout)[np.searchsorted(self._ends, index, "right")]
+
+    def zero_grad(self) -> None:
+        self.grad[:] = 0.0   # +0.0, the start of a summed gradient
 
     def forward(self, x: np.ndarray):
         """Returns (h, probs, embeddings) as graph nodes.
@@ -66,8 +88,7 @@ class Model:
         are unit-norm rows.
         """
         p = self.params
-        layers, h, probs, emb, norms, dead = _forward(
-            self.snapshot_view(), self.config, x)
+        layers, h, probs, emb, norms, dead = _forward(self.arrays, self.config, x)
         encoder = [(p[f"encoder.{i}.W"], p[f"encoder.{i}.b"])
                    for i in range(len(layers))]
 
@@ -107,21 +128,20 @@ class Model:
                 head("projection", emb, l2_normalize_backward))
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        """Detached copy of all parameters (teacher initialization)."""
-        return {k: v.data.copy() for k, v in self.params.items()}
-
-    def snapshot_view(self) -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.params.items()}
+        """Name views of a detached copy of the parameters."""
+        return self.views(self.flat.copy())
 
 
 def forward_arrays(params: dict[str, np.ndarray], config: ModelConfig,
                    x: np.ndarray):
     """Forward pass of plain parameter arrays (the teacher, evaluation).
 
-    Builds no graph. Returns (probs, embeddings) as arrays. A row's outputs
-    do not depend on the other rows of its call: numpy multiplies a one-row
-    matrix by its matrix-vector path, whose last bit can differ from the
-    batched product's, so a lone row is run as two copies of itself.
+    Builds no graph. Returns (probs, embeddings) as arrays. A lone row is
+    run as two copies of itself, since numpy's one-row matrix-vector path
+    can differ in the last bit from the batched product. A row's bits then
+    equal the full batch's at the shapes of the tests, the gate and the
+    benchmark (input 32, hidden (64, 64), embed 32, up to 128 rows), but not
+    at every shape: OpenBLAS picks its kernels by shape.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rows = x.shape[0]
@@ -160,17 +180,11 @@ def _forward(params: dict[str, np.ndarray], config: ModelConfig,
     return layers, h, probs, emb, norms, dead
 
 
-def ema_update(teacher: dict[str, np.ndarray], model: Model, omega: float) -> None:
-    """teacher <- omega * teacher + (1 - omega) * student, elementwise."""
-    if not (0.0 <= omega <= 1.0):
-        raise NetworkError(f"omega must be in [0, 1], got {omega}")
-    if set(teacher) != set(model.params):
-        raise NetworkError("teacher/student parameter sets differ")
-    for name, tensor in model.params.items():
-        if teacher[name].shape != tensor.data.shape:
-            raise NetworkError(f"shape mismatch for {name}")
-        teacher[name] *= omega
-        teacher[name] += (1.0 - omega) * tensor.data
+def ema_update(teacher: np.ndarray, student: np.ndarray, omega: float) -> None:
+    """teacher <- omega * teacher + (1 - omega) * student, in place, on two
+    flat arrays of one layout."""
+    teacher *= omega
+    teacher += (1.0 - omega) * student
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ A step computes only what it reads:
   when there are none;
 - the teacher's predictions of the batch only for the ID and OOD rows, whose
   targets read them, after classification.
-Neighbors and teacher predictions of a row do not depend on which other rows
-share its call, so skipping rows changes no bit of the rest.
+At the shapes of the tests, the gate and the benchmark, a row's neighbors and
+teacher predictions have the bits of a call over the whole batch, so skipping
+rows changes no bit of the rest; at other shapes OpenBLAS's shape-dependent
+kernels can move a row's last bit (`network.forward_arrays`).
 
 A fit owns one `diffmath.Scratch` for the two queue-sized products of a
 robust step: the KNN similarities and the InfoNCE logit buffer. Its memory
@@ -156,22 +158,6 @@ class FitResult:
     teacher: dict
 
 
-class _SGD:
-    def __init__(self, params, momentum):
-        self.params = params
-        self.momentum = momentum
-        self.velocity = {k: np.zeros_like(t.data) for k, t in params.items()}
-
-    def step(self, lr):
-        for name, t in self.params.items():
-            if t.grad is None:
-                continue
-            v = self.velocity[name]
-            v *= self.momentum
-            v += t.grad
-            t.data -= lr * v
-
-
 def _lr_at(config: TrainConfig, epoch: int) -> float:
     """Constant through warmup, cosine decay afterwards."""
     if epoch <= config.warmup_epochs:
@@ -234,8 +220,10 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     model_config = config.model_config(train.x.shape[1], n_classes)
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     model = Model(model_config, init_rng)
-    teacher = model.snapshot()
-    optimizer = _SGD(model.params, config.momentum)
+    # teacher and velocity are flat arrays of the model's layout
+    teacher_flat = model.flat.copy()
+    teacher = model.views(teacher_flat)
+    velocity = np.zeros_like(model.flat)
     queue = (EmbedQueue(config.queue_capacity, config.embed_dim, n_classes)
              if config.use_selection else None)
     scratch = Scratch()
@@ -243,7 +231,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
 
     def diverged(message):
         return TrainingDiverged(message, history, model.snapshot(),
-                                {k: a.copy() for k, a in teacher.items()})
+                                model.views(teacher_flat.copy()))
 
     history: list[EpochRecord] = []
 
@@ -268,9 +256,10 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
             v, v2 = augment_views(x_b, aug_rng, config.jitter_sigma,
                                   config.mask_rate)
 
-            for t in model.params.values():
-                if not np.isfinite(t.data).all():
-                    raise diverged(f"non-finite parameters at epoch {epoch}")
+            finite = np.isfinite(model.flat)
+            if not finite.all():
+                raise diverged(f"non-finite parameters at epoch {epoch}: "
+                               f"{model.name_at(int(np.argmin(finite)))}")
             try:
                 _, p1, emb_q = model.forward(v)
                 _, p2, _ = model.forward(v2)
@@ -286,10 +275,10 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
             p_clean = 1.0 - js_divergence_rows(p1_np, y_smooth)
             p_ood = js_divergence_rows(p1_np, p2_np)
 
+            zero = Tensor(0.0)   # the value of a term that is off
             if warmup_mode:
                 codes = np.full(nb, selector.CLEAN, dtype=np.int64)
                 l_cls = cross_entropy_loss(p1, y_smooth)
-                zero = Tensor(0.0)
                 total, breakdown = total_loss(l_cls, zero, zero, zero,
                                               0.0, 0.0, 0.0)
             else:
@@ -315,11 +304,8 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                 pos_targets, neg_targets = robust_targets(
                     codes, y_smooth, noisy_probs, config)
                 rho = (codes != selector.OOD).astype(np.float64)
-                pos_mask = rho
-                neg_mask = 1.0 - rho
-                l_cls = classification_loss(p1, pos_targets, pos_mask,
-                                            neg_targets, neg_mask)
-                zero = Tensor(0.0)
+                l_cls = classification_loss(p1, pos_targets, rho,
+                                            neg_targets, 1.0 - rho)
                 l_s = self_consistency_loss(p1, p2, rho) if config.use_scon else zero
                 if config.use_ncon:
                     # every row was asked; a row without K neighbors holds
@@ -342,11 +328,13 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
             if not np.isfinite(breakdown.total):
                 raise diverged(f"non-finite loss at epoch {epoch}")
 
-            for t in model.params.values():
-                t.zero_grad()
+            # momentum SGD; zero gradient and velocity move no unreached bit
+            model.zero_grad()
             total.backward()
-            optimizer.step(lr)
-            ema_update(teacher, model, config.ema_omega)
+            velocity *= config.momentum
+            velocity += model.grad
+            model.flat -= lr * velocity
+            ema_update(teacher_flat, model.flat, config.ema_omega)
 
             thresholds.accumulate_batch(p_clean, p_ood, y_b)
             if config.use_selection:
@@ -368,7 +356,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
 
         thresholds.roll(config.tau_omega_warmup if warmup_mode
                         else config.tau_omega_main)
-        test_probs, _ = forward_arrays(model.snapshot_view(), model_config, test_x)
+        test_probs, _ = forward_arrays(model.arrays, model_config, test_x)
         test_acc = float((test_probs.argmax(axis=1) == test_y).mean())
         means = sums / n_batches
         history.append(EpochRecord(
@@ -380,4 +368,4 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
             partition_codes=codes_epoch.copy()))
 
     return FitResult(history=history, student=model.snapshot(),
-                     teacher={k: a.copy() for k, a in teacher.items()})
+                     teacher=model.views(teacher_flat.copy()))

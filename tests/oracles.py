@@ -227,7 +227,7 @@ class TapeTensor(Tensor):
 
     def softmax(self, temperature=1.0):
         """Row-wise temperature softmax over the last axis."""
-        y = softmax(self.data, temperature)
+        y = softmax(self.data / temperature)
         out = TapeTensor(y, _parents=(self,))
 
         def bw(g):

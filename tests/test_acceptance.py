@@ -152,8 +152,7 @@ def test_criterion_1_gradient_correctness():
 
     worst = 0.0
     for name, (tape_fn, np_fn) in losses.items():
-        for t in model.params.values():
-            t.zero_grad()
+        model.zero_grad()
         _, p1, emb = model.forward(x1)
         _, p2, _ = model.forward(x2)
         tape_fn(p1, p2, emb).backward()

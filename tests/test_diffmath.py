@@ -59,19 +59,11 @@ def test_softmax_two_logits():
     np.testing.assert_allclose(softmax([1.0, 2.0]), [0.26894, 0.73106], atol=1e-5)
 
 
-def test_softmax_rejects_nonfinite_and_bad_temperature():
+def test_softmax_rejects_nonfinite():
     with pytest.raises(DiffMathError):
         softmax([1.0, np.nan])
     with pytest.raises(DiffMathError):
         softmax([1.0, float("inf")])
-    with pytest.raises(DiffMathError):
-        softmax([1.0, 2.0], temperature=0.0)
-
-
-def test_softmax_temperature_sharpen():
-    hot = softmax([1.0, 2.0], temperature=0.1)
-    assert hot[1] > softmax([1.0, 2.0])[1]
-    assert check_prob_vec(hot) is not None
 
 
 # kl: the trainer's KL term, neighbor_consistency_loss on one row, mask 1 ---
@@ -244,7 +236,7 @@ def test_temperature_softmax_gradient(rng):
     target = rng.dirichlet(np.ones(4), size=2)
 
     def loss_value():
-        p = softmax(w.data, temperature=0.5)
+        p = softmax(w.data / 0.5)
         return float(-(target * np.log(np.maximum(p, 1e-12))).sum())
 
     loss = -(w.softmax(temperature=0.5).log() * target).sum()

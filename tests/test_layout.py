@@ -59,3 +59,42 @@ def test_every_public_name_has_a_caller_in_src():
     stale = sorted(set(ALLOWED_UNREFERENCED) - set(unreferenced))
     assert missing == [], f"public names without a caller in src/: {missing}"
     assert stale == [], f"allowlisted names that have a caller or are gone: {stale}"
+
+
+def _train_config_fields(tree: ast.Module):
+    """Field names of trainer.TrainConfig, and the (first, last) line
+    ranges of its own validation: __post_init__ and _FIELD_RULES."""
+    fields, validation = [], []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "TrainConfig":
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign):
+                    fields.append(item.target.id)
+                elif (isinstance(item, ast.FunctionDef)
+                      and item.name == "__post_init__"):
+                    validation.append((item.lineno, item.end_lineno))
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "_FIELD_RULES"
+                      for t in node.targets)):
+            validation.append((node.lineno, node.end_lineno))
+    return fields, validation
+
+
+def test_every_train_config_field_is_read_in_src():
+    # no config key that does nothing: each TrainConfig field is read as an
+    # attribute somewhere in src/ outside its own validation
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    fields, validation = _train_config_fields(trees["trainer"])
+    assert fields and len(validation) == 2
+    read = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and not (module == "trainer"
+                             and any(first <= node.lineno <= last
+                                     for first, last in validation))):
+                read.add(node.attr)
+    unread = [name for name in fields if name not in read]
+    assert unread == [], f"TrainConfig fields nothing in src/ reads: {unread}"

@@ -48,7 +48,7 @@ def test_forward_rejects_wrong_dim(rng):
     with pytest.raises(NetworkError):
         m.forward(rng.normal(size=(3, 7)))
     with pytest.raises(NetworkError):
-        forward_arrays(m.snapshot_view(), m.config, rng.normal(size=(3, 7)))
+        forward_arrays(m.arrays, m.config, rng.normal(size=(3, 7)))
 
 
 def test_forward_arrays_matches_tape_forward(rng):
@@ -58,7 +58,7 @@ def test_forward_arrays_matches_tape_forward(rng):
     x = rng.normal(size=(7, 6))
     _, probs_n, emb_n = m.forward(x)
     _, probs_t, emb_t = tape_forward(tape_params(m.snapshot()), m.config, x)
-    probs_a, emb_a = forward_arrays(m.snapshot_view(), m.config, x)
+    probs_a, emb_a = forward_arrays(m.arrays, m.config, x)
     for got in (probs_a, probs_n.data):
         assert np.array_equal(got, probs_t.data)
     for got in (emb_a, emb_n.data):
@@ -66,14 +66,15 @@ def test_forward_arrays_matches_tape_forward(rng):
     # a dead projection pins every embedding to the first basis vector
     m.params["projection.W"].data[:] = 0.0
     m.params["projection.b"].data[:] = 0.0
-    _, emb_a = forward_arrays(m.snapshot_view(), m.config, x)
+    _, emb_a = forward_arrays(m.arrays, m.config, x)
     assert np.array_equal(emb_a, np.eye(8)[[0] * 7])
     assert np.array_equal(emb_a, m.forward(x)[2].data)
 
 
 def test_forward_arrays_row_bits_do_not_depend_on_other_rows(rng):
     # the trainer runs the teacher on a batch's ID and OOD rows only, which
-    # may be a single row: each row gets the bits of the full-batch forward
+    # may be a single row: at the gate's and the benchmark's shapes each row
+    # gets the bits of the full-batch forward (forward_arrays docstring)
     m = make_model(rng, input_dim=32, n_classes=8, hidden=(64, 64), embed=32)
     params = m.snapshot()
     x = rng.normal(size=(128, 32))
@@ -94,7 +95,7 @@ def test_forward_arrays_builds_no_graph(rng, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counted)
-    forward_arrays(m.snapshot_view(), m.config, rng.normal(size=(7, 6)))
+    forward_arrays(m.arrays, m.config, rng.normal(size=(7, 6)))
     assert built == []
     assert len(m.forward(rng.normal(size=(7, 6)))) == len(built) == 3
 
@@ -108,21 +109,47 @@ def test_teacher_snapshot_is_off_tape(rng):
         np.testing.assert_array_equal(arr, m.params[name].data)
 
 
+def test_params_are_views_of_two_flat_buffers(tmp_path, rng):
+    m = make_model(rng)
+    assert list(m.params) == list(m.layout) == sorted(m.layout)
+    assert m.flat.size == m.grad.size == sum(
+        t.data.size for t in m.params.values())
+    for name, t in m.params.items():
+        assert t.data.shape == t.grad.shape == m.layout[name]
+        assert np.shares_memory(t.data, m.flat)
+        assert np.shares_memory(t.grad, m.grad)
+    assert not m.grad.any()
+    # name_at maps each element of the layout to its parameter
+    assert [m.name_at(i) for i in range(m.flat.size)] == [
+        name for name, t in m.params.items() for _ in range(t.data.size)]
+    with pytest.raises(IndexError):
+        m.name_at(m.flat.size)
+    # the layout is checkpoint.bin's order: its blob ends with the student
+    # buffer, then the teacher's
+    path = str(tmp_path / "ckpt.bin")
+    teacher = m.flat + 1.0
+    save_checkpoint(path, m.arrays, m.views(teacher))
+    blob = open(path, "rb").read()
+    assert blob.endswith(m.flat.tobytes() + teacher.tobytes())
+
+
 # EMA --------------------------------------------------------------------------
 
 def test_ema_fixed_point_when_equal(rng):
     m = make_model(rng)
-    teacher = m.snapshot()
-    before = {k: v.copy() for k, v in teacher.items()}
-    ema_update(teacher, m, 0.99)
+    flat = m.flat.copy()
+    before = m.views(flat.copy())
+    ema_update(flat, m.flat, 0.99)
+    teacher = m.views(flat)
     for k in teacher:
         np.testing.assert_allclose(teacher[k], before[k], atol=1e-15)
 
 
 def test_ema_omega_zero_copies_student(rng):
     m = make_model(rng)
-    teacher = {k: np.zeros_like(v.data) for k, v in m.params.items()}
-    ema_update(teacher, m, 0.0)
+    flat = np.zeros_like(m.flat)
+    ema_update(flat, m.flat, 0.0)
+    teacher = m.views(flat)
     for k in teacher:
         np.testing.assert_array_equal(teacher[k], m.params[k].data)
 
@@ -131,22 +158,13 @@ def test_ema_geometric_convergence(rng):
     # constant student: gap after t steps is omega^t * initial gap
     m = make_model(rng)
     omega = 0.9
-    teacher = {k: v.data + 1.0 for k, v in m.params.items()}
+    flat = m.flat + 1.0
     for _ in range(10):
-        ema_update(teacher, m, omega)
+        ema_update(flat, m.flat, omega)
+    teacher = m.views(flat)
     for k in teacher:
         gap = teacher[k] - m.params[k].data
         np.testing.assert_allclose(gap, np.full_like(gap, omega ** 10), atol=1e-12)
-
-
-def test_ema_validation(rng):
-    m = make_model(rng)
-    teacher = m.snapshot()
-    with pytest.raises(NetworkError):
-        ema_update(teacher, m, 1.5)
-    del teacher["classifier.b"]
-    with pytest.raises(NetworkError):
-        ema_update(teacher, m, 0.99)
 
 
 # checkpoints --------------------------------------------------------------------

@@ -396,6 +396,85 @@ def test_teacher_forward_overflow_in_robust_step_aborts(monkeypatch):
             assert all(np.isfinite(a).all() for a in params.values())
 
 
+def record_models(monkeypatch):
+    """(model, copy of its initial flat weights) of every Model fit builds."""
+    made = []
+
+    class Recorded(trainer.Model):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((self, self.flat.copy()))
+
+    monkeypatch.setattr(trainer, "Model", Recorded)
+    return made
+
+
+def test_nonfinite_parameters_name_the_first_in_layout_order(monkeypatch):
+    # a NaN written into two views after the third step: the next step's
+    # check names the one that comes first in the layout
+    models = record_models(monkeypatch)
+    steps = []
+    ema_update = trainer.ema_update
+
+    def poisoning(teacher, student, omega):
+        ema_update(teacher, student, omega)
+        steps.append(None)
+        if len(steps) == 3:
+            params = models[0][0].params
+            params["projection.W"].data[0, 1] = np.nan
+            params["encoder.0.b"].data[2] = np.nan
+
+    monkeypatch.setattr(trainer, "ema_update", poisoning)
+    with pytest.raises(TrainingDiverged) as exc:
+        run_tiny()
+    assert str(exc.value) == "non-finite parameters at epoch 1: encoder.0.b"
+    assert exc.value.history == []
+    assert np.isnan(exc.value.student["encoder.0.b"][2])
+
+
+def method_config(method, **kw):
+    use_selection, use_scon, use_ncon, use_fcon = harness.METHODS[method]
+    return tiny_config(use_selection=use_selection, use_scon=use_scon,
+                       use_ncon=use_ncon, use_fcon=use_fcon, **kw)
+
+
+def head_bytes(model, flat, head="projection"):
+    views = model.views(flat)
+    return views[f"{head}.W"].tobytes() + views[f"{head}.b"].tobytes()
+
+
+@pytest.mark.parametrize("method", ["SELECT_ONLY", "STANDARD"])
+def test_head_without_gradient_keeps_its_init_bits(monkeypatch, method):
+    # no loss term reaches the projection head: its zero gradient and zero
+    # velocity leave every bit, and the sign of every zero, as initialised
+    models = record_models(monkeypatch)
+    run_tiny(method_config(method, epochs=3))
+    (model, init), = models
+    assert head_bytes(model, model.flat) == head_bytes(model, init)
+    assert (head_bytes(model, model.flat, "classifier")
+            != head_bytes(model, init, "classifier"))
+
+
+def test_projection_head_keeps_its_init_bits_through_josnc_warmup(monkeypatch):
+    models = record_models(monkeypatch)
+    students = []
+    ema_update = trainer.ema_update
+
+    def spy(teacher, student, omega):
+        ema_update(teacher, student, omega)
+        students.append(student.copy())
+
+    monkeypatch.setattr(trainer, "ema_update", spy)
+    ds, cfg = tiny_data(), method_config("JOSNC", epochs=3)
+    run_tiny(cfg, ds)
+    (model, init), = models
+    warmup_steps = cfg.warmup_epochs * -(-ds.train.x.shape[0] // cfg.batch_size)
+    moved = [head_bytes(model, s) != head_bytes(model, init) for s in students]
+    # the feature term moves it from the first robust step on
+    assert moved == ([False] * warmup_steps
+                     + [True] * (len(students) - warmup_steps))
+
+
 # a fit's queue-sized products share one scratch -----------------------------
 
 def record_scratches(monkeypatch):
