@@ -9,7 +9,7 @@ sees them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class DataGenError(ValueError):
 class NoiseSpec:
     kind: str                 # "symmetric" | "asymmetric"
     rate_id: float            # in-distribution corruption rate
-    ood_class_count: int = 0
 
     def __post_init__(self):
         if self.kind not in ("symmetric", "asymmetric"):
@@ -39,9 +38,6 @@ class NoiseSpec:
         # rate 0 is the documented no-op; rates >= 1 or < 0 are rejected
         if not (0.0 <= self.rate_id < 1.0):
             raise DataGenError("rate_id", f"must be in [0, 1), got {self.rate_id}")
-        if self.ood_class_count < 0:
-            raise DataGenError("ood_class_count",
-                               f"must be >= 0, got {self.ood_class_count}")
 
 
 @dataclass
@@ -68,8 +64,6 @@ class BlobDataset:
     test_y: np.ndarray
     n_id_classes: int
     n_ood_classes: int
-    dim: int
-    spread: float
     centroids: np.ndarray = field(repr=False, default=None)
 
 
@@ -96,11 +90,6 @@ def make_blobs(n_id_classes: int, n_ood_classes: int, per_class: int, dim: int,
     n_total_classes = n_id_classes + n_ood_classes
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB10B]))
     centroids = rng.normal(0.0, 1.0, size=(n_total_classes, dim))
-    # centroids are distinct with probability 1; make it an invariant
-    diffs = centroids[:, None, :] - centroids[None, :, :]
-    dists = np.sqrt((diffs ** 2).sum(-1)) + np.eye(n_total_classes)
-    if dists.min() <= 1e-9:
-        raise DataGenError("seed", "draws coinciding centroids")  # pragma: no cover
 
     xs, trues = [], []
     for c in range(n_total_classes):
@@ -131,8 +120,6 @@ def make_blobs(n_id_classes: int, n_ood_classes: int, per_class: int, dim: int,
         test_y=np.concatenate(test_ys),
         n_id_classes=n_id_classes,
         n_ood_classes=n_ood_classes,
-        dim=dim,
-        spread=spread,
         centroids=centroids,
     )
 
@@ -145,10 +132,6 @@ def inject_noise(dataset: BlobDataset, spec: NoiseSpec, seed: int) -> BlobDatase
     OOD samples always get labels drawn uniformly from the ID label space and
     keep their OOD_NOISY tag regardless of the assigned label.
     """
-    if spec.ood_class_count != dataset.n_ood_classes:
-        raise DataGenError(
-            "ood_class_count", f"is {spec.ood_class_count}, the dataset has "
-            f"{dataset.n_ood_classes} OOD classes")
     if seed < 0:
         raise DataGenError("seed", f"must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4015E]))
@@ -175,19 +158,10 @@ def inject_noise(dataset: BlobDataset, spec: NoiseSpec, seed: int) -> BlobDatase
             observed[victims] = (true_labels[victims] + 1) % c_id
         noise_kinds[victims] = ID_NOISY
 
-    return BlobDataset(
-        train=TrainingSet(x=dataset.train.x, observed_labels=observed,
-                          ids=dataset.train.ids),
-        tags=TagTable(ids=dataset.tags.ids, true_labels=true_labels,
-                      noise_kinds=noise_kinds),
-        test_x=dataset.test_x,
-        test_y=dataset.test_y,
-        n_id_classes=dataset.n_id_classes,
-        n_ood_classes=dataset.n_ood_classes,
-        dim=dataset.dim,
-        spread=dataset.spread,
-        centroids=dataset.centroids,
-    )
+    return replace(
+        dataset,
+        train=replace(dataset.train, observed_labels=observed),
+        tags=replace(dataset.tags, noise_kinds=noise_kinds))
 
 
 def augment_views(x: np.ndarray, rng: np.random.Generator,

@@ -17,22 +17,13 @@ import numpy as np
 
 from . import __version__, blas, datagen, selector
 from .network import ModelConfig, save_checkpoint, write_atomic
-from .trainer import TrainConfig, TrainerError, TrainingDiverged, fit
+from .trainer import METHODS, TrainConfig, TrainerError, TrainingDiverged, fit
 
 METRICS_COLUMNS = [
     "epoch", "train_loss", "l_cls", "l_con_s", "l_con_n", "l_con_f",
     "test_acc", "clean_precision", "clean_recall", "clean_f1",
     "ood_precision", "ood_recall", "ood_f1", "mean_tau_clean", "mean_tau_ood",
 ]
-
-METHODS = {
-    # method -> (use_selection, use_scon, use_ncon, use_fcon)
-    "JOSNC": (True, True, True, True),
-    "STANDARD": (False, False, False, False),
-    "SELECT_ONLY": (True, False, False, False),
-    "SCON": (True, True, False, False),
-    "SCON_NCON": (True, True, True, False),
-}
 
 OUTPUT_DIR_ENV = "JOSNC_OUTPUT_DIR"
 
@@ -62,10 +53,10 @@ _DATASET_SCHEMA = {
 }
 
 # The train and model keys are TrainConfig's fields, with its types and
-# defaults; the model keys are the ones ModelConfig shares, and METHODS sets
-# the use_* flags. _FILE_RULES gives (required, default) of the two keys whose
-# config-file rule differs: a config must state its run's seed, and the jitter
-# default is 0.1 * dataset spread, resolved in resolve_config.
+# defaults, except method, which is a top-level key; the model keys are the
+# ones ModelConfig shares. _FILE_RULES gives (required, default) of the two
+# keys whose config-file rule differs: a config must state its run's seed,
+# and the jitter default is 0.1 * dataset spread, resolved in resolve_config.
 _FILE_RULES = {"seed": (True, None), "jitter_sigma": (False, None)}
 _JSON_TYPES = {"int": int, "float": (int, float), "tuple": list}
 # JSON names of the schema's types and of the values json.load returns
@@ -74,7 +65,7 @@ _JSON_NAMES = {int: "integer", (int, float): "number", float: "number",
                type(None): "null"}
 _FIELD_SCHEMA = {
     f.name: (_JSON_TYPES[f.type], *_FILE_RULES.get(f.name, (False, f.default)))
-    for f in fields(TrainConfig) if not f.name.startswith("use_")}
+    for f in fields(TrainConfig) if f.name != "method"}
 _MODEL_KEYS = {f.name for f in fields(ModelConfig)}
 _MODEL_SCHEMA = {k: v for k, v in _FIELD_SCHEMA.items() if k in _MODEL_KEYS}
 _TRAIN_SCHEMA = {k: v for k, v in _FIELD_SCHEMA.items() if k not in _MODEL_KEYS}
@@ -155,8 +146,7 @@ def build_dataset(cfg: dict) -> datagen.BlobDataset:
             spread=float(ds["spread"]), seed=ds["seed"],
             test_per_class=ds["test_per_class"], knn_k=cfg["train"]["knn_k"])
         spec = datagen.NoiseSpec(kind=ds["noise"]["kind"],
-                                 rate_id=float(ds["noise"]["rate_id"]),
-                                 ood_class_count=ds["n_ood_classes"])
+                                 rate_id=float(ds["noise"]["rate_id"]))
         return datagen.inject_noise(blobs, spec, seed=ds["seed"])
     except datagen.DataGenError as exc:
         section = "dataset.noise" if exc.key in _NOISE_SCHEMA else "dataset"
@@ -166,7 +156,6 @@ def build_dataset(cfg: dict) -> datagen.BlobDataset:
 def build_train_config(cfg: dict) -> TrainConfig:
     """The TrainConfig of a resolved config; a value TrainConfig rejects, or
     a kappa above the class count, raises ConfigError naming its key."""
-    use_sel, use_s, use_n, use_f = METHODS[cfg["method"]]
     kappa, n_classes = cfg["train"]["kappa"], cfg["dataset"]["n_id_classes"]
     if kappa > n_classes:
         raise ConfigError(f"config.train.kappa: must be <= dataset.n_id_classes "
@@ -174,8 +163,7 @@ def build_train_config(cfg: dict) -> TrainConfig:
     values = {key: float(value) if key in _FLOAT_KEYS else value
               for key, value in {**cfg["train"], **cfg["model"]}.items()}
     try:
-        return TrainConfig(**values, use_selection=use_sel, use_scon=use_s,
-                           use_ncon=use_n, use_fcon=use_f)
+        return TrainConfig(**values, method=cfg["method"])
     except TrainerError as exc:
         section = "model" if exc.key in _MODEL_SCHEMA else "train"
         raise ConfigError(f"config.{section}.{exc.key}: {exc.detail}") from exc

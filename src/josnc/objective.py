@@ -37,9 +37,6 @@ class LossBreakdown:
     l_con_n: float
     l_con_f: float
     total: float
-    alpha: float
-    beta: float
-    gamma: float
 
 
 def classification_loss(probs: Tensor, positive_targets: np.ndarray,
@@ -196,19 +193,28 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
     return Tensor(loss, _parents=(query_emb,))._record(backward)
 
 
-def total_loss(l_cls: Tensor, l_con_s: Tensor, l_con_n: Tensor, l_con_f: Tensor,
-               alpha: float, beta: float, gamma: float):
-    """Weighted sum; returns (scalar Tensor, LossBreakdown)."""
-    terms = (l_cls, l_con_s, l_con_n, l_con_f)
-    total = (l_cls.data + l_con_s.data * alpha + l_con_n.data * beta
-             + l_con_f.data * gamma)
+def total_loss(l_cls: Tensor, l_con_s: Tensor | None, l_con_n: Tensor | None,
+               l_con_f: Tensor | None, alpha: float, beta: float,
+               gamma: float):
+    """Weighted sum; returns (scalar Tensor, LossBreakdown).
+
+    A consistency term that its method leaves out is None: it enters neither
+    the sum nor the graph, and the breakdown reads 0.0 for it. The present
+    terms are added left to right.
+    """
+    weighted = [(term, weight) for term, weight in
+                ((l_cls, 1.0), (l_con_s, alpha), (l_con_n, beta),
+                 (l_con_f, gamma)) if term is not None]
+    total = l_cls.data
+    for term, weight in weighted[1:]:
+        total = total + term.data * weight
 
     def backward(g):
-        for term, weight in zip(terms, (1.0, alpha, beta, gamma)):
+        for term, weight in weighted:
             if term.requires_grad:
                 term._accum(g * weight)
     breakdown = LossBreakdown(
-        l_cls=l_cls.item(), l_con_s=l_con_s.item(), l_con_n=l_con_n.item(),
-        l_con_f=l_con_f.item(), total=float(total),
-        alpha=alpha, beta=beta, gamma=gamma)
-    return Tensor(total, _parents=terms)._record(backward), breakdown
+        *(0.0 if term is None else term.item()
+          for term in (l_cls, l_con_s, l_con_n, l_con_f)), total=float(total))
+    return Tensor(total, _parents=tuple(t for t, _ in weighted))._record(
+        backward), breakdown

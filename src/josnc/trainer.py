@@ -23,7 +23,9 @@ A step computes only what it reads:
   clean test, since neighbors can rescue no other row, and no lookup at all
   when there are none;
 - the teacher's predictions of the batch only for the ID and OOD rows, whose
-  targets read them, after classification.
+  targets read them, after classification;
+- the consistency terms of its method (METHODS) only; a term the method
+  leaves out is not built, and `total_loss` gets None for it.
 At the shapes of the tests, the gate and the benchmark, a row's neighbors and
 teacher predictions have the bits of a call over the whole batch, so skipping
 rows changes no bit of the rest; at other shapes OpenBLAS's shape-dependent
@@ -49,7 +51,7 @@ import numpy as np
 
 from . import selector
 from .datagen import TrainingSet, augment_views
-from .diffmath import DiffMathError, Scratch, Tensor, js_divergence_rows
+from .diffmath import DiffMathError, Scratch, js_divergence_rows
 from .embedqueue import EmbedQueue, KnnBatch
 from .labeler import lsr_matrix, make_negative_target, make_pll_target
 from .network import Model, ModelConfig, ema_update, forward_arrays
@@ -75,6 +77,17 @@ class TrainingDiverged(RuntimeError):
         self.student = student
         self.teacher = teacher
 
+
+# method -> (selection, self-, neighbor-, feature consistency); each ablation
+# adds one part to the one before it. Without selection every epoch runs in
+# warmup mode.
+METHODS = {
+    "JOSNC": (True, True, True, True),
+    "STANDARD": (False, False, False, False),
+    "SELECT_ONLY": (True, False, False, False),
+    "SCON": (True, True, False, False),
+    "SCON_NCON": (True, True, True, False),
+}
 
 # (TrainConfig fields, requirement, test) of the single-field checks
 _FIELD_RULES = (
@@ -115,13 +128,13 @@ class TrainConfig:
     jitter_sigma: float = 0.1
     mask_rate: float = 0.1
     seed: int = 0
-    use_selection: bool = True        # False: warmup-mode for every epoch
-    use_scon: bool = True
-    use_ncon: bool = True
-    use_fcon: bool = True
+    method: str = "JOSNC"             # a key of METHODS
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+        if self.method not in METHODS:
+            raise TrainerError("method", f"must be one of {sorted(METHODS)}, "
+                               f"got {self.method!r}")
         if not 0 < self.warmup_epochs < self.epochs:
             raise TrainerError("warmup_epochs", "must be in [1, epochs - 1], "
                                f"got {self.warmup_epochs}")
@@ -216,6 +229,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     step_hook, if given, is called as hook(epoch, batch_ids, partition) after
     every partitioned step.
     """
+    selection, scon, ncon, fcon = METHODS[config.method]
     n = train.x.shape[0]
     model_config = config.model_config(train.x.shape[1], n_classes)
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
@@ -225,7 +239,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     teacher = model.views(teacher_flat)
     velocity = np.zeros_like(model.flat)
     queue = (EmbedQueue(config.queue_capacity, config.embed_dim, n_classes)
-             if config.use_selection else None)
+             if selection else None)
     scratch = Scratch()
     thresholds = selector.ThresholdState(n_classes)
 
@@ -236,7 +250,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     history: list[EpochRecord] = []
 
     for epoch in range(1, config.epochs + 1):
-        warmup_mode = epoch <= config.warmup_epochs or not config.use_selection
+        warmup_mode = epoch <= config.warmup_epochs or not selection
         lr = _lr_at(config, epoch)
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, 1, epoch]))
@@ -263,7 +277,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
             try:
                 _, p1, emb_q = model.forward(v)
                 _, p2, _ = model.forward(v2)
-                if config.use_selection:
+                if selection:
                     _, teacher_keys = forward_arrays(teacher, model_config, v2)
             except DiffMathError as exc:
                 # overflow inside a forward pass (inf logits) is divergence too
@@ -275,16 +289,15 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
             p_clean = 1.0 - js_divergence_rows(p1_np, y_smooth)
             p_ood = js_divergence_rows(p1_np, p2_np)
 
-            zero = Tensor(0.0)   # the value of a term that is off
             if warmup_mode:
                 codes = np.full(nb, selector.CLEAN, dtype=np.int64)
-                l_cls = cross_entropy_loss(p1, y_smooth)
-                total, breakdown = total_loss(l_cls, zero, zero, zero,
-                                              0.0, 0.0, 0.0)
+                total, breakdown = total_loss(
+                    cross_entropy_loss(p1, y_smooth), None, None, None,
+                    config.alpha, config.beta, config.gamma)
             else:
                 # neighbors for the rows that read them: all rows under
                 # neighbor consistency, else those failing their own test
-                asked = (np.ones(nb, dtype=bool) if config.use_ncon
+                asked = (np.ones(nb, dtype=bool) if ncon
                          else selector.fails_own_test(p_clean, y_b, thresholds))
                 knn = (queue.knn_batch(teacher_keys[asked], config.knn_k,
                                        ids_b[asked], out=scratch)
@@ -306,24 +319,20 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                 rho = (codes != selector.OOD).astype(np.float64)
                 l_cls = classification_loss(p1, pos_targets, rho,
                                             neg_targets, 1.0 - rho)
-                l_s = self_consistency_loss(p1, p2, rho) if config.use_scon else zero
-                if config.use_ncon:
-                    # every row was asked; a row without K neighbors holds
-                    # zero predictions, so its mixture is zero
-                    l_n = neighbor_consistency_loss(
-                        p1, neighbor_mixture(knn.similarities, knn.preds),
-                        rho * knn.found)
-                else:
-                    l_n = zero
+                l_s = self_consistency_loss(p1, p2, rho) if scon else None
+                # under neighbor consistency every row was asked; a row
+                # without K neighbors holds zero predictions, so its
+                # mixture is zero
+                l_n = (neighbor_consistency_loss(
+                    p1, neighbor_mixture(knn.similarities, knn.preds),
+                    rho * knn.found) if ncon else None)
                 l_f = (feature_consistency_loss(emb_q, teacher_keys,
                                                 queue.key_views(),
                                                 config.t_ssl, out=scratch)
-                       if config.use_fcon else zero)
-                total, breakdown = total_loss(
-                    l_cls, l_s, l_n, l_f,
-                    config.alpha if config.use_scon else 0.0,
-                    config.beta if config.use_ncon else 0.0,
-                    config.gamma if config.use_fcon else 0.0)
+                       if fcon else None)
+                total, breakdown = total_loss(l_cls, l_s, l_n, l_f,
+                                              config.alpha, config.beta,
+                                              config.gamma)
 
             if not np.isfinite(breakdown.total):
                 raise diverged(f"non-finite loss at epoch {epoch}")
@@ -337,9 +346,8 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
             ema_update(teacher_flat, model.flat, config.ema_omega)
 
             thresholds.accumulate_batch(p_clean, p_ood, y_b)
-            if config.use_selection:
-                queue.enqueue(teacher_keys, y_b, np.clip(p_clean, 0.0, 1.0),
-                              p1_np, ids_b)
+            if selection:
+                queue.enqueue(teacher_keys, y_b, p_clean, p1_np, ids_b)
 
             # TrainingSet ids are unique, so one valid code per row is a
             # sound partition of the batch

@@ -269,7 +269,7 @@ def test_criterion_4_threshold_ema_closed_form():
 
 def test_criterion_5_partition_soundness():
     ds = make_blobs(4, 1, 60, 8, 1.2, seed=11)
-    ds = inject_noise(ds, NoiseSpec("symmetric", 0.4, 1), seed=11)
+    ds = inject_noise(ds, NoiseSpec("symmetric", 0.4), seed=11)
     from josnc.trainer import TrainConfig
     cfg = TrainConfig(epochs=10, warmup_epochs=3, batch_size=32,
                       learning_rate=0.1, epsilon=0.1, hidden_dims=(16,),

@@ -76,14 +76,12 @@ def test_noise_spec_validation():
         NoiseSpec("symmetric", -0.1)
     with pytest.raises(DataGenError):
         NoiseSpec("uniform", 0.2)
-    with pytest.raises(DataGenError):
-        NoiseSpec("symmetric", 0.2, ood_class_count=-1)
 
 
 def test_inject_symmetric_exact_count_and_kinds():
     ds = small_dataset(per_class=100)
     rate = 0.37
-    noisy = inject_noise(ds, NoiseSpec("symmetric", rate, ood_class_count=2), seed=5)
+    noisy = inject_noise(ds, NoiseSpec("symmetric", rate), seed=5)
     n_id = 4 * 100
     expected = int(round(rate * n_id))
     id_mask = noisy.tags.true_labels < 4
@@ -121,7 +119,7 @@ def test_inject_asymmetric_successor_map():
 
 def test_inject_ood_labels_uniform_over_id_space():
     ds = make_blobs(4, 4, 2000, 4, 0.5, seed=13)
-    noisy = inject_noise(ds, NoiseSpec("symmetric", 0.2, ood_class_count=4), seed=3)
+    noisy = inject_noise(ds, NoiseSpec("symmetric", 0.2), seed=3)
     ood = noisy.tags.noise_kinds == OOD_NOISY
     assert ood.sum() == 4 * 2000
     counts = np.bincount(noisy.train.observed_labels[ood], minlength=4)
@@ -129,17 +127,10 @@ def test_inject_ood_labels_uniform_over_id_space():
     assert np.all(np.abs(frac - 0.25) < 0.025)
 
 
-def test_inject_rejects_ood_count_mismatch():
-    ds = small_dataset(n_ood=2)
-    with pytest.raises(DataGenError):
-        inject_noise(ds, NoiseSpec("symmetric", 0.2, ood_class_count=1), seed=0)
-
-
 def test_inject_rejects_negative_seed():
     ds = small_dataset(n_ood=2)
     with pytest.raises(DataGenError, match="must be >= 0, got -1") as exc:
-        inject_noise(ds, NoiseSpec("symmetric", 0.2, ood_class_count=2),
-                     seed=-1)
+        inject_noise(ds, NoiseSpec("symmetric", 0.2), seed=-1)
     assert exc.value.key == "seed"
 
 

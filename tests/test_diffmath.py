@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from josnc.datagen import NoiseSpec, inject_noise, make_blobs
 from josnc.diffmath import (DiffMathError, Scratch, Tensor, check_prob_vec,
                             js_divergence_rows, softmax)
-from josnc.harness import METHODS
 from josnc.objective import neighbor_consistency_loss
-from josnc.trainer import TrainConfig, fit
+from josnc.trainer import METHODS, TrainConfig, fit
 
 from conftest import central_diff_grads, rel_error
 from oracles import TapeTensor
@@ -250,12 +249,10 @@ def test_temperature_softmax_gradient(rng):
 def tiny_fit(method, step_hook=None):
     """Three epochs (two robust) of a tiny fit of `method`."""
     ds = make_blobs(3, 1, 30, 6, 0.6, seed=3)
-    ds = inject_noise(ds, NoiseSpec("symmetric", 0.3, 1), seed=3)
-    use_sel, use_s, use_n, use_f = METHODS[method]
+    ds = inject_noise(ds, NoiseSpec("symmetric", 0.3), seed=3)
     cfg = TrainConfig(epochs=3, warmup_epochs=1, batch_size=32,
                       hidden_dims=(16, 16), embed_dim=8, queue_capacity=64,
-                      knn_k=3, kappa=2, seed=1, use_selection=use_sel,
-                      use_scon=use_s, use_ncon=use_n, use_fcon=use_f)
+                      knn_k=3, kappa=2, seed=1, method=method)
     return fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes,
                step_hook=step_hook)
 
@@ -292,24 +289,32 @@ def test_backward_frees_the_graph_without_the_cycle_collector(monkeypatch):
             assert gc.collect() == 0, method
 
 
-def test_ops_without_grad_record_no_graph(monkeypatch):
-    # disabled loss terms enter total_loss as Tensor(0.0); such nodes need
-    # no gradient, so they keep no parents or backward closure
-    built = []
+def test_ops_without_grad_record_no_graph():
+    # a node that needs no gradient is not on the graph: the tape oracle
+    # and the sweep rely on it keeping no parents or backward closure
+    const = Tensor(np.ones(3))
+    node = Tensor(2.0 * const.data, _parents=(const,))._record(lambda g: None)
+    assert not node.requires_grad
+    assert node._parents == () and node._backward_fn is None
+    on_graph = Tensor(np.ones(3), requires_grad=True)
+    node = Tensor(2.0 * on_graph.data, _parents=(on_graph, const))._record(
+        lambda g: None)
+    assert node._parents == (on_graph, const)
+    assert node._backward_fn is not None
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_fit_builds_only_nodes_on_the_graph(monkeypatch, method):
+    # a loss term that the method leaves out is not built, not even as a
+    # constant: every node a fit creates needs a gradient
+    constants = []
     init = Tensor.__init__
 
     def tracked(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        built.append(self)
+        if not self.requires_grad:
+            constants.append(self.data.shape)
 
     monkeypatch.setattr(Tensor, "__init__", tracked)
-    for method in ("STANDARD", "JOSNC"):
-        built.clear()
-        with cycle_collector_off():
-            tiny_fit(method)
-            constants = [t for t in built if not t.requires_grad]
-            assert constants, method
-            assert all(t._parents == () and t._backward_fn is None
-                       for t in constants), method
-            built.clear()
-            assert gc.collect() == 0, method
+    tiny_fit(method)
+    assert constants == []

@@ -372,6 +372,10 @@ def test_methods_table_complete():
                             "SCON_NCON"}
     assert METHODS["JOSNC"] == (True, True, True, True)
     assert METHODS["STANDARD"] == (False, False, False, False)
+    # the top-level method key is TrainConfig's one switch
+    for method in METHODS:
+        cfg = resolve_config({**tiny_raw_config("out"), "method": method})
+        assert build_train_config(cfg).method == method
 
 
 def test_cli_run_and_compare(tmp_path, capsys):
@@ -457,8 +461,7 @@ def _other_valid_value(value):
 
 
 @pytest.mark.parametrize("key", [
-    f.name for f in dataclasses.fields(TrainConfig)
-    if not f.name.startswith("use_")])
+    f.name for f in dataclasses.fields(TrainConfig) if f.name != "method"])
 def test_every_train_config_field_is_a_config_key(key):
     section = "model" if key in harness._MODEL_SCHEMA else "train"
     base = resolve_config(tiny_raw_config("out"))

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from josnc.diffmath import LOG2, LOG_FLOOR, DiffMathError, Tensor, softmax
-from josnc.harness import METHODS
 from josnc.labeler import lsr_matrix
 from josnc.network import Model, ModelConfig, forward_arrays
 from josnc.objective import (classification_loss, cross_entropy_loss,
                              feature_consistency_loss, neighbor_consistency_loss,
                              neighbor_mixture, self_consistency_loss,
                              total_loss)
+from josnc.trainer import METHODS
 
 from conftest import central_diff_grads, rel_error
 from oracles import (TapeTensor, on_tape, tape_classification_loss,
@@ -192,6 +192,16 @@ def test_total_loss_weighting(rng):
     assert total.item() == pytest.approx(1.0 + 0.6 + 0.3 + 4e-4, abs=1e-12)
     assert (br.l_cls, br.l_con_s, br.l_con_n, br.l_con_f) == (1.0, 2.0, 3.0, 4.0)
     assert br.total == total.item()
+    # a term left out is None: it reads 0.0 and adds nothing, so a total of
+    # l_cls alone has l_cls's bits
+    l_cls = Tensor(np.array(0.1 + 0.2))
+    total, br = total_loss(l_cls, None, None, None, 0.3, 0.1, 1e-4)
+    assert total.data.tobytes() == l_cls.data.tobytes()
+    assert (br.l_con_s, br.l_con_n, br.l_con_f, br.total) == (
+        0.0, 0.0, 0.0, l_cls.item())
+    total, br = total_loss(l_cls, parts[1], parts[2], None, 0.3, 0.1, 1e-4)
+    assert total.item() == br.total == l_cls.item() + 2.0 * 0.3 + 3.0 * 0.1
+    assert (br.l_con_s, br.l_con_n, br.l_con_f) == (2.0, 3.0, 0.0)
 
 
 # gradients through a micro-network ----------------------------------------------
@@ -395,8 +405,9 @@ def step_loss(method, b, forward, zero, ce, cls, scon, ncon, fcon, total):
 
 
 def coarse_loss(model, method, b):
+    # a term the method leaves out is None, as in trainer.fit
     return step_loss(
-        method, b, model.forward, Tensor(0.0), cross_entropy_loss,
+        method, b, model.forward, None, cross_entropy_loss,
         classification_loss, self_consistency_loss, neighbor_consistency_loss,
         feature_consistency_loss, lambda *a: total_loss(*a)[0])
 

@@ -22,7 +22,7 @@ from oracles import robust_step_loop
 def tiny_data(seed=3, n_ood=1):
     ds = make_blobs(n_id_classes=3, n_ood_classes=n_ood, per_class=40, dim=6,
                     spread=0.6, seed=seed)
-    return inject_noise(ds, NoiseSpec("symmetric", 0.3, n_ood), seed=seed)
+    return inject_noise(ds, NoiseSpec("symmetric", 0.3), seed=seed)
 
 
 def tiny_config(**kw):
@@ -50,6 +50,12 @@ def test_config_validation():
         tiny_config(epsilon=1.0)
     with pytest.raises(TrainerError):
         tiny_config(ema_omega=1.5)
+
+
+def test_unknown_method_rejected_by_train_config():
+    with pytest.raises(TrainerError, match="must be one of") as exc:
+        tiny_config(method="MAGIC")
+    assert exc.value.key == "method"
 
 
 def test_lr_schedule():
@@ -90,7 +96,7 @@ def test_warmup_epochs_are_all_clean_and_conless():
 def test_robust_epochs_produce_mixed_partition():
     # sharp targets (small epsilon) make noisy samples separable from clean
     ds = make_blobs(5, 1, 40, 6, 0.3, seed=3)
-    ds = inject_noise(ds, NoiseSpec("symmetric", 0.3, 1), seed=3)
+    ds = inject_noise(ds, NoiseSpec("symmetric", 0.3), seed=3)
     cfg = tiny_config(epochs=14, warmup_epochs=4, learning_rate=0.1,
                       epsilon=0.1)
     res = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
@@ -116,7 +122,7 @@ def test_selection_off_stays_in_warmup_mode(monkeypatch):
     count_calls(monkeypatch, EmbedQueue, "knn_batch", knns)
     count_calls(monkeypatch, trainer, "forward_arrays", forwards)
     ds = tiny_data()
-    res = run_tiny(tiny_config(use_selection=False), ds)
+    res = run_tiny(tiny_config(method="STANDARD"), ds)
     for rec in res.history:
         assert np.all(rec.partition_codes == CLEAN)
         assert rec.l_con_s == 0.0 and rec.l_con_n == 0.0 and rec.l_con_f == 0.0
@@ -127,7 +133,7 @@ def test_selection_off_stays_in_warmup_mode(monkeypatch):
 
 
 def test_ablation_flags_zero_their_terms():
-    res = run_tiny(tiny_config(use_scon=False, use_ncon=False, use_fcon=False))
+    res = run_tiny(tiny_config(method="SELECT_ONLY"))
     for rec in res.history[2:]:
         assert rec.l_con_s == 0.0
         assert rec.l_con_n == 0.0
@@ -192,14 +198,13 @@ def test_queue_fills_during_warmup(monkeypatch):
 
 # a robust step reads neighbors and teacher predictions of some rows only ----
 
-NO_NCON = {"SELECT_ONLY": dict(use_scon=False, use_ncon=False, use_fcon=False),
-           "SCON": dict(use_ncon=False, use_fcon=False)}
+NO_NCON = ["SCON", "SELECT_ONLY"]
 
 
 def evidence_config(method):
     """A tiny fit whose thresholds start at the warmup's mean score, so
     some rows fail their own test from the first robust step on."""
-    return tiny_config(tau_omega_warmup=0.0, **NO_NCON.get(method, {}))
+    return tiny_config(tau_omega_warmup=0.0, method=method)
 
 
 def train_row_ids(ds, x):
@@ -219,7 +224,7 @@ def fit_artifacts(path, cfg, ds):
             np.stack([r.partition_codes for r in res.history]).tobytes())
 
 
-@pytest.mark.parametrize("method", sorted(NO_NCON))
+@pytest.mark.parametrize("method", NO_NCON)
 def test_neighbors_of_every_row_change_no_byte(tmp_path, monkeypatch, method):
     cfg, ds = evidence_config(method), tiny_data()
     calls = []
@@ -234,7 +239,7 @@ def test_neighbors_of_every_row_change_no_byte(tmp_path, monkeypatch, method):
     assert 0 < n_lean < n_all
 
 
-@pytest.mark.parametrize("method", sorted(NO_NCON) + ["JOSNC"])
+@pytest.mark.parametrize("method", NO_NCON + ["JOSNC"])
 def test_lookups_and_teacher_rows_are_the_ones_read(monkeypatch, method):
     # without neighbor consistency, knn_batch gets exactly the rows that
     # fail their own test, and no call when none does; the teacher's batch
@@ -292,7 +297,7 @@ def test_lookups_and_teacher_rows_are_the_ones_read(monkeypatch, method):
     assert (seen["some asked"] > 0) == (method != "JOSNC")
 
 
-@pytest.mark.parametrize("method", sorted(NO_NCON) + ["JOSNC"])
+@pytest.mark.parametrize("method", NO_NCON + ["JOSNC"])
 def test_clean_step_looks_up_nothing_it_does_not_read(monkeypatch, method):
     # thresholds below every score: each row passes its own test, so no
     # row is ID or OOD
@@ -306,7 +311,7 @@ def test_clean_step_looks_up_nothing_it_does_not_read(monkeypatch, method):
     knns, forwards = [], []
     count_calls(monkeypatch, EmbedQueue, "knn_batch", knns)
     count_calls(monkeypatch, trainer, "forward_arrays", forwards)
-    cfg, ds = tiny_config(**NO_NCON.get(method, {})), tiny_data()
+    cfg, ds = tiny_config(method=method), tiny_data()
     res = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
     assert all((r.partition_codes == CLEAN).all() for r in res.history)
     assert not any(train_row_ids(ds, x) for _, _, x in forwards)
@@ -317,8 +322,8 @@ def test_clean_step_looks_up_nothing_it_does_not_read(monkeypatch, method):
 
 
 def test_robust_step_builds_a_coarse_graph(monkeypatch):
-    # one node per forward stage (3 per view) and per loss term (4, their
-    # weighted sum, and the zero that stands in for a disabled term)
+    # one node per forward stage (3 per view) and per loss term (4 and
+    # their weighted sum)
     built, counts = [0], []
     init = Tensor.__init__
 
@@ -348,7 +353,7 @@ def test_thresholds_move_into_unit_interval():
 
 def test_training_reduces_loss_and_learns():
     ds = make_blobs(3, 0, 40, 6, 0.3, seed=3)
-    ds = inject_noise(ds, NoiseSpec("symmetric", 0.3, 0), seed=3)
+    ds = inject_noise(ds, NoiseSpec("symmetric", 0.3), seed=3)
     cfg = tiny_config(epochs=12, warmup_epochs=3, epsilon=0.1,
                       learning_rate=0.1)
     res = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
@@ -432,12 +437,6 @@ def test_nonfinite_parameters_name_the_first_in_layout_order(monkeypatch):
     assert np.isnan(exc.value.student["encoder.0.b"][2])
 
 
-def method_config(method, **kw):
-    use_selection, use_scon, use_ncon, use_fcon = harness.METHODS[method]
-    return tiny_config(use_selection=use_selection, use_scon=use_scon,
-                       use_ncon=use_ncon, use_fcon=use_fcon, **kw)
-
-
 def head_bytes(model, flat, head="projection"):
     views = model.views(flat)
     return views[f"{head}.W"].tobytes() + views[f"{head}.b"].tobytes()
@@ -448,7 +447,7 @@ def test_head_without_gradient_keeps_its_init_bits(monkeypatch, method):
     # no loss term reaches the projection head: its zero gradient and zero
     # velocity leave every bit, and the sign of every zero, as initialised
     models = record_models(monkeypatch)
-    run_tiny(method_config(method, epochs=3))
+    run_tiny(tiny_config(method=method, epochs=3))
     (model, init), = models
     assert head_bytes(model, model.flat) == head_bytes(model, init)
     assert (head_bytes(model, model.flat, "classifier")
@@ -465,7 +464,7 @@ def test_projection_head_keeps_its_init_bits_through_josnc_warmup(monkeypatch):
         students.append(student.copy())
 
     monkeypatch.setattr(trainer, "ema_update", spy)
-    ds, cfg = tiny_data(), method_config("JOSNC", epochs=3)
+    ds, cfg = tiny_data(), tiny_config(epochs=3)
     run_tiny(cfg, ds)
     (model, init), = models
     warmup_steps = cfg.warmup_epochs * -(-ds.train.x.shape[0] // cfg.batch_size)
@@ -494,7 +493,7 @@ def record_scratches(monkeypatch):
 def test_scratch_reuse_changes_no_byte(tmp_path, monkeypatch, method):
     # the KNN similarities and the InfoNCE logits written into one reused
     # buffer give the bytes of a fresh array for every product
-    cfg = tiny_config(**({} if method == "JOSNC" else {"use_fcon": False}))
+    cfg = tiny_config(method=method)
     ds = tiny_data()
     made = record_scratches(monkeypatch)
     reused = fit_artifacts(tmp_path / "reused.csv", cfg, ds)
@@ -533,7 +532,7 @@ def test_robust_step_allocates_no_queue_sized_product(monkeypatch):
     # runs from its augmentation to its hook
     ds = make_blobs(n_id_classes=4, n_ood_classes=1, per_class=210, dim=8,
                     spread=0.6, seed=3)
-    ds = inject_noise(ds, NoiseSpec("symmetric", 0.3, 1), seed=3)
+    ds = inject_noise(ds, NoiseSpec("symmetric", 0.3), seed=3)
     cfg = TrainConfig(epochs=6, warmup_epochs=4, kappa=2, seed=1)
     assert cfg.warmup_epochs * len(ds.train.x) >= cfg.queue_capacity
     growth, start = [], [0]

@@ -1,0 +1,84 @@
+"""Print one sha256 per method over the outputs of a scenario fit.
+
+The scenario is the acceptance gate's criterion-6 scenario (the
+openset-sym40 preset with the settings of
+tests/test_acceptance.py::scenario_config) at --seed and --epochs. Each
+digest covers the fit's metrics.csv, its per-epoch partition codes and its
+checkpoint.bin, in that order, so the outputs of two checkouts compare with
+diff:
+
+    python3 tools/output_digest.py --seed 7 --epochs 60 > new.txt
+    python3 /path/to/other/checkout/tools/output_digest.py --seed 7 \\
+        --epochs 60 > old.txt
+    diff old.txt new.txt
+
+The script imports josnc from the src/ of its own checkout. Digests are
+per machine: OpenBLAS picks its kernels by CPU, so compare two checkouts
+on one machine, not one checkout across machines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from josnc import harness, trainer  # noqa: E402
+
+
+def scenario_config(method: str, seed: int, epochs: int) -> dict:
+    base = harness.gen_config("openset-sym40")
+    return harness.resolve_config({
+        **base, "method": method,
+        "dataset": {**base["dataset"], "spread": 2.0, "seed": seed},
+        "train": {**base["train"], "epsilon": 0.1, "seed": seed,
+                  "gamma": 0.01, "t_ssl": 0.5, "jitter_sigma": 0.5,
+                  "mask_rate": 0.2, "epochs": epochs},
+    })
+
+
+def output_digest(method: str, seed: int, epochs: int) -> str:
+    """sha256 of metrics.csv, the partition codes and checkpoint.bin."""
+    cfg = scenario_config(method, seed, epochs)
+    ds = harness.build_dataset(cfg)
+    result = trainer.fit(harness.build_train_config(cfg), ds.train, ds.test_x,
+                         ds.test_y, ds.n_id_classes)
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as out:
+        metrics, checkpoint = (os.path.join(out, name)
+                               for name in ("metrics.csv", "checkpoint.bin"))
+        harness.write_metrics_csv(metrics, harness.metrics_rows(
+            result.history, ds.tags.noise_kinds))
+        harness.save_checkpoint(checkpoint, result.student, result.teacher)
+        with open(metrics, "rb") as f:
+            digest.update(f.read())
+        digest.update(np.stack([r.partition_codes
+                                for r in result.history]).tobytes())
+        with open(checkpoint, "rb") as f:
+            digest.update(f.read())
+    return digest.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--epochs", type=int, default=60,
+                        help="at least 6: the first 5 are warmup")
+    args = parser.parse_args(argv)
+    if args.epochs < 6:
+        parser.error(f"--epochs must be at least 6, got {args.epochs}")
+    for method in harness.METHODS:
+        print(method, output_digest(method, args.seed, args.epochs),
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
