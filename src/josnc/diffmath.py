@@ -36,25 +36,6 @@ class DiffMathError(ValueError):
 # probability-vector helpers (plain numpy, no tape)
 # ---------------------------------------------------------------------------
 
-def check_prob_vec(v, tol: float = 1e-9) -> np.ndarray:
-    """Validate that v is a discrete probability distribution.
-
-    Accepts a 1-D vector or a 2-D batch of row distributions. Entries must be
-    non-negative and each row must sum to 1 within tol.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2):
-        raise DiffMathError(f"expected 1-D or 2-D probability array, got ndim={v.ndim}")
-    if not np.isfinite(v).all():
-        raise DiffMathError("probability vector contains non-finite entries")
-    if (v < 0).any():
-        raise DiffMathError("probability vector contains negative entries")
-    sums = v.sum(axis=-1)
-    if not np.allclose(sums, 1.0, rtol=0.0, atol=tol):
-        raise DiffMathError(f"probability vector does not sum to 1 (sums={sums})")
-    return v
-
-
 def softmax(logits) -> np.ndarray:
     """Softmax over the last axis. Rejects non-finite input."""
     x = np.asarray(logits, dtype=np.float64)

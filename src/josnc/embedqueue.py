@@ -77,8 +77,6 @@ def _rows(values: np.ndarray, hit: np.ndarray, n: int) -> np.ndarray:
 
 class EmbedQueue:
     def __init__(self, capacity: int, embed_dim: int, n_classes: int):
-        if capacity < 1:
-            raise QueueError("capacity must be positive")
         self.capacity = capacity
         self.embed_dim = embed_dim
         self.n_classes = n_classes

@@ -37,12 +37,6 @@ class ModelConfig:
     hidden_dims: tuple = (64, 64)
     embed_dim: int = 32
 
-    def __post_init__(self):
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        if (self.input_dim < 1 or self.n_classes < 2 or self.embed_dim < 1
-                or min(self.hidden_dims, default=1) < 1):
-            raise NetworkError("invalid model dimensions")
-
 
 class Model:
     """Encoder -> {classifier logits, L2-normalized projection embedding}."""

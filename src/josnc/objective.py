@@ -151,12 +151,8 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
     parent is query_emb. out, a `diffmath.Scratch` or None, receives the
     (N, N + Q) logit buffer; with None it is allocated.
     """
-    if t_ssl <= 0:
-        raise DiffMathError(f"t_ssl must be positive, got {t_ssl}")
     positive_keys = np.atleast_2d(positive_keys)
     n = query_emb.data.shape[0]
-    if positive_keys.shape[0] != n:
-        raise DiffMathError("one positive key per query required")
     pieces = [p for p in (queue_pool if isinstance(queue_pool, tuple)
                           else (queue_pool,)) if p is not None and len(p)]
     pool = np.concatenate([positive_keys, *pieces]) if pieces else positive_keys

@@ -72,8 +72,6 @@ class ThresholdState:
 
     def roll(self, omega_tau: float) -> None:
         """End-of-epoch threshold update; clears the accumulators."""
-        if not (0.0 <= omega_tau <= 1.0):
-            raise SelectorError(f"omega_tau must be in [0, 1], got {omega_tau}")
         seen = self._count > 0
         mean_clean, mean_ood = self.epoch_means()
         self.tau_clean[seen] = (omega_tau * self.tau_clean[seen]

@@ -61,7 +61,7 @@ from .objective import (classification_loss, cross_entropy_loss,
 
 
 class TrainerError(ValueError):
-    """An invalid TrainConfig field: key names it, detail says why."""
+    """An invalid TrainConfig field or fit input: key names it, detail why."""
 
     def __init__(self, key: str, detail: str):
         super().__init__(f"{key} {detail}")
@@ -93,7 +93,8 @@ METHODS = {
 _FIELD_RULES = (
     (("batch_size", "kappa", "knn_k", "queue_capacity", "embed_dim"),
      "must be >= 1", lambda v: v >= 1),
-    (("hidden_dims",), "must all be >= 1", lambda v: min(v, default=1) >= 1),
+    (("hidden_dims",), "must all be integers >= 1",
+     lambda v: all(h >= 1 and float(h).is_integer() for h in v)),
     (("seed",), "must be >= 0", lambda v: v >= 0),
     (("learning_rate", "t_ssl", "t_pll_in", "t_pll_out"), "must be positive",
      lambda v: v > 0),
@@ -131,7 +132,6 @@ class TrainConfig:
     method: str = "JOSNC"             # a key of METHODS
 
     def __post_init__(self):
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
         if self.method not in METHODS:
             raise TrainerError("method", f"must be one of {sorted(METHODS)}, "
                                f"got {self.method!r}")
@@ -143,6 +143,7 @@ class TrainConfig:
                 if not ok(getattr(self, key)):
                     raise TrainerError(
                         key, f"{requirement}, got {getattr(self, key)!r}")
+        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
 
     def model_config(self, input_dim: int, n_classes: int) -> ModelConfig:
         return ModelConfig(input_dim=input_dim, n_classes=n_classes,
@@ -227,8 +228,19 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     """Run the full schedule; deterministic for a fixed config.
 
     step_hook, if given, is called as hook(epoch, batch_ids, partition) after
-    every partitioned step.
+    every partitioned step. Raises TrainerError before the first step on
+    n_classes < 2, kappa > n_classes or a label outside [0, n_classes).
     """
+    if n_classes < 2:
+        raise TrainerError("n_classes", f"must be >= 2, got {n_classes}")
+    if config.kappa > n_classes:
+        raise TrainerError("kappa", f"must be <= n_classes ({n_classes}), "
+                           f"got {config.kappa}")
+    labels = train.observed_labels
+    if labels.size and not (labels.min() >= 0 and labels.max() < n_classes):
+        raise TrainerError("observed_labels",
+                           f"must lie in [0, {n_classes}), got "
+                           f"[{labels.min()}, {labels.max()}]")
     selection, scon, ncon, fcon = METHODS[config.method]
     n = train.x.shape[0]
     model_config = config.model_config(train.x.shape[1], n_classes)

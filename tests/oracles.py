@@ -4,7 +4,9 @@
 it was written one sample at a time, with the scalar helpers it called.
 `josnc.trainer.robust_targets` must reproduce it bit for bit. `knn` is the
 one-query top-K scan that `EmbedQueue.knn_batch` must agree with, and
-`ring_slots` reads the queue's stored entries oldest first.
+`ring_slots` reads the queue's stored entries oldest first. The scalar
+target helpers check that each teacher prediction is a distribution with
+`check_prob_vec`.
 
 `TapeTensor` is the generic op-by-op autodiff tape (add, mul, matmul, relu,
 log, softmax, sum, L2-normalize) that the engine's coarse graph replaced,
@@ -15,8 +17,7 @@ bit-identical to this tape's.
 
 import numpy as np
 
-from josnc.diffmath import (LOG2, LOG_FLOOR, DiffMathError, Tensor,
-                            check_prob_vec, softmax)
+from josnc.diffmath import LOG2, LOG_FLOOR, DiffMathError, Tensor, softmax
 from josnc.embedqueue import KnnResult
 from josnc.selector import CLEAN, ID, OOD
 
@@ -63,6 +64,25 @@ def classify_row(p_clean, p_ood, neighbor_mean_p_clean, neighbors_share_label,
     if p_ood > thresholds.tau_ood[observed_label]:
         return OOD
     return ID
+
+
+def check_prob_vec(v, tol: float = 1e-9) -> np.ndarray:
+    """Validate that v is a discrete probability distribution.
+
+    Accepts a 1-D vector or a 2-D batch of row distributions. Entries must be
+    non-negative and each row must sum to 1 within tol.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2):
+        raise DiffMathError(f"expected 1-D or 2-D probability array, got ndim={v.ndim}")
+    if not np.isfinite(v).all():
+        raise DiffMathError("probability vector contains non-finite entries")
+    if (v < 0).any():
+        raise DiffMathError("probability vector contains negative entries")
+    sums = v.sum(axis=-1)
+    if not np.allclose(sums, 1.0, rtol=0.0, atol=tol):
+        raise DiffMathError(f"probability vector does not sum to 1 (sums={sums})")
+    return v
 
 
 def pll_row(teacher_pred, kappa, t_in, t_out):

@@ -7,14 +7,12 @@ shared between the paired-baseline check and the ablation ordering check. Its
 time either check asks for one; each fit times itself in its worker.
 """
 
-import math
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-import pytest
 
 from josnc.datagen import NoiseSpec, inject_noise, make_blobs
 from josnc.diffmath import LOG2, Tensor, js_divergence_rows

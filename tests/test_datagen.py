@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from josnc.datagen import (CLEAN, ID_NOISY, OOD_NOISY, BlobDataset,
-                           DataGenError, NoiseSpec, augment_views,
-                           inject_noise, make_blobs)
+from josnc.datagen import (CLEAN, ID_NOISY, OOD_NOISY, DataGenError,
+                           NoiseSpec, augment_views, inject_noise, make_blobs)
 
 
 def small_dataset(seed=3, n_ood=2, per_class=40):

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from josnc.datagen import NoiseSpec, inject_noise, make_blobs
-from josnc.diffmath import (DiffMathError, Scratch, Tensor, check_prob_vec,
+from josnc.diffmath import (DiffMathError, Scratch, Tensor,
                             js_divergence_rows, softmax)
 from josnc.objective import neighbor_consistency_loss
 from josnc.trainer import METHODS, TrainConfig, fit
 
 from conftest import central_diff_grads, rel_error
-from oracles import TapeTensor
+from oracles import TapeTensor, check_prob_vec
 
 
 # independent term-by-term oracles -----------------------------------------

@@ -34,8 +34,6 @@ def test_enqueue_validation(rng):
     with pytest.raises(QueueError):
         q.enqueue(unit_rows(rng, 2, 3), [0, 1], [0.5, 1.5],
                   np.full((2, 2), 0.5), [0, 1])
-    with pytest.raises(QueueError):
-        EmbedQueue(0, 3, 2)
 
 
 def test_fifo_eviction_order(rng):

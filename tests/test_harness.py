@@ -11,9 +11,9 @@ from josnc.datagen import ID_NOISY, OOD_NOISY, TagTable, TrainingSet
 from josnc.harness import (METRICS_COLUMNS, METHODS, OUTPUT_DIR_ENV,
                            ConfigError, build_train_config, compare_runs,
                            evaluate_selection, format_compare_report,
-                           gen_config, load_config, metrics_rows,
-                           read_metrics_csv, resolve_config, run,
-                           save_checkpoint, write_metrics_csv)
+                           gen_config, load_config, read_metrics_csv,
+                           resolve_config, run, save_checkpoint,
+                           write_metrics_csv)
 from josnc.selector import CLEAN, ID, OOD
 from josnc.trainer import TrainConfig
 

@@ -98,3 +98,33 @@ def test_every_train_config_field_is_read_in_src():
                 read.add(node.attr)
     unread = [name for name in fields if name not in read]
     assert unread == [], f"TrainConfig fields nothing in src/ reads: {unread}"
+
+
+def _raised_names(tree: ast.Module):
+    """Bare names a raise statement raises: the class it names or calls,
+    and, for `raise make(...)`, the classes the function make returns."""
+    def called(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    raised = {called(node.exc) for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in raised:
+            raised |= {called(node.value) for node in ast.walk(fn)
+                       if isinstance(node, ast.Return) and node.value}
+    return raised
+
+
+def test_every_exception_class_is_raised_in_src():
+    # an error type whose last raise is gone is dead code
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)
+               and any(getattr(base, "id", "").endswith(("Error", "Exception"))
+                       for base in node.bases)}
+    raised = set().union(*(_raised_names(tree) for tree in trees))
+    assert defined, "no exception classes found in src/"
+    never = sorted(defined - raised)
+    assert never == [], f"exception classes never raised in src/: {never}"

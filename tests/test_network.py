@@ -12,17 +12,6 @@ def make_model(rng, input_dim=6, n_classes=4, hidden=(16, 16), embed=8):
     return Model(ModelConfig(input_dim, n_classes, hidden, embed), rng)
 
 
-def test_config_validation():
-    with pytest.raises(NetworkError):
-        ModelConfig(0, 4)
-    with pytest.raises(NetworkError):
-        ModelConfig(6, 1)
-    with pytest.raises(NetworkError):
-        ModelConfig(6, 4, embed_dim=0)
-    with pytest.raises(NetworkError):
-        ModelConfig(6, 4, hidden_dims=(16, 0))
-
-
 def test_forward_shapes_and_probs(rng):
     m = make_model(rng)
     x = rng.normal(size=(5, 6))

@@ -139,14 +139,6 @@ def test_feature_consistency_value(rng):
     assert got == pytest.approx(oracle / N, abs=1e-10)
 
 
-def test_feature_consistency_validation(rng):
-    q = Tensor(np.eye(E)[:2])
-    with pytest.raises(DiffMathError):
-        feature_consistency_loss(q, np.eye(E)[:2], None, t_ssl=0.0)
-    with pytest.raises(DiffMathError):
-        feature_consistency_loss(q, np.eye(E)[:3], None)
-
-
 @pytest.mark.parametrize("t_ssl", [0.07, 0.1, 0.5, 1.0])
 def test_feature_consistency_bit_exact_against_tape_chain(t_ssl):
     rng = np.random.default_rng(2024)

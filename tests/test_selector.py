@@ -195,12 +195,6 @@ def test_roll_clears_accumulators():
     np.testing.assert_array_equal(means[0], np.zeros(2))
 
 
-def test_roll_rejects_bad_omega():
-    t = ThresholdState(2)
-    with pytest.raises(SelectorError):
-        t.roll(1.2)
-
-
 def test_roll_replay_oracle(rng):
     """Multi-epoch replay against a list-based reimplementation."""
     t = ThresholdState(3)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from josnc import harness, selector, trainer
-from josnc.datagen import NoiseSpec, inject_noise, make_blobs
+from josnc.datagen import (NoiseSpec, TrainingSet, inject_noise,
+                           make_blobs)
 from josnc.diffmath import DiffMathError, Scratch, Tensor
 from josnc.embedqueue import EmbedQueue
 from josnc.labeler import lsr_matrix
@@ -40,16 +41,38 @@ def run_tiny(config=None, data=None):
 
 
 def test_config_validation():
-    with pytest.raises(TrainerError):
-        tiny_config(warmup_epochs=0)
-    with pytest.raises(TrainerError):
-        tiny_config(warmup_epochs=6)
-    with pytest.raises(TrainerError):
-        tiny_config(learning_rate=0.0)
-    with pytest.raises(TrainerError):
-        tiny_config(epsilon=1.0)
-    with pytest.raises(TrainerError):
-        tiny_config(ema_omega=1.5)
+    # each value is rejected here, where it enters, and nowhere downstream
+    for key, value in [
+            ("warmup_epochs", 0), ("warmup_epochs", 6), ("learning_rate", 0.0),
+            ("epsilon", 1.0), ("ema_omega", 1.5), ("kappa", 0),
+            ("t_ssl", 0.0), ("tau_omega_warmup", -0.1),
+            ("tau_omega_main", 1.2), ("queue_capacity", 0), ("embed_dim", 0),
+            ("hidden_dims", (16, 0)), ("hidden_dims", (1.5, 64.9))]:
+        with pytest.raises(TrainerError) as exc:
+            tiny_config(**{key: value})
+        assert exc.value.key == key
+    assert tiny_config(hidden_dims=(16.0, np.int64(8))).hidden_dims == (16, 8)
+
+
+@pytest.mark.parametrize("key, kappa, first_label, n_classes", [
+    ("kappa", 4, None, 3), ("observed_labels", 2, -1, 3),
+    ("observed_labels", 2, 3, 3), ("n_classes", 1, None, 1)])
+def test_fit_checks_its_inputs_before_its_first_step(key, kappa, first_label,
+                                                     n_classes):
+    # tiny_data has 3 classes: kappa 4 and labels -1 and 3 are out of range,
+    # and a 1-class fit has nothing to smooth a label over
+    ds = tiny_data()
+    assert ds.n_id_classes == 3
+    labels = ds.train.observed_labels.copy()
+    if first_label is not None:
+        labels[0] = first_label
+    steps = []
+    with pytest.raises(TrainerError) as exc:
+        fit(tiny_config(kappa=kappa), TrainingSet(ds.train.x, labels,
+                                                  ds.train.ids),
+            ds.test_x, ds.test_y, n_classes,
+            step_hook=lambda *args: steps.append(args))
+    assert exc.value.key == key and steps == []
 
 
 def test_unknown_method_rejected_by_train_config():
@@ -322,8 +345,8 @@ def test_clean_step_looks_up_nothing_it_does_not_read(monkeypatch, method):
 
 
 def test_robust_step_builds_a_coarse_graph(monkeypatch):
-    # one node per forward stage (3 per view) and per loss term (4 and
-    # their weighted sum)
+    # one node per forward stage (3 per view), one for classification, one
+    # per consistency term the method builds and one for their weighted sum
     built, counts = [0], []
     init = Tensor.__init__
 
@@ -336,11 +359,15 @@ def test_robust_step_builds_a_coarse_graph(monkeypatch):
 
     monkeypatch.setattr(Tensor, "__init__", counted)
     ds = tiny_data()
-    cfg = tiny_config()
-    fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes, step_hook=hook)
-    robust = [b - a for (_, a), (epoch, b) in zip(counts, counts[1:])
-              if epoch > cfg.warmup_epochs]
-    assert robust and max(robust) <= 16
+    for method, nodes in [("SELECT_ONLY", 8), ("SCON", 9), ("SCON_NCON", 10),
+                          ("JOSNC", 11)]:
+        counts.clear()
+        cfg = tiny_config(method=method)
+        fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes,
+            step_hook=hook)
+        robust = {b - a for (_, a), (epoch, b) in zip(counts, counts[1:])
+                  if epoch > cfg.warmup_epochs}
+        assert robust == {nodes}, method
 
 
 def test_thresholds_move_into_unit_interval():
