@@ -78,8 +78,6 @@ def _rows(values: np.ndarray, hit: np.ndarray, n: int) -> np.ndarray:
 class EmbedQueue:
     def __init__(self, capacity: int, embed_dim: int, n_classes: int):
         self.capacity = capacity
-        self.embed_dim = embed_dim
-        self.n_classes = n_classes
         # ring storage: insertion number s lives in slot s % capacity
         self._emb = np.empty((capacity, embed_dim))
         self._labels = np.empty(capacity, dtype=np.int64)

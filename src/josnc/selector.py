@@ -54,7 +54,6 @@ class ThresholdState:
     """
 
     def __init__(self, n_classes: int):
-        self.n_classes = n_classes
         self.tau_clean = np.zeros(n_classes)
         self.tau_ood = np.zeros(n_classes)
         self._sum_clean = np.zeros(n_classes)

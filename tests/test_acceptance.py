@@ -1,24 +1,25 @@
 """Acceptance gate: nine go/no-go checks printing one pass/fail line each.
 
-The end-to-end scenario (8 known classes + 2 outlier classes, 500 points per
-class, 32 dims, 40% symmetric label noise on the known classes, 60 epochs) is
-shared between the paired-baseline check and the ablation ordering check. Its
-13 fits run concurrently, in a pool of spawned worker processes, the first
-time either check asks for one; each fit times itself in its worker.
+The end-to-end scenario (the openset-sym40 preset: 8 known classes + 2
+outlier classes, 500 points per class, 32 dims, 40% symmetric label noise on
+the known classes, 60 epochs) is shared between the paired-baseline check
+and the ablation ordering check. tools/scenario.py builds it and runs its
+13 fits concurrently, in a pool of spawned worker processes, the first time
+either check asks for one; each fit times itself in its worker.
 """
 
-import multiprocessing
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import pytest
 
 from josnc.datagen import NoiseSpec, inject_noise, make_blobs
 from josnc.diffmath import LOG2, Tensor, js_divergence_rows
 from josnc.embedqueue import EmbedQueue
-from josnc.harness import (build_dataset, build_train_config, evaluate_selection,
-                           gen_config, resolve_config, run)
+from josnc.harness import (build_dataset, build_train_config,
+                           evaluate_selection, run)
 from josnc.labeler import lsr_matrix, make_negative_target, make_pll_target
 from josnc.network import Model, ModelConfig
 from josnc.objective import (classification_loss, feature_consistency_loss,
@@ -26,8 +27,11 @@ from josnc.objective import (classification_loss, feature_consistency_loss,
 from josnc.selector import ThresholdState
 from josnc.trainer import fit
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
+
 from conftest import central_diff_grads, rel_error
 from oracles import knn
+from scenario import run_pool, scenario_config
 
 
 def report(number, ok, detail):
@@ -40,27 +44,10 @@ def report(number, ok, detail):
 # shared end-to-end scenario (criteria 6 and 9)
 # ---------------------------------------------------------------------------
 
-_SCENARIO_CACHE = {}
-
 # (method, seed) of every fit behind criteria 6 and 9, longest first
 _SCENARIO_FITS = ([(m, seed) for m in ("JOSNC", "SCON_NCON", "SCON",
                                        "SELECT_ONLY")
                    for seed in (7, 8, 9)] + [("STANDARD", 7)])
-
-
-def scenario_config(method, seed):
-    base = gen_config("openset-sym40")
-    cfg = {**base, "method": method}
-    # desk-scale adaptation, frozen after the first paired runs: overlapping
-    # classes so the plain baseline degrades under the 52% overall noise,
-    # sharp smoothed targets so the divergence score separates clean from
-    # noisy, strong augmentation so the consistency terms carry real signal,
-    # and a rescaled contrastive weight / temperature to match the tiny model
-    cfg["dataset"] = {**base["dataset"], "spread": 2.0, "seed": seed}
-    cfg["train"] = {**base["train"], "epsilon": 0.1, "seed": seed,
-                    "gamma": 0.01, "t_ssl": 0.5,
-                    "jitter_sigma": 0.5, "mask_rate": 0.2}
-    return resolve_config(cfg)
 
 
 def scenario_fit(method, seed):
@@ -81,16 +68,10 @@ def scenario_fit(method, seed):
     }
 
 
-def run_scenario(method, seed):
-    if not _SCENARIO_CACHE:
-        workers = min(os.cpu_count() or 1, len(_SCENARIO_FITS))
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = {key: pool.submit(scenario_fit, *key)
-                       for key in _SCENARIO_FITS}
-            _SCENARIO_CACHE.update((key, f.result())
-                                   for key, f in futures.items())
-    return _SCENARIO_CACHE[(method, seed)]
+@pytest.fixture(scope="module")
+def scenario():
+    """(method, seed) -> result of every fit, all run the first time asked."""
+    return run_pool(scenario_fit, _SCENARIO_FITS)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +270,9 @@ def test_criterion_5_partition_soundness():
 # criterion 6: end-to-end open-set scenario vs the plain baseline
 # ---------------------------------------------------------------------------
 
-def test_criterion_6_end_to_end_scenario():
-    ours = run_scenario("JOSNC", 7)
-    std = run_scenario("STANDARD", 7)
+def test_criterion_6_end_to_end_scenario(scenario):
+    ours = scenario["JOSNC", 7]
+    std = scenario["STANDARD", 7]
     # the two fits' own walls: the pool runs them ahead of this test
     elapsed = ours["wall_s"] + std["wall_s"]
     gap_pp = (ours["test_acc"] - std["test_acc"]) * 100.0
@@ -313,7 +294,6 @@ def test_criterion_6_end_to_end_scenario():
 
 def test_criterion_7_determinism(tmp_path):
     import json
-    import os
     cfg = {
         "dataset": {"n_id_classes": 4, "n_ood_classes": 1, "per_class": 40,
                     "dim": 8, "spread": 1.0, "seed": 3, "test_per_class": 20,
@@ -369,12 +349,12 @@ def test_criterion_8_label_construction():
 # criterion 9: ablation ordering across 3 seeds (majority vote)
 # ---------------------------------------------------------------------------
 
-def test_criterion_9_ablation_ordering():
+def test_criterion_9_ablation_ordering(scenario):
     methods = ["SELECT_ONLY", "SCON", "SCON_NCON", "JOSNC"]
     votes_full, votes_scon = 0, 0
     details = []
     for seed in (7, 8, 9):
-        accs = {m: run_scenario(m, seed)["test_acc"] for m in methods}
+        accs = {m: scenario[m, seed]["test_acc"] for m in methods}
         # "attains the highest": ties at the top count as attaining it
         full_highest = accs["JOSNC"] >= max(accs.values())
         scon_not_worse = accs["SCON"] >= accs["SELECT_ONLY"]

@@ -8,7 +8,7 @@ import pytest
 from josnc import cli, harness
 from josnc.datagen import CLEAN as KIND_CLEAN
 from josnc.datagen import ID_NOISY, OOD_NOISY, TagTable, TrainingSet
-from josnc.harness import (METRICS_COLUMNS, METHODS, OUTPUT_DIR_ENV,
+from josnc.harness import (METRICS_COLUMNS, METHODS, OUTPUT_DIR_ENV, PRESETS,
                            ConfigError, build_train_config, compare_runs,
                            evaluate_selection, format_compare_report,
                            gen_config, load_config, read_metrics_csv,
@@ -355,14 +355,17 @@ def test_cli_compare_rejects_corrupt_metrics(tmp_path, capsys, text, where):
 # presets + cli ------------------------------------------------------------------------
 
 def test_gen_config_presets_resolve():
-    for preset in ("sym20", "sym50", "sym80", "asym40", "openset-sym40"):
-        cfg = gen_config(preset)
-        resolved = resolve_config(cfg)
-        assert resolved["method"] == "JOSNC"
+    for preset in PRESETS:
+        assert resolve_config(gen_config(preset))["method"] == "JOSNC"
     open_set = gen_config("openset-sym40")
     assert open_set["dataset"]["n_id_classes"] == 8
     assert open_set["dataset"]["n_ood_classes"] == 2
     assert open_set["dataset"]["noise"]["rate_id"] == 0.4
+    # the acceptance gate's scenario settings (criteria 6 and 9)
+    assert open_set["dataset"]["spread"] == 2.0
+    assert open_set["train"] == {"seed": 7, "epsilon": 0.1, "gamma": 0.01,
+                                 "t_ssl": 0.5, "jitter_sigma": 0.5,
+                                 "mask_rate": 0.2}
     with pytest.raises(ConfigError):
         gen_config("sym99")
 

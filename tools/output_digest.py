@@ -1,11 +1,11 @@
 """Print one sha256 per method over the outputs of a scenario fit.
 
-The scenario is the acceptance gate's criterion-6 scenario (the
-openset-sym40 preset with the settings of
-tests/test_acceptance.py::scenario_config) at --seed and --epochs. Each
-digest covers the fit's metrics.csv, its per-epoch partition codes and its
-checkpoint.bin, in that order, so the outputs of two checkouts compare with
-diff:
+The scenario is the acceptance gate's criterion-6 scenario, the
+openset-sym40 preset as tools/scenario.py builds it, at --seed and
+--epochs. The five methods' fits run concurrently, one spawned process per
+core. Each digest covers the fit's metrics.csv, its per-epoch partition
+codes and its checkpoint.bin, in that order, so the outputs of two
+checkouts compare with diff:
 
     python3 tools/output_digest.py --seed 7 --epochs 60 > new.txt
     python3 /path/to/other/checkout/tools/output_digest.py --seed 7 \\
@@ -17,8 +17,6 @@ per machine: OpenBLAS picks its kernels by CPU, so compare two checkouts
 on one machine, not one checkout across machines.
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import os
@@ -27,21 +25,10 @@ import tempfile
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from josnc import harness, trainer  # noqa: E402
-
-
-def scenario_config(method: str, seed: int, epochs: int) -> dict:
-    base = harness.gen_config("openset-sym40")
-    return harness.resolve_config({
-        **base, "method": method,
-        "dataset": {**base["dataset"], "spread": 2.0, "seed": seed},
-        "train": {**base["train"], "epsilon": 0.1, "seed": seed,
-                  "gamma": 0.01, "t_ssl": 0.5, "jitter_sigma": 0.5,
-                  "mask_rate": 0.2, "epochs": epochs},
-    })
+from scenario import run_pool, scenario_config  # noqa: E402
 
 
 def output_digest(method: str, seed: int, epochs: int) -> str:
@@ -74,9 +61,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.epochs < 6:
         parser.error(f"--epochs must be at least 6, got {args.epochs}")
-    for method in harness.METHODS:
-        print(method, output_digest(method, args.seed, args.epochs),
-              flush=True)
+    digests = run_pool(output_digest, [(method, args.seed, args.epochs)
+                                       for method in harness.METHODS])
+    for (method, _, _), digest in digests.items():
+        print(method, digest)
     return 0
 
 
