@@ -93,8 +93,8 @@ class EmbedQueue:
         """Slot of the oldest stored entry."""
         return (self._count - len(self)) % self.capacity
 
-    def enqueue(self, embeddings, observed_labels, p_clean, preds, sample_ids,
-                unit_tol: float = 1e-6) -> None:
+    def enqueue(self, embeddings, observed_labels, p_clean, preds,
+                sample_ids) -> None:
         """Append a batch (insertion order preserved), evicting oldest-first.
 
         The rows are written in place over the oldest slots; no queue-sized
@@ -105,7 +105,7 @@ class EmbedQueue:
         if n == 0:
             return
         norms = np.sqrt((embeddings ** 2).sum(axis=1))
-        if not np.allclose(norms, 1.0, rtol=0.0, atol=unit_tol):
+        if not np.allclose(norms, 1.0, rtol=0.0, atol=1e-6):
             raise QueueError("key embeddings must be unit-norm")
         p_clean = np.asarray(p_clean, dtype=np.float64)
         if ((p_clean < 0) | (p_clean > 1)).any():

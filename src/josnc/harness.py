@@ -291,7 +291,10 @@ def run(config_path: str, output_dir_override: str = None) -> str:
     dataset = build_dataset(cfg)
     out_dir = (output_dir_override or os.environ.get(OUTPUT_DIR_ENV)
                or cfg["output_dir"])
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{out_dir}: {exc}") from exc
 
     _write_json(os.path.join(out_dir, "config.resolved.json"), cfg)
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .diffmath import softmax
+
 
 def lsr_matrix(labels: np.ndarray, n_classes: int, epsilon: float) -> np.ndarray:
     """Row-per-sample smoothed one-hots: 1 - eps at the label, eps/(C-1)
@@ -31,17 +33,14 @@ def make_pll_target(teacher_pred, kappa: int, t_in: float = 0.1,
     Returns (dist, in_set): in_set is the boolean mask of the candidate set,
     the kappa largest teacher predictions (ties go to the lower class
     index). Entries inside the set are divided by t_in and the rest by t_out
-    before a plain softmax, so in-set mass strictly grows.
+    before `diffmath.softmax`, so in-set mass strictly grows.
     """
     pred = np.asarray(teacher_pred, dtype=np.float64)
     # stable sort of -pred: ties resolve to the lower index
     order = np.argsort(-pred, axis=-1, kind="stable")
     in_set = np.zeros(pred.shape, dtype=bool)
     np.put_along_axis(in_set, order[..., :kappa], True, axis=-1)
-    scaled = np.where(in_set, pred / t_in, pred / t_out)
-    e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
-    dist = e / e.sum(axis=-1, keepdims=True)
-    return dist, in_set
+    return softmax(np.where(in_set, pred / t_in, pred / t_out)), in_set
 
 
 def make_negative_target(teacher_pred) -> np.ndarray:

@@ -140,7 +140,7 @@ def neighbor_mixture(similarities: np.ndarray, neighbor_preds: np.ndarray) -> np
 
 
 def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
-                             queue_pool: np.ndarray, t_ssl: float = 0.1,
+                             queue_pool: np.ndarray, t_ssl: float,
                              out=None) -> Tensor:
     """InfoNCE over cosine similarities; applied to the whole batch.
 

@@ -40,7 +40,9 @@ the InfoNCE node holds it from its forward until its backward, and the next
 step's lookup comes after that backward.
 
 The loop receives only features, observed labels, and sample ids; hidden noise
-tags are not reachable from this module.
+tags are not reachable from this module. `fit` is the one divergence boundary:
+a `DiffMathError` in a step or in an evaluation becomes `TrainingDiverged`,
+with the history and weights that only `fit` holds.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class TrainerError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite loss; carries the history and last-good parameters."""
+    """A fit that diverged; carries its history, student and teacher."""
 
     def __init__(self, message, history, student, teacher):
         super().__init__(message)
@@ -261,131 +263,126 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
 
     history: list[EpochRecord] = []
 
-    for epoch in range(1, config.epochs + 1):
-        warmup_mode = epoch <= config.warmup_epochs or not selection
-        lr = _lr_at(config, epoch)
-        shuffle_rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, 1, epoch]))
-        perm = shuffle_rng.permutation(n)
-        codes_epoch = np.zeros(n, dtype=np.int64)
-        sums = np.zeros(5)   # l_cls, l_con_s, l_con_n, l_con_f, total
-        n_batches = 0
+    try:
+        for epoch in range(1, config.epochs + 1):
+            warmup_mode = epoch <= config.warmup_epochs or not selection
+            lr = _lr_at(config, epoch)
+            shuffle_rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, 1, epoch]))
+            perm = shuffle_rng.permutation(n)
+            codes_epoch = np.zeros(n, dtype=np.int64)
+            sums = np.zeros(5)   # l_cls, l_con_s, l_con_n, l_con_f, total
+            n_batches = 0
 
-        for b_start in range(0, n, config.batch_size):
-            idx = perm[b_start:b_start + config.batch_size]
-            x_b = train.x[idx]
-            y_b = train.observed_labels[idx]
-            ids_b = train.ids[idx]
-            nb = idx.size
-            aug_rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, 2, epoch, n_batches]))
-            v, v2 = augment_views(x_b, aug_rng, config.jitter_sigma,
-                                  config.mask_rate)
+            for b_start in range(0, n, config.batch_size):
+                idx = perm[b_start:b_start + config.batch_size]
+                x_b = train.x[idx]
+                y_b = train.observed_labels[idx]
+                ids_b = train.ids[idx]
+                nb = idx.size
+                aug_rng = np.random.default_rng(np.random.SeedSequence(
+                    [config.seed, 2, epoch, n_batches]))
+                v, v2 = augment_views(x_b, aug_rng, config.jitter_sigma,
+                                      config.mask_rate)
 
-            finite = np.isfinite(model.flat)
-            if not finite.all():
-                raise diverged(f"non-finite parameters at epoch {epoch}: "
-                               f"{model.name_at(int(np.argmin(finite)))}")
-            try:
                 _, p1, emb_q = model.forward(v)
                 _, p2, _ = model.forward(v2)
                 if selection:
                     _, teacher_keys = forward_arrays(teacher, model_config, v2)
-            except DiffMathError as exc:
-                # overflow inside a forward pass (inf logits) is divergence too
-                raise diverged(
-                    f"forward pass overflow at epoch {epoch}: {exc}") from exc
 
-            y_smooth = lsr_matrix(y_b, n_classes, config.epsilon)
-            p1_np, p2_np = p1.data, p2.data
-            p_clean = 1.0 - js_divergence_rows(p1_np, y_smooth)
-            p_ood = js_divergence_rows(p1_np, p2_np)
+                y_smooth = lsr_matrix(y_b, n_classes, config.epsilon)
+                p1_np, p2_np = p1.data, p2.data
+                p_clean = 1.0 - js_divergence_rows(p1_np, y_smooth)
+                p_ood = js_divergence_rows(p1_np, p2_np)
 
-            if warmup_mode:
-                codes = np.full(nb, selector.CLEAN, dtype=np.int64)
-                total, breakdown = total_loss(
-                    cross_entropy_loss(p1, y_smooth), None, None, None,
-                    config.alpha, config.beta, config.gamma)
-            else:
-                # neighbors for the rows that read them: all rows under
-                # neighbor consistency, else those failing their own test
-                asked = (np.ones(nb, dtype=bool) if ncon
-                         else selector.fails_own_test(p_clean, y_b, thresholds))
-                knn = (queue.knn_batch(teacher_keys[asked], config.knn_k,
-                                       ids_b[asked], out=scratch)
-                       if asked.any() else None)
-                codes = robust_codes(knn, asked, p_clean, p_ood, y_b,
-                                     thresholds)
-                # teacher predictions for the rows whose targets read them
-                noisy = codes != selector.CLEAN
-                noisy_probs = None
-                if noisy.any():
-                    try:
-                        noisy_probs, _ = forward_arrays(teacher, model_config,
-                                                        x_b[noisy])
-                    except DiffMathError as exc:
-                        raise diverged(f"forward pass overflow at epoch "
-                                       f"{epoch}: {exc}") from exc
-                pos_targets, neg_targets = robust_targets(
-                    codes, y_smooth, noisy_probs, config)
-                rho = (codes != selector.OOD).astype(np.float64)
-                l_cls = classification_loss(p1, pos_targets, rho,
-                                            neg_targets, 1.0 - rho)
-                l_s = self_consistency_loss(p1, p2, rho) if scon else None
-                # under neighbor consistency every row was asked; a row
-                # without K neighbors holds zero predictions, so its
-                # mixture is zero
-                l_n = (neighbor_consistency_loss(
-                    p1, neighbor_mixture(knn.similarities, knn.preds),
-                    rho * knn.found) if ncon else None)
-                l_f = (feature_consistency_loss(emb_q, teacher_keys,
-                                                queue.key_views(),
-                                                config.t_ssl, out=scratch)
-                       if fcon else None)
-                total, breakdown = total_loss(l_cls, l_s, l_n, l_f,
-                                              config.alpha, config.beta,
-                                              config.gamma)
+                if warmup_mode:
+                    codes = np.full(nb, selector.CLEAN, dtype=np.int64)
+                    total, breakdown = total_loss(
+                        cross_entropy_loss(p1, y_smooth), None, None, None,
+                        config.alpha, config.beta, config.gamma)
+                else:
+                    # neighbors for the rows that read them: all rows under
+                    # neighbor consistency, else those failing their own test
+                    asked = (np.ones(nb, dtype=bool) if ncon else
+                             selector.fails_own_test(p_clean, y_b, thresholds))
+                    knn = (queue.knn_batch(teacher_keys[asked], config.knn_k,
+                                           ids_b[asked], out=scratch)
+                           if asked.any() else None)
+                    codes = robust_codes(knn, asked, p_clean, p_ood, y_b,
+                                         thresholds)
+                    # teacher predictions for the rows whose targets read them
+                    noisy = codes != selector.CLEAN
+                    noisy_probs = (forward_arrays(teacher, model_config,
+                                                  x_b[noisy])[0]
+                                   if noisy.any() else None)
+                    pos_targets, neg_targets = robust_targets(
+                        codes, y_smooth, noisy_probs, config)
+                    rho = (codes != selector.OOD).astype(np.float64)
+                    l_cls = classification_loss(p1, pos_targets, rho,
+                                                neg_targets, 1.0 - rho)
+                    l_s = self_consistency_loss(p1, p2, rho) if scon else None
+                    # under neighbor consistency every row was asked; a row
+                    # without K neighbors holds zero predictions, so its
+                    # mixture is zero
+                    l_n = (neighbor_consistency_loss(
+                        p1, neighbor_mixture(knn.similarities, knn.preds),
+                        rho * knn.found) if ncon else None)
+                    l_f = (feature_consistency_loss(emb_q, teacher_keys,
+                                                    queue.key_views(),
+                                                    config.t_ssl, out=scratch)
+                           if fcon else None)
+                    total, breakdown = total_loss(l_cls, l_s, l_n, l_f,
+                                                  config.alpha, config.beta,
+                                                  config.gamma)
 
-            if not np.isfinite(breakdown.total):
-                raise diverged(f"non-finite loss at epoch {epoch}")
+                if not np.isfinite(breakdown.total):
+                    raise diverged(f"non-finite loss at epoch {epoch}")
 
-            # momentum SGD; zero gradient and velocity move no unreached bit
-            model.zero_grad()
-            total.backward()
-            velocity *= config.momentum
-            velocity += model.grad
-            model.flat -= lr * velocity
-            ema_update(teacher_flat, model.flat, config.ema_omega)
+                # momentum SGD; zero grad and velocity move no unreached bit
+                model.zero_grad()
+                total.backward()
+                velocity *= config.momentum
+                velocity += model.grad
+                model.flat -= lr * velocity
+                ema_update(teacher_flat, model.flat, config.ema_omega)
+                # before a forward pass (a step's, the evaluation's) reads them
+                finite = np.isfinite(model.flat)
+                if not finite.all():
+                    raise diverged(f"non-finite parameters at epoch {epoch}: "
+                                   f"{model.name_at(int(np.argmin(finite)))}")
 
-            thresholds.accumulate_batch(p_clean, p_ood, y_b)
-            if selection:
-                queue.enqueue(teacher_keys, y_b, p_clean, p1_np, ids_b)
+                thresholds.accumulate_batch(p_clean, p_ood, y_b)
+                if selection:
+                    queue.enqueue(teacher_keys, y_b, p_clean, p1_np, ids_b)
 
-            # TrainingSet ids are unique, so one valid code per row is a
-            # sound partition of the batch
-            selector.check_codes(codes, nb)
-            codes_epoch[idx] = codes
-            if step_hook is not None:
-                step_hook(epoch, ids_b, selector.Partition(
-                    *(set(ids_b[codes == c].tolist())
-                      for c in (selector.CLEAN, selector.ID, selector.OOD))))
+                # TrainingSet ids are unique, so one valid code per row is a
+                # sound partition of the batch
+                selector.check_codes(codes, nb)
+                codes_epoch[idx] = codes
+                if step_hook is not None:
+                    step_hook(epoch, ids_b, selector.Partition(
+                        *(set(ids_b[codes == c].tolist()) for c in
+                          (selector.CLEAN, selector.ID, selector.OOD))))
 
-            sums += (breakdown.l_cls, breakdown.l_con_s, breakdown.l_con_n,
-                     breakdown.l_con_f, breakdown.total)
-            n_batches += 1
+                sums += (breakdown.l_cls, breakdown.l_con_s,
+                         breakdown.l_con_n, breakdown.l_con_f, breakdown.total)
+                n_batches += 1
 
-        thresholds.roll(config.tau_omega_warmup if warmup_mode
-                        else config.tau_omega_main)
-        test_probs, _ = forward_arrays(model.arrays, model_config, test_x)
-        test_acc = float((test_probs.argmax(axis=1) == test_y).mean())
-        means = sums / n_batches
-        history.append(EpochRecord(
-            epoch=epoch, l_cls=float(means[0]), l_con_s=float(means[1]),
-            l_con_n=float(means[2]), l_con_f=float(means[3]),
-            total=float(means[4]), test_acc=test_acc,
-            mean_tau_clean=float(thresholds.tau_clean.mean()),
-            mean_tau_ood=float(thresholds.tau_ood.mean()),
-            partition_codes=codes_epoch.copy()))
+            thresholds.roll(config.tau_omega_warmup if warmup_mode
+                            else config.tau_omega_main)
+            test_probs, _ = forward_arrays(model.arrays, model_config, test_x)
+            test_acc = float((test_probs.argmax(axis=1) == test_y).mean())
+            means = sums / n_batches
+            history.append(EpochRecord(
+                epoch=epoch, l_cls=float(means[0]), l_con_s=float(means[1]),
+                l_con_n=float(means[2]), l_con_f=float(means[3]),
+                total=float(means[4]), test_acc=test_acc,
+                mean_tau_clean=float(thresholds.tau_clean.mean()),
+                mean_tau_ood=float(thresholds.tau_ood.mean()),
+                partition_codes=codes_epoch.copy()))
+    except DiffMathError as exc:
+        # an overflow in any step or evaluation is divergence too
+        raise diverged(f"numeric overflow at epoch {epoch}: {exc}") from exc
 
     return FitResult(history=history, student=model.snapshot(),
                      teacher=model.views(teacher_flat.copy()))

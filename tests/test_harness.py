@@ -405,6 +405,11 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     raw["method"] = "NOPE"
     assert cli.main(["run", write_config(tmp_path, raw, "m.json")]) == 2
     assert "config error" in capsys.readouterr().err
+    # an output directory that cannot be created: a regular file's child
+    good = write_config(tmp_path, tiny_raw_config(str(tmp_path / "y")))
+    blocked = str(tmp_path / "bad.json" / "sub")
+    assert cli.main(["run", good, "--output-dir", blocked]) == 2
+    assert f"config error: {blocked}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -476,9 +481,9 @@ def test_every_train_config_field_is_a_config_key(key):
     assert getattr(build_train_config(resolve_config(raw)), key) == expected
 
 
-def test_cli_exit_code_divergence(tmp_path, capsys):
+def check_divergence_exit(tmp_path, capsys, **overrides):
     out = str(tmp_path / "div")
-    raw = tiny_raw_config(out, learning_rate=1e160)
+    raw = tiny_raw_config(out, **overrides)
     cfg_path = write_config(tmp_path, raw, "div.json")
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(["run", cfg_path]) == 3
@@ -491,3 +496,18 @@ def test_cli_exit_code_divergence(tmp_path, capsys):
     assert manifest["blas_threads"] == 1
     assert manifest["model_config"] == {"input_dim": 6, "n_classes": 3,
                                         "hidden_dims": [12], "embed_dim": 6}
+
+
+def test_cli_exit_code_divergence(tmp_path, capsys):
+    check_divergence_exit(tmp_path, capsys, learning_rate=1e160)
+
+
+@pytest.mark.parametrize("overrides", [
+    # one batch per epoch: the first update's overflow reaches the
+    # evaluation before any next step
+    {"learning_rate": 1e160, "batch_size": 128},
+    # 1 / t_ssl is inf: the first robust step's InfoNCE logits overflow
+    {"t_ssl": 1e-320},
+], ids=["evaluation", "infonce"])
+def test_cli_exit_code_divergence_elsewhere(tmp_path, capsys, overrides):
+    check_divergence_exit(tmp_path, capsys, **overrides)

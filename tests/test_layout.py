@@ -128,3 +128,23 @@ def test_every_exception_class_is_raised_in_src():
     assert defined, "no exception classes found in src/"
     never = sorted(defined - raised)
     assert never == [], f"exception classes never raised in src/: {never}"
+
+
+def test_fit_is_the_one_divergence_handler():
+    # per-call DiffMathError handlers missed raise sites; one handler around
+    # fit's epoch loop covers them all, and only fit holds the history and
+    # weights that a TrainingDiverged carries
+    handlers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ExceptHandler) and node.type):
+                continue
+            names = {getattr(n, "id", getattr(n, "attr", None))
+                     for n in ast.walk(node.type)}
+            if "DiffMathError" in names:
+                owner = [d.name for d in tree.body
+                         if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                         and d.lineno <= node.lineno <= d.end_lineno]
+                handlers.append((path.stem, *owner))
+    assert handlers == [("trainer", "fit")], handlers

@@ -170,12 +170,13 @@ def test_feature_consistency_rejects_nonfinite(rng):
     for bad in (np.nan, np.inf):
         q[2, 1] = bad
         with np.errstate(invalid="ignore"), pytest.raises(DiffMathError):
-            feature_consistency_loss(Tensor(q), keys, keys)
+            feature_consistency_loss(Tensor(q), keys, keys, 0.1)
     # a -inf logit beside finite ones: every row's max stays finite
     pool = np.ones((3, E))
     pool[1, 0] = -np.inf
     with pytest.raises(DiffMathError):
-        feature_consistency_loss(Tensor(rng.random((3, E)) + 1.0), pool, pool)
+        feature_consistency_loss(Tensor(rng.random((3, E)) + 1.0), pool, pool,
+                                 0.1)
 
 
 def test_total_loss_weighting(rng):
@@ -302,7 +303,7 @@ def test_grad_total_joint(rng):
         l_cls = classification_loss(p1, pos_t, pos_mask, neg_t, neg_mask)
         l_s = self_consistency_loss(p1, p2, pos_mask)
         l_n = neighbor_consistency_loss(p1, mix, pos_mask)
-        l_f = feature_consistency_loss(emb, keys, None)
+        l_f = feature_consistency_loss(emb, keys, None, 0.1)
         total, _ = total_loss(l_cls, l_s, l_n, l_f, alpha, beta, gamma)
         return total
 

@@ -428,6 +428,29 @@ def test_teacher_forward_overflow_in_robust_step_aborts(monkeypatch):
             assert all(np.isfinite(a).all() for a in params.values())
 
 
+def test_evaluation_overflow_aborts_with_the_completed_epochs(monkeypatch):
+    # the third evaluation reads finite weights too large for its logits:
+    # softmax raises, and the diverged fit keeps epochs 1 and 2
+    ds = tiny_data()
+    forward_arrays = trainer.forward_arrays
+    evals = []
+
+    def oversized(params, config, x):
+        if x is ds.test_x:
+            evals.append(x)
+            if len(evals) == 3:
+                params = {k: a * 1e200 for k, a in params.items()}
+        return forward_arrays(params, config, x)
+
+    monkeypatch.setattr(trainer, "forward_arrays", oversized)
+    with pytest.raises(TrainingDiverged, match=r"^numeric overflow at epoch "
+                       r"3: softmax input contains non-finite") as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_tiny(data=ds)
+    assert [r.epoch for r in exc.value.history] == [1, 2]
+    assert isinstance(exc.value.__cause__, DiffMathError)
+
+
 def record_models(monkeypatch):
     """(model, copy of its initial flat weights) of every Model fit builds."""
     made = []
@@ -442,8 +465,8 @@ def record_models(monkeypatch):
 
 
 def test_nonfinite_parameters_name_the_first_in_layout_order(monkeypatch):
-    # a NaN written into two views after the third step: the next step's
-    # check names the one that comes first in the layout
+    # a NaN written into two views by the third step's EMA update: that
+    # step's check names the one that comes first in the layout
     models = record_models(monkeypatch)
     steps = []
     ema_update = trainer.ema_update
