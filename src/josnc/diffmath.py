@@ -2,7 +2,7 @@
 
 Everything runs on float64 numpy arrays. A training step's graph has one
 `Tensor` per forward stage (`network.Model.forward`) and one per loss term
-(`objective`), about a dozen in all. Each node's backward is explicit array
+(`objective`), at most ten in all. Each node's backward is explicit array
 code that repeats, in order, the float operations of the generic op-by-op
 tape kept as the reference in `tests/oracles.py`; where partials meet, the
 depth-first sweep adds them in that tape's order, so parameter gradients are
@@ -62,13 +62,23 @@ def js_divergence_rows(p, q) -> np.ndarray:
     return np.clip(js, 0.0, 1.0)
 
 
+# query rows per block of a queue-sized product (the KNN similarities, the
+# InfoNCE softmax): a block is gathered or reduced before the next one is
+# written, so a product never holds more than BLOCK_ROWS rows at once
+BLOCK_ROWS = 32
+
+
 class Scratch:
     """One flat float64 buffer that successive products are written into.
 
     view(shape) returns a C-contiguous view of the buffer's first
     prod(shape) elements. The buffer is allocated on the first call and
     grows, never shrinks, to the largest view asked for; a view is valid
-    until the next call, which may overwrite or replace its memory.
+    until the next call, which may overwrite or replace its memory. The
+    queue-sized products write BLOCK_ROWS rows at a time, so a fit's
+    scratch holds at most BLOCK_ROWS x (N + Q) floats (about 1.1 MB for a
+    128-row batch and a 4,096-key queue), and each user leaves it free
+    when it returns.
     """
 
     def __init__(self):
@@ -77,6 +87,7 @@ class Scratch:
     def view(self, shape) -> np.ndarray:
         size = math.prod(shape)
         if size > self.buffer.size:
+            self.buffer = np.empty(0)   # free the old one before allocating
             self.buffer = np.empty(size)
         return self.buffer[:size].reshape(shape)
 

@@ -11,10 +11,10 @@ counter says where the oldest entry sits, so the oldest-first order (the
 newest-first tie rule, the contrastive pool) is read from it rather than
 kept by copying.
 
-The (B, M) similarity product of `knn_batch` is the one queue-sized array a
-lookup makes. A caller may pass a reusable buffer for it (`trainer.fit`
-passes its fit's one `diffmath.Scratch`); the buffer is free again when the
-call returns.
+`knn_batch` writes its similarities BLOCK_ROWS queries at a time, so a
+lookup makes no (B, M) array, only (BLOCK_ROWS, M) blocks. A caller may pass
+a reusable buffer for them (`trainer.fit` passes its fit's one
+`diffmath.Scratch`); the buffer is free again when the call returns.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .diffmath import BLOCK_ROWS
 
 # key blocks of the grouped top-k threshold in knn_batch
 _GROUPS = 32
@@ -105,7 +107,7 @@ class EmbedQueue:
         if n == 0:
             return
         norms = np.sqrt((embeddings ** 2).sum(axis=1))
-        if not np.allclose(norms, 1.0, rtol=0.0, atol=1e-6):
+        if not (np.abs(norms - 1.0) <= 1e-6).all():
             raise QueueError("key embeddings must be unit-norm")
         p_clean = np.asarray(p_clean, dtype=np.float64)
         if ((p_clean < 0) | (p_clean > 1)).any():
@@ -134,66 +136,81 @@ class EmbedQueue:
         """Exact top-K for a batch of queries; row i skips exclude_ids[i].
 
         Each found row holds the k kept entries of highest cosine
-        similarity, in descending order with exact ties newest first;
-        similarities come from one (B, M) matmul over the ring's slots. A
-        row is not found when fewer than k entries remain after its
-        exclusion. A lone query is multiplied as two copies of itself, since
-        numpy's one-row matrix-vector path can differ in the last bit from
-        the batched product. A row's bits then equal the full batch's with a
-        4,096-key queue, embed 32 and up to 128 queries, but not at every
-        queue length: OpenBLAS picks its kernels by shape.
+        similarity, in descending order with exact ties newest first. A row
+        is not found when fewer than k entries remain after its exclusion.
 
-        out, a `diffmath.Scratch` or None, receives the similarity product;
-        with None it is allocated. The returned KnnBatch is built by gathers
-        and holds no view of it, so the caller may reuse out at once.
+        Similarities come from a matmul over the ring's slots, BLOCK_ROWS
+        queries at a time. A lone query is multiplied as two copies of
+        itself, since numpy's one-row matrix-vector path can differ in the
+        last bit from the batched product. A row's bits then equal those of
+        one (B, M) product with a 4,096-key queue, embed 32 and any batch up
+        to 128 queries, but not at every queue length: OpenBLAS picks its
+        kernels by shape.
 
-        Grouped threshold: the first G*L slots (G = _GROUPS, L = M // G)
-        form G blocks of L columns, whose elementwise max gives L group
-        maxima per row, each over G distinct keys. With E the most entries
-        any row excludes, at least k kept keys reach the (k + E)-th largest
-        group max, so every top-k key and every key tied with the k-th does.
-        Only the keys at or above it, plus the M mod G tail keys, are
-        sorted, by one lexsort over (row, -similarity, -insertion order). If
-        L < k + E every key is a candidate.
+        out, a `diffmath.Scratch` or None, receives each block's (b, M)
+        similarities; with None they are allocated. A block's candidates
+        are gathered before the next block is written, and the returned
+        KnnBatch is built by gathers, so the caller may reuse out at once.
+
+        Grouped threshold, per block: the first G*L slots (G = _GROUPS,
+        L = M // G) form G blocks of L columns, whose elementwise max gives
+        L group maxima per row, each over G distinct keys. With E the most
+        entries any of the block's rows excludes, at least k kept keys reach
+        the (k + E)-th largest group max, so every top-k key and every key
+        tied with the k-th does. Only the keys at or above it, plus the
+        M mod G tail keys, are candidates; if L < k + E every key is. One
+        lexsort over (row, -similarity, -insertion order) orders every
+        block's candidates.
         """
         queries = np.atleast_2d(queries)
         b, m = queries.shape[0], len(self)
         exclude_ids = np.asarray(exclude_ids, dtype=np.int64)
         keys, ids = self._emb[:m], self._ids[:m]
-        # unit vectors: cosine == dot
-        if b == 1:
-            queries = np.repeat(queries, 2, axis=0)
-        sims = np.matmul(queries, keys.T, out=None if out is None else
-                         out.view((queries.shape[0], m)))[:b]   # (B, M)
         # entries each row excludes, by id lookup (an id may repeat)
         sorted_ids = np.sort(ids)
         n_excl = (np.searchsorted(sorted_ids, exclude_ids, side="right")
                   - np.searchsorted(sorted_ids, exclude_ids, side="left"))
         found = m - n_excl >= k
-
-        cand = np.ones((b, m), dtype=bool)
         n_groups = m // _GROUPS
-        need = k + int(n_excl.max(initial=0))
-        if n_groups >= need:
-            head = _GROUPS * n_groups
-            group_max = sims[:, :head].reshape(b, _GROUPS, n_groups).max(axis=1)
-            th = np.partition(group_max, n_groups - need,
-                              axis=1)[:, n_groups - need]
-            np.greater_equal(sims[:, :head], th[:, None], out=cand[:, :head])
-        rows, cols = np.divmod(np.flatnonzero(cand), m)
-        kept = found[rows] & (ids[cols] != exclude_ids[rows])
-        rows, cols = rows[kept], cols[kept]
+        head = _GROUPS * n_groups
+        # (row, slot, similarity) of every block's kept candidates; the
+        # empty first entry serves a call with no queries
+        none = np.empty(0, dtype=np.int64)
+        blocks = [(none, none, np.empty(0))]
+        for lo in range(0, b, BLOCK_ROWS):
+            block = queries[lo:lo + BLOCK_ROWS]
+            rows = block.shape[0]
+            if rows == 1:
+                block = np.repeat(block, 2, axis=0)
+            # unit vectors: cosine == dot
+            sims = np.matmul(block, keys.T, out=None if out is None else
+                             out.view((block.shape[0], m)))[:rows]
+            cand = np.ones((rows, m), dtype=bool)
+            need = k + int(n_excl[lo:lo + rows].max())
+            if n_groups >= need:
+                group_max = sims[:, :head].reshape(
+                    rows, _GROUPS, n_groups).max(axis=1)
+                th = np.partition(group_max, n_groups - need,
+                                  axis=1)[:, n_groups - need]
+                np.greater_equal(sims[:, :head], th[:, None],
+                                 out=cand[:, :head])
+            r, c = np.divmod(np.flatnonzero(cand), m)
+            kept = found[lo + r] & (ids[c] != exclude_ids[lo + r])
+            r, c = r[kept], c[kept]
+            blocks.append((lo + r, c, sims[r, c]))
+        rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
         age = (cols - self._head()) % self.capacity   # 0 = oldest
-        order = np.lexsort((-age, -sims[rows, cols], rows))
-        rows, cols = rows[order], cols[order]
+        order = np.lexsort((-age, -vals, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
         hit = np.flatnonzero(found)
-        top = cols[np.searchsorted(rows, hit)[:, None] + np.arange(k)]
+        top = np.searchsorted(rows, hit)[:, None] + np.arange(k)
+        slots = cols[top]
         return KnnBatch(
-            similarities=_rows(sims[hit[:, None], top], hit, b),
-            observed_labels=_rows(self._labels[top], hit, b),
-            p_clean=_rows(self._p_clean[top], hit, b),
-            preds=_rows(self._preds[top], hit, b),
-            sample_ids=_rows(ids[top], hit, b),
+            similarities=_rows(vals[top], hit, b),
+            observed_labels=_rows(self._labels[slots], hit, b),
+            p_clean=_rows(self._p_clean[slots], hit, b),
+            preds=_rows(self._preds[slots], hit, b),
+            sample_ids=_rows(ids[slots], hit, b),
             found=found)
 
     def key_views(self) -> tuple:

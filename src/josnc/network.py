@@ -2,15 +2,17 @@
 mean-teacher shadow.
 
 There is one forward pass, on plain arrays; it keeps the pre-activations a
-backward needs. The teacher and evaluation call it through `forward_arrays`
-and build no graph. `Model.forward` wraps the same pass as three graph nodes
-(encoder output, classifier head + softmax, projection head + L2-normalize)
-whose backwards are explicit array code. The weights live in one flat float64
-buffer, `Model.flat`, and their gradients in another, `Model.grad`, laid out
-by `Model.layout` (name -> shape, in checkpoint.bin's sorted-name order); the
-leaf Tensors of `Model.params` view both. The teacher and the SGD velocity
-are flat arrays of the same layout, so SGD, the teacher's EMA and the
-finiteness check are one array op each.
+backward needs and computes only the heads its caller asks for (keywords
+`classifier` and `projection`). The teacher and evaluation call it through
+`forward_arrays` and build no graph. `Model.forward` wraps the same pass as
+three graph nodes (encoder output, classifier head + softmax, projection
+head + L2-normalize; the last left out without `projection`) whose
+backwards are explicit array code. The weights live in one flat float64
+buffer, `Model.flat`, and their gradients in another, `Model.grad`, laid
+out by `Model.layout` (name -> shape, in checkpoint.bin's sorted-name
+order); the leaf Tensors of `Model.params` view both. The teacher and the
+SGD velocity are flat arrays of the same layout, so SGD, the teacher's EMA
+and the finiteness check are one array op each.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmath import Tensor, softmax
+from .diffmath import DiffMathError, Tensor, softmax
 
 
 class NetworkError(ValueError):
@@ -75,14 +77,16 @@ class Model:
     def zero_grad(self) -> None:
         self.grad[:] = 0.0   # +0.0, the start of a summed gradient
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, *, projection: bool = True):
         """Returns (h, probs, embeddings) as graph nodes.
 
         h is the encoder output; probs is softmax(logits, T=1); embeddings
-        are unit-norm rows.
+        are unit-norm rows, or None without `projection`.
         """
         p = self.params
-        layers, h, probs, emb, norms, dead = _forward(self.arrays, self.config, x)
+        layers, h, probs, emb, norms, dead = _forward(
+            self.arrays, self.config, x, classifier=True,
+            projection=projection)
         encoder = [(p[f"encoder.{i}.W"], p[f"encoder.{i}.b"])
                    for i in range(len(layers))]
 
@@ -119,7 +123,8 @@ class Model:
         return (h_node,
                 head("classifier", probs, lambda g: probs * (
                     g - (g * probs).sum(axis=-1, keepdims=True))),
-                head("projection", emb, l2_normalize_backward))
+                head("projection", emb, l2_normalize_backward)
+                if projection else None)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Name views of a detached copy of the parameters."""
@@ -127,31 +132,37 @@ class Model:
 
 
 def forward_arrays(params: dict[str, np.ndarray], config: ModelConfig,
-                   x: np.ndarray):
+                   x: np.ndarray, *, classifier: bool = True,
+                   projection: bool = True):
     """Forward pass of plain parameter arrays (the teacher, evaluation).
 
-    Builds no graph. Returns (probs, embeddings) as arrays. A lone row is
-    run as two copies of itself, since numpy's one-row matrix-vector path
-    can differ in the last bit from the batched product. A row's bits then
-    equal the full batch's at the shapes of the tests, the gate and the
-    benchmark (input 32, hidden (64, 64), embed 32, up to 128 rows), but not
-    at every shape: OpenBLAS picks its kernels by shape.
+    Builds no graph. Returns (probs, embeddings) as arrays; a head its
+    caller does not ask for is None. A lone row is run as two copies of
+    itself, since numpy's one-row matrix-vector path can differ in the last
+    bit from the batched product. A row's bits then equal the full batch's
+    at the shapes of the tests, the gate and the benchmark (input 32,
+    hidden (64, 64), embed 32, up to 128 rows), but not at every shape:
+    OpenBLAS picks its kernels by shape.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rows = x.shape[0]
     _, _, probs, emb, _, _ = _forward(
-        params, config, np.repeat(x, 2, axis=0) if rows == 1 else x)
-    return probs[:rows], emb[:rows]
+        params, config, np.repeat(x, 2, axis=0) if rows == 1 else x,
+        classifier=classifier, projection=projection)
+    return tuple(None if a is None else a[:rows] for a in (probs, emb))
 
 
 def _forward(params: dict[str, np.ndarray], config: ModelConfig,
-             x: np.ndarray):
+             x: np.ndarray, *, classifier: bool, projection: bool):
     """(layers, h, probs, embeddings, norms, dead) on plain arrays.
 
     layers holds each encoder layer's (input, pre-activation); norms and
     dead are the L2-normalize's clamped row norms and dead-row mask: a
     (near-)zero row, e.g. from a dead ReLU path, maps to the first basis
-    vector and receives zero gradient.
+    vector and receives zero gradient. The classifier head's outputs are
+    None without `classifier`, the projection's without `projection`. The
+    softmax raises DiffMathError on non-finite logits, the projection on
+    non-finite row norms.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != config.input_dim:
@@ -162,9 +173,15 @@ def _forward(params: dict[str, np.ndarray], config: ModelConfig,
         z = h @ params[f"encoder.{i}.W"] + params[f"encoder.{i}.b"]
         layers.append((h, z))
         h = np.maximum(z, 0.0)
-    probs = softmax(h @ params["classifier.W"] + params["classifier.b"])
+    probs = emb = norms = dead = None
+    if classifier:
+        probs = softmax(h @ params["classifier.W"] + params["classifier.b"])
+    if not projection:
+        return layers, h, probs, emb, norms, dead
     emb = h @ params["projection.W"] + params["projection.b"]
     norms = np.sqrt((emb ** 2).sum(axis=-1, keepdims=True))
+    if not np.isfinite(norms).all():
+        raise DiffMathError("projection row norms contain non-finite values")
     dead = norms[:, 0] < 1e-12
     norms = np.maximum(norms, 1e-12)
     emb = emb / norms

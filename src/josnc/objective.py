@@ -8,17 +8,20 @@ similarity-weighted neighbor mixture, and an InfoNCE feature loss over the
 embedding queue. KL-based consistency uses base-2 logs, consistent with the
 selection metrics; the base only rescales the alpha/beta weights.
 
-Each term is one `Tensor`; its backward takes any upstream scalar and
-repeats the float operations of the generic tape's log / product / sum /
-scale chain (`tests/oracles.py`) in order, so gradients are bit-identical to
-it, and so are the values, except the InfoNCE value. That node works in an
-(N, N + Q) buffer that holds the softmax and then, in backward, the logit
-gradient, and sums the N diagonal log-probabilities directly instead of a
-masked (N, N + Q) matrix, so its value can differ from the chain's in the
-last ulp. The buffer may be a view of a caller's `diffmath.Scratch` (in
-`trainer.fit`, the fit's one scratch): it is then in use from the forward
-until the node's backward has run, and the caller writes nothing else into
-the scratch in between.
+Each term is one `Tensor`. Every backward but the InfoNCE one takes any
+upstream scalar and repeats the float operations of the generic tape's log /
+product / sum / scale chain (`tests/oracles.py`) in order, so gradients are
+bit-identical to it, and so are the values, except the InfoNCE value. That
+node computes its gradient in its forward, for the upstream weight its
+caller names, BLOCK_ROWS rows at a time, and sums the N diagonal
+log-probabilities directly instead of a masked (N, N + Q) matrix, so its
+value can differ from the chain's in the last ulp. Its gradient has the
+chain's bits when N <= BLOCK_ROWS or N is a multiple of 8 (embed 32, a
+4,096-key pool); at other batch sizes, such as 33 or 100, OpenBLAS's
+shape-dependent kernels can move the last bit of the pool product, though
+each row stays deterministic. No (N, N + Q) buffer outlives a block, so a
+caller's `diffmath.Scratch` (in `trainer.fit`, the fit's one scratch) is
+free again when the call returns.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmath import LOG2, LOG_FLOOR, DiffMathError, Tensor
+from .diffmath import BLOCK_ROWS, LOG2, LOG_FLOOR, DiffMathError, Tensor
 
 
 @dataclass
@@ -141,15 +144,22 @@ def neighbor_mixture(similarities: np.ndarray, neighbor_preds: np.ndarray) -> np
 
 def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
                              queue_pool: np.ndarray, t_ssl: float,
-                             out=None) -> Tensor:
+                             weight: float = 1.0, out=None) -> Tensor:
     """InfoNCE over cosine similarities; applied to the whole batch.
 
     The i-th positive key is the i-th row of positive_keys; the negative pool
     is positive_keys plus the stored queue embeddings (all constants), given
     as one array or as a tuple of arrays whose rows follow each other (the
     queue's `key_views`). The result is a single graph node whose only
-    parent is query_emb. out, a `diffmath.Scratch` or None, receives the
-    (N, N + Q) logit buffer; with None it is allocated.
+    parent is query_emb.
+
+    The value and the gradient for an upstream weight (`total_loss`'s
+    gamma; 1.0 for a root) are computed together, BLOCK_ROWS query rows at
+    a time: a block's (b, N + Q) logits are softmaxed and turned into logit
+    gradients in place, then multiplied by the pool into the block's rows of
+    the (N, E) gradient, which backward adds. backward raises DiffMathError
+    for any other upstream. out, a `diffmath.Scratch` or None, receives each
+    block's logits; with None they are allocated.
     """
     positive_keys = np.atleast_2d(positive_keys)
     n = query_emb.data.shape[0]
@@ -159,34 +169,44 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
     if pool.shape[0] == 0:
         raise DiffMathError("empty contrastive pool")
     inv_t = 1.0 / t_ssl
-    # (N, N + Q) logits, softmaxed in place
-    y = np.matmul(query_emb.data, pool.T, out=None if out is None else
-                  out.view((n, pool.shape[0])))
-    y *= inv_t
-    # a NaN or +inf reaches its row's max, a -inf its row's min: no
-    # (N, N + Q) mask is needed
-    row_max = y.max(axis=-1, keepdims=True)
-    if not (np.isfinite(row_max).all() and np.isfinite(y.min(axis=-1)).all()):
-        raise DiffMathError("softmax input contains non-finite values")
-    y -= row_max
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    rows = np.arange(n)
-    y_pos = y[rows, rows]
-    floored = np.maximum(y_pos, LOG_FLOOR)
-    loss = -np.log(floored).sum() * (1.0 / n)
+    floored = np.empty(n)
+    grad = np.empty(query_emb.data.shape)
+    for lo in range(0, n, BLOCK_ROWS):
+        query = query_emb.data[lo:lo + BLOCK_ROWS]
+        rows = np.arange(query.shape[0])
+        # (b, N + Q) logits, softmaxed in place
+        y = np.matmul(query, pool.T, out=None if out is None else
+                      out.view((rows.size, pool.shape[0])))
+        y *= inv_t
+        # a NaN or +inf reaches its row's max, a -inf its row's min: no
+        # (b, N + Q) mask is needed
+        row_max = y.max(axis=-1, keepdims=True)
+        if not (np.isfinite(row_max).all()
+                and np.isfinite(y.min(axis=-1)).all()):
+            raise DiffMathError("softmax input contains non-finite values")
+        y -= row_max
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+        y_pos = y[rows, lo + rows]
+        f = np.maximum(y_pos, LOG_FLOOR)
+        floored[lo:lo + rows.size] = f
+        # The float steps of the log -> softmax -> scale -> matmul tape
+        # chain's backward, in its order, so the gradient is bit-identical
+        # to it; the logit gradient overwrites the softmax.
+        g = -(weight * (1.0 / n)) / f
+        s = g * y_pos
+        y *= -s[:, None]
+        y[rows, lo + rows] = y_pos * (g - s)
+        y *= inv_t
+        grad[lo:lo + rows.size] = y @ pool
 
     def backward(g):
-        # The float steps of the log -> softmax -> scale -> matmul tape
-        # chain, in its order, so the gradient is bit-identical to it.
-        g = -(g * (1.0 / n)) / floored
-        s = g * y_pos
-        dz = y                      # logit gradient overwrites the softmax
-        dz *= -s[:, None]
-        dz[rows, rows] = y_pos * (g - s)
-        dz *= inv_t
-        query_emb._accum(dz @ pool)
-    return Tensor(loss, _parents=(query_emb,))._record(backward)
+        if g != weight:
+            raise DiffMathError(f"InfoNCE gradient was computed for upstream "
+                                f"{weight}, got {g}")
+        query_emb._accum(grad)
+    return Tensor(-np.log(floored).sum() * (1.0 / n),
+                  _parents=(query_emb,))._record(backward)
 
 
 def total_loss(l_cls: Tensor, l_con_s: Tensor | None, l_con_n: Tensor | None,

@@ -10,9 +10,11 @@ predictions into classification targets, with no per-row Python loop. Its
 results are bit-identical to classifying and labeling one sample at a time
 with every row's neighbors at hand (tests/oracles.py).
 
-A step's gradient comes from a coarse graph of about a dozen nodes: three
-per view from `Model.forward`, one per loss term and one for their weighted
-sum; the teacher and evaluation forwards are plain arrays and build none.
+A step's gradient comes from a coarse graph of at most ten nodes: two per
+view from `Model.forward` (encoder and classifier) plus the first view's
+projection under feature consistency, one per loss term and one for their
+weighted sum; the teacher and evaluation forwards are plain arrays and build
+none.
 
 A step computes only what it reads:
 - teacher keys and the queue only in fits with selection (robust steps
@@ -25,19 +27,23 @@ A step computes only what it reads:
 - the teacher's predictions of the batch only for the ID and OOD rows, whose
   targets read them, after classification;
 - the consistency terms of its method (METHODS) only; a term the method
-  leaves out is not built, and `total_loss` gets None for it.
+  leaves out is not built, and `total_loss` gets None for it;
+- the forward heads that are read: the classifier of both student views,
+  the projection of the first view only in a robust step with feature
+  consistency, the teacher's projection for the keys and its classifier for
+  the ID and OOD rows and the evaluation.
 At the shapes of the tests, the gate and the benchmark, a row's neighbors and
 teacher predictions have the bits of a call over the whole batch, so skipping
 rows changes no bit of the rest; at other shapes OpenBLAS's shape-dependent
 kernels can move a row's last bit (`network.forward_arrays`).
 
 A fit owns one `diffmath.Scratch` for the two queue-sized products of a
-robust step: the KNN similarities and the InfoNCE logit buffer. Its memory
-is allocated by the first robust step that asks for one and grows, never
-shrinks, to the largest product asked for. The two products take turns: the
-lookup is done with it when `knn_batch` returns (the KnnBatch is gathered),
-the InfoNCE node holds it from its forward until its backward, and the next
-step's lookup comes after that backward.
+robust step, the KNN similarities and the InfoNCE logits. Both are written
+`diffmath.BLOCK_ROWS` query rows at a time, and each call leaves the scratch
+free when it returns: the lookup gathers each block's candidates, and the
+InfoNCE forward turns each block's softmax into its rows of the gradient for
+the upstream `gamma`. `Scratch` gives the size; `embedqueue` and `objective`
+give the shapes at which blocking can move a last bit.
 
 The loop receives only features, observed labels, and sample ids; hidden noise
 tags are not reachable from this module. `fit` is the one divergence boundary:
@@ -285,10 +291,12 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                 v, v2 = augment_views(x_b, aug_rng, config.jitter_sigma,
                                       config.mask_rate)
 
-                _, p1, emb_q = model.forward(v)
-                _, p2, _ = model.forward(v2)
+                _, p1, emb_q = model.forward(
+                    v, projection=fcon and not warmup_mode)
+                _, p2, _ = model.forward(v2, projection=False)
                 if selection:
-                    _, teacher_keys = forward_arrays(teacher, model_config, v2)
+                    _, teacher_keys = forward_arrays(teacher, model_config, v2,
+                                                     classifier=False)
 
                 y_smooth = lsr_matrix(y_b, n_classes, config.epsilon)
                 p1_np, p2_np = p1.data, p2.data
@@ -313,7 +321,8 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                     # teacher predictions for the rows whose targets read them
                     noisy = codes != selector.CLEAN
                     noisy_probs = (forward_arrays(teacher, model_config,
-                                                  x_b[noisy])[0]
+                                                  x_b[noisy],
+                                                  projection=False)[0]
                                    if noisy.any() else None)
                     pos_targets, neg_targets = robust_targets(
                         codes, y_smooth, noisy_probs, config)
@@ -327,10 +336,9 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                     l_n = (neighbor_consistency_loss(
                         p1, neighbor_mixture(knn.similarities, knn.preds),
                         rho * knn.found) if ncon else None)
-                    l_f = (feature_consistency_loss(emb_q, teacher_keys,
-                                                    queue.key_views(),
-                                                    config.t_ssl, out=scratch)
-                           if fcon else None)
+                    l_f = (feature_consistency_loss(
+                        emb_q, teacher_keys, queue.key_views(), config.t_ssl,
+                        weight=config.gamma, out=scratch) if fcon else None)
                     total, breakdown = total_loss(l_cls, l_s, l_n, l_f,
                                                   config.alpha, config.beta,
                                                   config.gamma)
@@ -370,7 +378,8 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
 
             thresholds.roll(config.tau_omega_warmup if warmup_mode
                             else config.tau_omega_main)
-            test_probs, _ = forward_arrays(model.arrays, model_config, test_x)
+            test_probs, _ = forward_arrays(model.arrays, model_config, test_x,
+                                           projection=False)
             test_acc = float((test_probs.argmax(axis=1) == test_y).mean())
             means = sums / n_batches
             history.append(EpochRecord(

@@ -3,8 +3,10 @@
 `robust_step_loop` is the robust step's selection / target / mixture loop as
 it was written one sample at a time, with the scalar helpers it called.
 `josnc.trainer.robust_targets` must reproduce it bit for bit. `knn` is the
-one-query top-K scan that `EmbedQueue.knn_batch` must agree with, and
-`ring_slots` reads the queue's stored entries oldest first. The scalar
+one-query top-K scan that `EmbedQueue.knn_batch` must agree with,
+`knn_batch_one_shot` is the lookup as one (B, M) product whose bits the
+blocked `knn_batch` must reproduce, and `ring_slots` reads the queue's stored
+entries oldest first. The scalar
 target helpers check that each teacher prediction is a distribution with
 `check_prob_vec`.
 
@@ -18,7 +20,7 @@ bit-identical to this tape's.
 import numpy as np
 
 from josnc.diffmath import LOG2, LOG_FLOOR, DiffMathError, Tensor, softmax
-from josnc.embedqueue import KnnResult
+from josnc.embedqueue import _GROUPS, KnnBatch, KnnResult
 from josnc.selector import CLEAN, ID, OOD
 
 
@@ -49,6 +51,49 @@ def knn(queue, query_embedding, k, exclude_id=-1):
                      observed_labels=queue._labels[idx],
                      p_clean=queue._p_clean[idx], preds=queue._preds[idx],
                      sample_ids=queue._ids[idx])
+
+
+def knn_batch_one_shot(queue, queries, k, exclude_ids):
+    """`EmbedQueue.knn_batch` as it was written with one (B, M) similarity
+    product and one grouped threshold for the whole batch."""
+    queries = np.atleast_2d(queries)
+    b, m = queries.shape[0], len(queue)
+    exclude_ids = np.asarray(exclude_ids, dtype=np.int64)
+    keys, ids = queue._emb[:m], queue._ids[:m]
+    if b == 1:
+        queries = np.repeat(queries, 2, axis=0)
+    sims = (queries @ keys.T)[:b]
+    sorted_ids = np.sort(ids)
+    n_excl = (np.searchsorted(sorted_ids, exclude_ids, side="right")
+              - np.searchsorted(sorted_ids, exclude_ids, side="left"))
+    found = m - n_excl >= k
+    cand = np.ones((b, m), dtype=bool)
+    n_groups = m // _GROUPS
+    need = k + int(n_excl.max(initial=0))
+    if n_groups >= need:
+        head = _GROUPS * n_groups
+        group_max = sims[:, :head].reshape(b, _GROUPS, n_groups).max(axis=1)
+        th = np.partition(group_max, n_groups - need,
+                          axis=1)[:, n_groups - need]
+        np.greater_equal(sims[:, :head], th[:, None], out=cand[:, :head])
+    rows, cols = np.divmod(np.flatnonzero(cand), m)
+    kept = found[rows] & (ids[cols] != exclude_ids[rows])
+    rows, cols = rows[kept], cols[kept]
+    age = (cols - queue._head()) % queue.capacity
+    order = np.lexsort((-age, -sims[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    hit = np.flatnonzero(found)
+    top = cols[np.searchsorted(rows, hit)[:, None] + np.arange(k)]
+
+    def at_hits(values):
+        out = np.zeros((b,) + values.shape[1:], dtype=values.dtype)
+        out[hit] = values
+        return out
+    return KnnBatch(
+        similarities=at_hits(sims[hit[:, None], top]),
+        observed_labels=at_hits(queue._labels[top]),
+        p_clean=at_hits(queue._p_clean[top]), preds=at_hits(queue._preds[top]),
+        sample_ids=at_hits(ids[top]), found=found)
 
 
 def classify_row(p_clean, p_ood, neighbor_mean_p_clean, neighbors_share_label,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from josnc.diffmath import Scratch
 from josnc.embedqueue import EmbedQueue, QueueError
 
-from oracles import knn, ring_slots
+from oracles import knn, knn_batch_one_shot, ring_slots
 
 
 def unit_rows(rng, n, d):
@@ -34,6 +34,16 @@ def test_enqueue_validation(rng):
     with pytest.raises(QueueError):
         q.enqueue(unit_rows(rng, 2, 3), [0, 1], [0.5, 1.5],
                   np.full((2, 2), 0.5), [0, 1])
+    # a norm within 1e-6 of 1 passes; a NaN row or one 2e-6 off does not
+    def row(x):
+        return np.array([[x, 0.0, 0.0]])
+
+    for bad in (row(np.nan), row(1.0 + 2e-6), row(1.0 - 2e-6)):
+        with pytest.raises(QueueError, match="unit-norm"):
+            q.enqueue(bad, [0], [0.5], np.full((1, 2), 0.5), [0])
+    assert len(q) == 0
+    q.enqueue(row(1.0 + 5e-7), [0], [0.5], np.full((1, 2), 0.5), [0])
+    assert len(q) == 1
 
 
 def test_fifo_eviction_order(rng):
@@ -172,6 +182,31 @@ def test_knn_batch_keeps_nothing_of_its_scratch(rng, b):
         assert not np.shares_memory(field, scratch.buffer)
         assert field.tobytes() == value.tobytes()
         assert field.tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("b", [1, 2, 8, 31, 32, 33, 40, 97, 128])
+def test_blocked_knn_batch_equals_one_shot(rng, b):
+    # BLOCK_ROWS queries at a time, each block with its own grouped
+    # threshold, give the bits of one (B, M) product and one threshold: at a
+    # full 4,096-key queue and embed 32, across block boundaries (33, 40,
+    # 97) and a lone-row last block (33, 97)
+    q = EmbedQueue(4096, 32, 8)
+    fill(q, rng, 4096 + 200, d=32, c=8)
+    pinned = rng.random(4096) < 0.2   # exact ties, newest first
+    q._emb[pinned] = np.eye(32)[0]
+    q._ids[:] = rng.integers(0, 1500, size=4096)   # ids repeat: E > 0
+    queries = unit_rows(rng, b, 32)
+    queries[0] = np.eye(32)[0]
+    # the first block excludes the most entries: its need differs
+    exclude = rng.integers(0, 1500, size=b)
+    exclude[0] = np.bincount(q._ids).argmax()
+    want = knn_batch_one_shot(q, queries, 10, exclude)
+    for out in (None, Scratch()):
+        got = q.knn_batch(queries, 10, exclude, out=out)
+        for name in vars(want):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes(), name
+    assert got.found.all()
 
 
 def test_knn_batch_on_empty_queue(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from josnc.diffmath import Tensor
+from josnc.diffmath import DiffMathError, Tensor
 from josnc.network import (Model, ModelConfig, NetworkError, ema_update,
                            forward_arrays, load_checkpoint, save_checkpoint)
 
@@ -58,6 +58,33 @@ def test_forward_arrays_matches_tape_forward(rng):
     _, emb_a = forward_arrays(m.arrays, m.config, x)
     assert np.array_equal(emb_a, np.eye(8)[[0] * 7])
     assert np.array_equal(emb_a, m.forward(x)[2].data)
+
+
+def test_a_head_left_out_is_none_and_moves_no_bit_of_the_other(rng):
+    m = make_model(rng)
+    x = rng.normal(size=(7, 6))
+    probs, emb = forward_arrays(m.arrays, m.config, x)
+    assert forward_arrays(m.arrays, m.config, x, projection=False)[1] is None
+    assert forward_arrays(m.arrays, m.config, x, classifier=False)[0] is None
+    assert forward_arrays(m.arrays, m.config, x,
+                          projection=False)[0].tobytes() == probs.tobytes()
+    assert forward_arrays(m.arrays, m.config, x,
+                          classifier=False)[1].tobytes() == emb.tobytes()
+    _, p_node, none = m.forward(x, projection=False)
+    assert none is None and p_node.data.tobytes() == probs.tobytes()
+
+
+def test_projection_without_classifier_rejects_nonfinite_norms(rng):
+    # without the softmax's check, the projection's own catches an overflow
+    m = make_model(rng)
+    x = rng.normal(size=(7, 6))
+    huge = {k: a * 1e200 for k, a in m.arrays.items()}
+    nan = {k: a.copy() for k, a in m.arrays.items()}
+    nan["projection.b"][3] = np.nan
+    for params in (huge, nan):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DiffMathError, match="projection row norms"):
+            forward_arrays(params, m.config, x, classifier=False)
 
 
 def test_forward_arrays_row_bits_do_not_depend_on_other_rows(rng):

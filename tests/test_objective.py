@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from josnc.diffmath import LOG2, LOG_FLOOR, DiffMathError, Tensor, softmax
+from josnc.diffmath import (LOG2, LOG_FLOOR, DiffMathError, Scratch, Tensor,
+                            softmax)
 from josnc.labeler import lsr_matrix
 from josnc.network import Model, ModelConfig, forward_arrays
 from josnc.objective import (classification_loss, cross_entropy_loss,
@@ -154,7 +155,8 @@ def test_feature_consistency_bit_exact_against_tape_chain(t_ssl):
     queue[: q // 4] = np.eye(e)[0]  # dead-row keys pinned to one unit vector
 
     grads, losses = [], []
-    for build in (feature_consistency_loss, tape_feature_consistency_loss):
+    for build in (lambda *a: feature_consistency_loss(*a, weight=gamma),
+                  tape_feature_consistency_loss):
         emb = TapeTensor(query.copy(), requires_grad=True)
         loss = build(emb, keys, queue, t_ssl)
         (on_tape(loss) * gamma).backward()   # upstream gamma, as in total_loss
@@ -162,6 +164,50 @@ def test_feature_consistency_bit_exact_against_tape_chain(t_ssl):
         losses.append(loss.item())
     assert np.array_equal(grads[0], grads[1])
     assert abs(losses[0] - losses[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 32, 40, 128])
+def test_blocked_feature_consistency_equals_one_shot(n):
+    # BLOCK_ROWS rows at a time, the gradient has the bits of the tape
+    # chain's one (N, N + Q) product and the value those of one softmax,
+    # across block boundaries (32, 40) and within one block (8)
+    rng = np.random.default_rng(n)
+    q, e, gamma, t_ssl = 4096, 32, 0.01, 0.5
+
+    def unit(rows):
+        return rows / np.sqrt((rows ** 2).sum(-1, keepdims=True))
+
+    query = unit(rng.normal(size=(n, e)))
+    keys = unit(query + 0.3 * rng.normal(size=(n, e)))
+    queue = unit(rng.normal(size=(q, e)))
+    emb = Tensor(query, requires_grad=True)
+    loss = feature_consistency_loss(emb, keys, queue, t_ssl, weight=gamma,
+                                    out=Scratch())
+    (on_tape(loss) * gamma).backward()
+    want = TapeTensor(query.copy(), requires_grad=True)
+    (on_tape(tape_feature_consistency_loss(want, keys, queue, t_ssl))
+     * gamma).backward()
+    assert emb.grad.tobytes() == want.grad.tobytes()
+    probs = softmax((query @ np.concatenate([keys, queue]).T)
+                    * (1.0 / t_ssl))
+    diagonal = np.maximum(probs[np.arange(n), np.arange(n)], LOG_FLOOR)
+    want_loss = -np.log(diagonal).sum() * (1.0 / n)
+    assert loss.data.tobytes() == want_loss.tobytes()
+
+
+def test_feature_consistency_rejects_an_upstream_it_was_not_built_for(rng):
+    # the gradient is computed in the forward for one upstream weight
+    keys = np.eye(E)[np.arange(N) % E]
+    for weight, upstream in ((1.0, 0.01), (0.01, 1.0), (0.01, 0.02)):
+        emb = Tensor(rng.normal(size=(N, E)), requires_grad=True)
+        loss = feature_consistency_loss(emb, keys, keys, 0.1, weight=weight)
+        with pytest.raises(DiffMathError, match="upstream"):
+            (on_tape(loss) * upstream).backward()
+        assert emb.grad is None
+    # a root backward passes 1.0, the default weight
+    emb = Tensor(rng.normal(size=(N, E)), requires_grad=True)
+    feature_consistency_loss(emb, keys, keys, 0.1).backward()
+    assert emb.grad is not None
 
 
 def test_feature_consistency_rejects_nonfinite(rng):
@@ -303,7 +349,7 @@ def test_grad_total_joint(rng):
         l_cls = classification_loss(p1, pos_t, pos_mask, neg_t, neg_mask)
         l_s = self_consistency_loss(p1, p2, pos_mask)
         l_n = neighbor_consistency_loss(p1, mix, pos_mask)
-        l_f = feature_consistency_loss(emb, keys, None, 0.1)
+        l_f = feature_consistency_loss(emb, keys, None, 0.1, weight=gamma)
         total, _ = total_loss(l_cls, l_s, l_n, l_f, alpha, beta, gamma)
         return total
 
@@ -402,7 +448,8 @@ def coarse_loss(model, method, b):
     return step_loss(
         method, b, model.forward, None, cross_entropy_loss,
         classification_loss, self_consistency_loss, neighbor_consistency_loss,
-        feature_consistency_loss, lambda *a: total_loss(*a)[0])
+        lambda *a: feature_consistency_loss(*a, weight=WEIGHTS["gamma"]),
+        lambda *a: total_loss(*a)[0])
 
 
 def tape_loss(params, config, method, b):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from josnc import harness, selector, trainer
 from josnc.datagen import (NoiseSpec, TrainingSet, inject_noise,
                            make_blobs)
-from josnc.diffmath import DiffMathError, Scratch, Tensor
+from josnc.diffmath import BLOCK_ROWS, DiffMathError, Scratch, Tensor
 from josnc.embedqueue import EmbedQueue
 from josnc.labeler import lsr_matrix
 from josnc.objective import neighbor_mixture
@@ -276,11 +276,11 @@ def test_lookups_and_teacher_rows_are_the_ones_read(monkeypatch, method):
         events.append(("knn", list(exclude_ids)))
         return knn_batch(self, queries, k, exclude_ids, out=out)
 
-    def spy_forward(params, config, x):
+    def spy_forward(params, config, x, **heads):
         ids = train_row_ids(ds, x)
         if ids is not None:
             events.append(("teacher", ids))
-        return forward(params, config, x)
+        return forward(params, config, x, **heads)
 
     def spy_codes(knn, asked, p_clean, p_ood, y_b, thresholds):
         fails = ~(p_clean > thresholds.tau_clean[y_b])
@@ -345,8 +345,10 @@ def test_clean_step_looks_up_nothing_it_does_not_read(monkeypatch, method):
 
 
 def test_robust_step_builds_a_coarse_graph(monkeypatch):
-    # one node per forward stage (3 per view), one for classification, one
-    # per consistency term the method builds and one for their weighted sum
+    # one node per forward stage read (encoder and classifier per view, the
+    # first view's projection under feature consistency), one for
+    # classification, one per consistency term the method builds and one
+    # for their weighted sum
     built, counts = [0], []
     init = Tensor.__init__
 
@@ -359,8 +361,8 @@ def test_robust_step_builds_a_coarse_graph(monkeypatch):
 
     monkeypatch.setattr(Tensor, "__init__", counted)
     ds = tiny_data()
-    for method, nodes in [("SELECT_ONLY", 8), ("SCON", 9), ("SCON_NCON", 10),
-                          ("JOSNC", 11)]:
+    for method, nodes in [("SELECT_ONLY", 6), ("SCON", 7), ("SCON_NCON", 8),
+                          ("JOSNC", 10)]:
         counts.clear()
         cfg = tiny_config(method=method)
         fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes,
@@ -409,13 +411,13 @@ def test_teacher_forward_overflow_in_robust_step_aborts(monkeypatch):
     for batch_forward in (False, True):
         evals = []
 
-        def overflowing(params, config, x):
+        def overflowing(params, config, x, **heads):
             if x is ds.test_x:
                 evals.append(x)
             elif (len(evals) == cfg.warmup_epochs
                   and (train_row_ids(ds, x) is not None) == batch_forward):
                 raise DiffMathError("inf logits")
-            return forward_arrays(params, config, x)
+            return forward_arrays(params, config, x, **heads)
 
         monkeypatch.setattr(trainer, "forward_arrays", overflowing)
         with pytest.raises(TrainingDiverged,
@@ -435,12 +437,12 @@ def test_evaluation_overflow_aborts_with_the_completed_epochs(monkeypatch):
     forward_arrays = trainer.forward_arrays
     evals = []
 
-    def oversized(params, config, x):
+    def oversized(params, config, x, **heads):
         if x is ds.test_x:
             evals.append(x)
             if len(evals) == 3:
                 params = {k: a * 1e200 for k, a in params.items()}
-        return forward_arrays(params, config, x)
+        return forward_arrays(params, config, x, **heads)
 
     monkeypatch.setattr(trainer, "forward_arrays", oversized)
     with pytest.raises(TrainingDiverged, match=r"^numeric overflow at epoch "
@@ -560,12 +562,13 @@ def test_scratch_reuse_changes_no_byte(tmp_path, monkeypatch, method):
 
 def test_select_only_scratch_is_its_largest_product(monkeypatch):
     # a fit holds one scratch, and under SELECT_ONLY it grows only to the
-    # largest asked-rows x queue product (a lone row is multiplied twice)
+    # largest block of asked rows x queue product (at most BLOCK_ROWS rows;
+    # a lone row is multiplied twice)
     made = record_scratches(monkeypatch)
     products, knn_batch = [], EmbedQueue.knn_batch
 
     def spy_knn(self, queries, *args, **kwargs):
-        products.append(max(len(queries), 2) * len(self))
+        products.append(min(max(len(queries), 2), BLOCK_ROWS) * len(self))
         return knn_batch(self, queries, *args, **kwargs)
 
     monkeypatch.setattr(EmbedQueue, "knn_batch", spy_knn)
@@ -577,9 +580,12 @@ def test_select_only_scratch_is_its_largest_product(monkeypatch):
 
 
 def test_robust_step_allocates_no_queue_sized_product(monkeypatch):
-    # once the first robust step has sized the scratch, a JOSNC step's
-    # traced allocation peak stays under half of one (B, M) product; a step
-    # runs from its augmentation to its hook
+    # the queue-sized products are written in blocks of BLOCK_ROWS rows, so
+    # every JOSNC robust step's traced allocation peak, the first one's
+    # (which sizes the scratch) included, stays under one (B, M) product,
+    # and every later one's under half of it; a step runs from its
+    # augmentation to its hook. The first step's peak holds at least the
+    # scratch it sizes, so the measurement sees the step's allocations.
     ds = make_blobs(n_id_classes=4, n_ood_classes=1, per_class=210, dim=8,
                     spread=0.6, seed=3)
     ds = inject_noise(ds, NoiseSpec("symmetric", 0.3), seed=3)
@@ -605,7 +611,8 @@ def test_robust_step_allocates_no_queue_sized_product(monkeypatch):
     finally:
         tracemalloc.stop()
     product = cfg.batch_size * cfg.queue_capacity * 8
-    assert len(growth) > 2 and growth[0] > product
+    block = BLOCK_ROWS * (cfg.batch_size + cfg.queue_capacity) * 8
+    assert len(growth) > 2 and block <= growth[0] and max(growth) < product
     assert max(growth[1:]) < product / 2
 
 
