@@ -2,14 +2,15 @@
 
 Everything runs on float64 numpy arrays. A training step's graph has one
 `Tensor` per forward stage (`network.Model.forward`) and one per loss term
-(`objective`), at most ten in all. Each node's backward is explicit array
-code that repeats, in order, the float operations of the generic op-by-op
-tape kept as the reference in `tests/oracles.py`; where partials meet, the
-depth-first sweep adds them in that tape's order, so parameter gradients are
-bit-identical to it. The tape's `0 + g` copy at each intermediate op is not
-repeated: it only turns -0.0 into +0.0, no backward divides by a gradient,
-and a summed gradient starts from +0.0 (in `_accum` or `Model.zero_grad`),
-so a zero's sign never reaches a weight. backward() tears a graph down.
+(`objective`), at most ten in all, above the parameter leaves; there are no
+constant nodes. Each node's backward is explicit array code that repeats, in
+order, the float operations of the generic op-by-op tape kept as the
+reference in `tests/oracles.py`; where partials meet, the depth-first sweep
+adds them in that tape's order, so parameter gradients are bit-identical to
+it. The tape's `0 + g` copy at each intermediate op is not repeated: it only
+turns -0.0 into +0.0, no backward divides by a gradient, and a summed
+gradient starts from +0.0 (in `_accum` or `Model.zero_grad`), so a zero's
+sign never reaches a weight. backward() tears a graph down.
 
 Divergences use base-2 logarithms throughout so that the Jensen-Shannon
 divergence is bounded in [0, 1]; the selection thresholds rely on that bound.
@@ -63,8 +64,10 @@ def js_divergence_rows(p, q) -> np.ndarray:
 
 
 # query rows per block of a queue-sized product (the KNN similarities, the
-# InfoNCE softmax): a block is gathered or reduced before the next one is
-# written, so a product never holds more than BLOCK_ROWS rows at once
+# InfoNCE logits): each is written a block at a time, into a caller's Scratch
+# when one is given, and a block is gathered or reduced before the next one
+# is written, so no (B, M) array is built and the scratch is free again when
+# the call returns
 BLOCK_ROWS = 32
 
 
@@ -74,11 +77,9 @@ class Scratch:
     view(shape) returns a C-contiguous view of the buffer's first
     prod(shape) elements. The buffer is allocated on the first call and
     grows, never shrinks, to the largest view asked for; a view is valid
-    until the next call, which may overwrite or replace its memory. The
-    queue-sized products write BLOCK_ROWS rows at a time, so a fit's
-    scratch holds at most BLOCK_ROWS x (N + Q) floats (about 1.1 MB for a
-    128-row batch and a 4,096-key queue), and each user leaves it free
-    when it returns.
+    until the next call, which may overwrite or replace its memory. A
+    fit's one scratch holds at most BLOCK_ROWS x (N + Q) floats (about
+    1.1 MB for a 128-row batch and a 4,096-key queue).
     """
 
     def __init__(self):
@@ -100,36 +101,27 @@ class Tensor:
     """A float64 array node of a reverse-mode graph.
 
     A fresh graph is built for every training step and torn down by
-    backward(). Parameters are leaf views of `network.Model`'s buffers.
+    backward(). Every node is on the graph: a node without parents is a
+    leaf, and parameters are leaves whose grad is preset to their view of
+    `network.Model.grad`. backward_fn(grad) receives the node's gradient and
+    passes partials to the parents with _accum. It never refers to the node
+    itself, so a node and its closure form no reference cycle, and a graph
+    is freed by reference counting whether or not it is backpropagated.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), grad: np.ndarray | None = None):
+    def __init__(self, data, parents: tuple = (), backward_fn=None,
+                 grad: np.ndarray | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = grad
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        # a result that needs no gradient is not on the graph: no links
-        self._parents = _parents if self.requires_grad else ()
-        self._backward_fn = None
+        self._parents = parents
+        self._backward_fn = backward_fn
 
     def _accum(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += grad
-
-    def _record(self, backward_fn) -> "Tensor":
-        """Attach backward_fn if this node is on the graph; returns self.
-
-        backward_fn(grad) receives the node's gradient and passes partials
-        to the parents with _accum. It never refers to the node itself, so a
-        node and its closure form no reference cycle, and a graph is freed by
-        reference counting whether or not it is backpropagated.
-        """
-        if self.requires_grad:
-            self._backward_fn = backward_fn
-        return self
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar loss.
@@ -154,7 +146,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+                if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):

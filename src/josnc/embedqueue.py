@@ -10,11 +10,6 @@ The queue is a ring: its arrays are allocated once at capacity, and
 counter says where the oldest entry sits, so the oldest-first order (the
 newest-first tie rule, the contrastive pool) is read from it rather than
 kept by copying.
-
-`knn_batch` writes its similarities BLOCK_ROWS queries at a time, so a
-lookup makes no (B, M) array, only (BLOCK_ROWS, M) blocks. A caller may pass
-a reusable buffer for them (`trainer.fit` passes its fit's one
-`diffmath.Scratch`); the buffer is free again when the call returns.
 """
 
 from __future__ import annotations
@@ -148,9 +143,8 @@ class EmbedQueue:
         kernels by shape.
 
         out, a `diffmath.Scratch` or None, receives each block's (b, M)
-        similarities; with None they are allocated. A block's candidates
-        are gathered before the next block is written, and the returned
-        KnnBatch is built by gathers, so the caller may reuse out at once.
+        similarities; with None they are allocated. The returned KnnBatch
+        is built by gathers, so the caller may reuse out at once.
 
         Grouped threshold, per block: the first G*L slots (G = _GROUPS,
         L = M // G) form G blocks of L columns, whose elementwise max gives

@@ -62,7 +62,7 @@ class Model:
         self.grad = np.zeros_like(self.flat)
         self.arrays = self.views(self.flat)   # name -> weight view
         grads = self.views(self.grad)
-        self.params = {name: Tensor(data, requires_grad=True, grad=grads[name])
+        self.params = {name: Tensor(data, grad=grads[name])
                        for name, data in self.arrays.items()}
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -101,8 +101,8 @@ class Model:
                 if i:
                     g = g @ w.data.T
 
-        h_node = Tensor(h, _parents=tuple(t for wb in encoder for t in wb))
-        h_node._record(encoder_backward)
+        h_node = Tensor(h, tuple(t for wb in encoder for t in wb),
+                        encoder_backward)
 
         def head(name, y, output_backward):
             w, b = p[f"{name}.W"], p[f"{name}.b"]
@@ -110,10 +110,9 @@ class Model:
             def backward(g):
                 dz = output_backward(g)
                 b._accum(dz.sum(axis=0))
-                if h_node.requires_grad:
-                    h_node._accum(dz @ w.data.T)
+                h_node._accum(dz @ w.data.T)
                 w._accum(h.T @ dz)
-            return Tensor(y, _parents=(h_node, w, b))._record(backward)
+            return Tensor(y, (h_node, w, b), backward)
 
         def l2_normalize_backward(g):
             gx = (g - emb * (g * emb).sum(axis=-1, keepdims=True)) / norms

@@ -11,17 +11,8 @@ selection metrics; the base only rescales the alpha/beta weights.
 Each term is one `Tensor`. Every backward but the InfoNCE one takes any
 upstream scalar and repeats the float operations of the generic tape's log /
 product / sum / scale chain (`tests/oracles.py`) in order, so gradients are
-bit-identical to it, and so are the values, except the InfoNCE value. That
-node computes its gradient in its forward, for the upstream weight its
-caller names, BLOCK_ROWS rows at a time, and sums the N diagonal
-log-probabilities directly instead of a masked (N, N + Q) matrix, so its
-value can differ from the chain's in the last ulp. Its gradient has the
-chain's bits when N <= BLOCK_ROWS or N is a multiple of 8 (embed 32, a
-4,096-key pool); at other batch sizes, such as 33 or 100, OpenBLAS's
-shape-dependent kernels can move the last bit of the pool product, though
-each row stays deterministic. No (N, N + Q) buffer outlives a block, so a
-caller's `diffmath.Scratch` (in `trainer.fit`, the fit's one scratch) is
-free again when the call returns.
+bit-identical to it, and so are the values, except the InfoNCE value
+(`feature_consistency_loss`).
 """
 
 from __future__ import annotations
@@ -64,8 +55,7 @@ def classification_loss(probs: Tensor, positive_targets: np.ndarray,
         t = -(g * (1.0 / n))
         probs._accum((t * pos) / floored_pos)
         probs._accum(-((t * neg) / floored_neg))
-    return Tensor((l_pos + l_neg) * (1.0 / n),
-                  _parents=(probs,))._record(backward)
+    return Tensor((l_pos + l_neg) * (1.0 / n), (probs,), backward)
 
 
 def cross_entropy_loss(probs: Tensor, targets: np.ndarray) -> Tensor:
@@ -75,8 +65,8 @@ def cross_entropy_loss(probs: Tensor, targets: np.ndarray) -> Tensor:
 
     def backward(g):
         probs._accum((-(g * (1.0 / n)) * targets) / floored)
-    return Tensor(-(np.log(floored) * targets).sum() * (1.0 / n),
-                  _parents=(probs,))._record(backward)
+    return Tensor(-(np.log(floored) * targets).sum() * (1.0 / n), (probs,),
+                  backward)
 
 
 def self_consistency_loss(p: Tensor, p_prime: Tensor, mask: np.ndarray) -> Tensor:
@@ -95,14 +85,12 @@ def self_consistency_loss(p: Tensor, p_prime: Tensor, mask: np.ndarray) -> Tenso
         # the (p - p') factor's partial reaches each view before the log's
         g_term = (g * scale) * col
         g_diff, g_log = g_term * log_ratio, g_term * diff
-        if p.requires_grad:
-            p._accum(g_diff)
-            p._accum(g_log / floored)
-        if p_prime.requires_grad:
-            p_prime._accum(-g_diff)
-            p_prime._accum(-g_log / floored_prime)
-    return Tensor(((diff * log_ratio) * col).sum() * scale,
-                  _parents=(p, p_prime))._record(backward)
+        p._accum(g_diff)
+        p._accum(g_log / floored)
+        p_prime._accum(-g_diff)
+        p_prime._accum(-g_log / floored_prime)
+    return Tensor(((diff * log_ratio) * col).sum() * scale, (p, p_prime),
+                  backward)
 
 
 def neighbor_consistency_loss(p: Tensor, mixtures: np.ndarray,
@@ -121,8 +109,7 @@ def neighbor_consistency_loss(p: Tensor, mixtures: np.ndarray,
         g_term = (g * scale) * col
         p._accum(g_term * log_ratio)
         p._accum((g_term * p.data) / floored)
-    return Tensor(((p.data * log_ratio) * col).sum() * scale,
-                  _parents=(p,))._record(backward)
+    return Tensor(((p.data * log_ratio) * col).sum() * scale, (p,), backward)
 
 
 def neighbor_mixture(similarities: np.ndarray, neighbor_preds: np.ndarray) -> np.ndarray:
@@ -154,12 +141,19 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
     parent is query_emb.
 
     The value and the gradient for an upstream weight (`total_loss`'s
-    gamma; 1.0 for a root) are computed together, BLOCK_ROWS query rows at
+    gamma; 1.0 for a root) are computed together, a block of query rows at
     a time: a block's (b, N + Q) logits are softmaxed and turned into logit
     gradients in place, then multiplied by the pool into the block's rows of
     the (N, E) gradient, which backward adds. backward raises DiffMathError
     for any other upstream. out, a `diffmath.Scratch` or None, receives each
     block's logits; with None they are allocated.
+
+    The value sums the N diagonal log-probabilities directly instead of a
+    masked (N, N + Q) matrix, so it can differ from the tape chain's in the
+    last ulp. The gradient has the chain's bits when N <= BLOCK_ROWS or N is
+    a multiple of 8 (embed 32, a 4,096-key pool); at other batch sizes, such
+    as 33 or 100, OpenBLAS's shape-dependent kernels can move the last bit
+    of the pool product, though each row stays deterministic.
     """
     positive_keys = np.atleast_2d(positive_keys)
     n = query_emb.data.shape[0]
@@ -205,8 +199,7 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
             raise DiffMathError(f"InfoNCE gradient was computed for upstream "
                                 f"{weight}, got {g}")
         query_emb._accum(grad)
-    return Tensor(-np.log(floored).sum() * (1.0 / n),
-                  _parents=(query_emb,))._record(backward)
+    return Tensor(-np.log(floored).sum() * (1.0 / n), (query_emb,), backward)
 
 
 def total_loss(l_cls: Tensor, l_con_s: Tensor | None, l_con_n: Tensor | None,
@@ -227,10 +220,8 @@ def total_loss(l_cls: Tensor, l_con_s: Tensor | None, l_con_n: Tensor | None,
 
     def backward(g):
         for term, weight in weighted:
-            if term.requires_grad:
-                term._accum(g * weight)
+            term._accum(g * weight)
     breakdown = LossBreakdown(
         *(0.0 if term is None else term.item()
           for term in (l_cls, l_con_s, l_con_n, l_con_f)), total=float(total))
-    return Tensor(total, _parents=tuple(t for t, _ in weighted))._record(
-        backward), breakdown
+    return Tensor(total, tuple(t for t, _ in weighted), backward), breakdown

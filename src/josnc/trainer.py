@@ -37,13 +37,9 @@ teacher predictions have the bits of a call over the whole batch, so skipping
 rows changes no bit of the rest; at other shapes OpenBLAS's shape-dependent
 kernels can move a row's last bit (`network.forward_arrays`).
 
-A fit owns one `diffmath.Scratch` for the two queue-sized products of a
-robust step, the KNN similarities and the InfoNCE logits. Both are written
-`diffmath.BLOCK_ROWS` query rows at a time, and each call leaves the scratch
-free when it returns: the lookup gathers each block's candidates, and the
-InfoNCE forward turns each block's softmax into its rows of the gradient for
-the upstream `gamma`. `Scratch` gives the size; `embedqueue` and `objective`
-give the shapes at which blocking can move a last bit.
+A fit owns one `diffmath.Scratch`, shared by the two queue-sized products
+of a robust step, the KNN similarities and the InfoNCE logits
+(`diffmath.BLOCK_ROWS`).
 
 The loop receives only features, observed labels, and sample ids; hidden noise
 tags are not reachable from this module. `fit` is the one divergence boundary:
@@ -106,6 +102,9 @@ _FIELD_RULES = (
     (("seed",), "must be >= 0", lambda v: v >= 0),
     (("learning_rate", "t_ssl", "t_pll_in", "t_pll_out"), "must be positive",
      lambda v: v > 0),
+    # a temperature divides logits: 1.0 / 1e-320 is inf and raises nothing
+    (("t_ssl", "t_pll_in", "t_pll_out"), "must have a finite reciprocal",
+     lambda v: np.isfinite(1.0 / v)),
     (("epsilon", "mask_rate"), "must be in [0, 1)", lambda v: 0.0 <= v < 1.0),
     (("ema_omega", "tau_omega_warmup", "tau_omega_main", "momentum"),
      "must be in [0, 1]", lambda v: 0.0 <= v <= 1.0),

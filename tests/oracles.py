@@ -209,9 +209,18 @@ def _unbroadcast(grad, shape):
 
 
 class TapeTensor(Tensor):
-    """A Tensor with the generic op menu; every op is one graph node."""
+    """A Tensor with the generic op menu; every op is one graph node.
+
+    Every operand, a constant too, receives its partials. No constant's
+    subtree reaches a parameter, so the sweep meets the parameters in the
+    same order as it would with the constants left out.
+    """
 
     __slots__ = ()
+
+    def _record(self, backward_fn):
+        self._backward_fn = backward_fn
+        return self
 
     @property
     def shape(self):
@@ -223,26 +232,22 @@ class TapeTensor(Tensor):
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = TapeTensor(self.data + other.data, _parents=(self, other))
+        out = TapeTensor(self.data + other.data, parents=(self, other))
 
         def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g, other.shape))
+            self._accum(_unbroadcast(g, self.shape))
+            other._accum(_unbroadcast(g, other.shape))
         return out._record(bw)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = TapeTensor(self.data * other.data, _parents=(self, other))
+        out = TapeTensor(self.data * other.data, parents=(self, other))
 
         def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.shape))
+            self._accum(_unbroadcast(g * other.data, self.shape))
+            other._accum(_unbroadcast(g * self.data, other.shape))
         return out._record(bw)
 
     __rmul__ = __mul__
@@ -263,19 +268,17 @@ class TapeTensor(Tensor):
 
     def matmul(self, other):
         other = self._coerce(other)
-        out = TapeTensor(self.data @ other.data, _parents=(self, other))
+        out = TapeTensor(self.data @ other.data, parents=(self, other))
 
         def bw(g):
-            if self.requires_grad:
-                self._accum(g @ other.data.T)
-            if other.requires_grad:
-                other._accum(self.data.T @ g)
+            self._accum(g @ other.data.T)
+            other._accum(self.data.T @ g)
         return out._record(bw)
 
     __matmul__ = matmul
 
     def relu(self):
-        out = TapeTensor(np.maximum(self.data, 0.0), _parents=(self,))
+        out = TapeTensor(np.maximum(self.data, 0.0), parents=(self,))
 
         def bw(g):
             self._accum(g * (self.data > 0))
@@ -284,7 +287,7 @@ class TapeTensor(Tensor):
     def log(self):
         """Natural log with the 1e-12 floor guard."""
         floored = np.maximum(self.data, LOG_FLOOR)
-        out = TapeTensor(np.log(floored), _parents=(self,))
+        out = TapeTensor(np.log(floored), parents=(self,))
 
         def bw(g):
             self._accum(g / floored)
@@ -293,7 +296,7 @@ class TapeTensor(Tensor):
     def softmax(self, temperature=1.0):
         """Row-wise temperature softmax over the last axis."""
         y = softmax(self.data / temperature)
-        out = TapeTensor(y, _parents=(self,))
+        out = TapeTensor(y, parents=(self,))
 
         def bw(g):
             dz = y * (g - (g * y).sum(axis=-1, keepdims=True))
@@ -301,7 +304,7 @@ class TapeTensor(Tensor):
         return out._record(bw)
 
     def sum(self):
-        out = TapeTensor(self.data.sum(), _parents=(self,))
+        out = TapeTensor(self.data.sum(), parents=(self,))
 
         def bw(g):
             self._accum(np.full_like(self.data, float(g)))
@@ -318,7 +321,7 @@ class TapeTensor(Tensor):
             y = y.copy()
             y[dead] = 0.0
             y[dead, ..., 0] = 1.0
-        out = TapeTensor(y, _parents=(self,))
+        out = TapeTensor(y, parents=(self,))
 
         def bw(g):
             gx = (g - y * (g * y).sum(axis=-1, keepdims=True)) / norms
@@ -332,14 +335,13 @@ class TapeTensor(Tensor):
 def on_tape(node):
     """Any Tensor as a TapeTensor that passes its gradient straight back, so
     a coarse node can be scaled or summed with tape ops."""
-    out = TapeTensor(node.data, _parents=(node,))
+    out = TapeTensor(node.data, parents=(node,))
     return out._record(node._accum)
 
 
 def tape_params(arrays):
     """Trainable TapeTensor leaves holding copies of the parameter arrays."""
-    return {k: TapeTensor(v.copy(), requires_grad=True)
-            for k, v in arrays.items()}
+    return {k: TapeTensor(v.copy()) for k, v in arrays.items()}
 
 
 def tape_forward(params, config, x):

@@ -170,27 +170,27 @@ def test_scratch_grows_to_its_largest_view_and_never_shrinks():
 # the generic tape (tests/oracles.py) -------------------------------------------
 
 def test_backward_sum_is_ones():
-    w = TapeTensor([1.0, 2.0, 3.0], requires_grad=True)
+    w = TapeTensor([1.0, 2.0, 3.0])
     w.sum().backward()
     np.testing.assert_array_equal(w.grad, np.ones(3))
 
 
 def test_backward_dot_quadratic():
-    w = TapeTensor([1.0, 2.0], requires_grad=True)
+    w = TapeTensor([1.0, 2.0])
     (w * w).sum().backward()
     np.testing.assert_allclose(w.grad, [2.0, 4.0])
 
 
 def test_backward_rejects_nonscalar():
-    w = TapeTensor([1.0, 2.0], requires_grad=True)
+    w = TapeTensor([1.0, 2.0])
     with pytest.raises(DiffMathError):
         (w * 2.0).backward()
 
 
 def test_backward_matmul_softmax_log_chain(rng):
     x = rng.normal(size=(4, 3))
-    w = TapeTensor(rng.normal(size=(3, 5)), requires_grad=True)
-    b = TapeTensor(rng.normal(size=5), requires_grad=True)
+    w = TapeTensor(rng.normal(size=(3, 5)))
+    b = TapeTensor(rng.normal(size=5))
     target = rng.dirichlet(np.ones(5), size=4)
 
     def loss_value():
@@ -208,7 +208,7 @@ def test_backward_matmul_softmax_log_chain(rng):
 
 def test_backward_relu_and_l2norm(rng):
     x = rng.normal(size=(3, 4))
-    w = TapeTensor(rng.normal(size=(4, 4)), requires_grad=True)
+    w = TapeTensor(rng.normal(size=(4, 4)))
     anchor = rng.normal(size=(3, 4))
 
     def loss_value():
@@ -223,7 +223,7 @@ def test_backward_relu_and_l2norm(rng):
 
 
 def test_grad_accumulates_across_reuse():
-    w = TapeTensor([2.0], requires_grad=True)
+    w = TapeTensor([2.0])
     # w appears twice: d/dw (w*w + 3w) = 2w + 3 = 7
     loss = (w * w).sum() + (w * 3.0).sum()
     loss.backward()
@@ -231,7 +231,7 @@ def test_grad_accumulates_across_reuse():
 
 
 def test_temperature_softmax_gradient(rng):
-    w = TapeTensor(rng.normal(size=(2, 4)), requires_grad=True)
+    w = TapeTensor(rng.normal(size=(2, 4)))
     target = rng.dirichlet(np.ones(4), size=2)
 
     def loss_value():
@@ -270,16 +270,17 @@ def cycle_collector_off():
 
 
 def test_backward_frees_the_graph_without_the_cycle_collector(monkeypatch):
-    # every backward closure a step records (Tensor has __slots__ and no
+    # every backward closure a step builds (Tensor has __slots__ and no
     # weakref slot; functions have one) is freed by reference counting
     closures = []
-    record = Tensor._record
+    init = Tensor.__init__
 
-    def tracked(self, backward_fn):
-        closures.append(weakref.ref(backward_fn))
-        return record(self, backward_fn)
+    def tracked(self, data, parents=(), backward_fn=None, grad=None):
+        if backward_fn is not None:
+            closures.append(weakref.ref(backward_fn))
+        init(self, data, parents, backward_fn, grad)
 
-    monkeypatch.setattr(Tensor, "_record", tracked)
+    monkeypatch.setattr(Tensor, "__init__", tracked)
     for method in ("STANDARD", "JOSNC"):
         closures.clear()
         with cycle_collector_off():
@@ -289,32 +290,22 @@ def test_backward_frees_the_graph_without_the_cycle_collector(monkeypatch):
             assert gc.collect() == 0, method
 
 
-def test_ops_without_grad_record_no_graph():
-    # a node that needs no gradient is not on the graph: the tape oracle
-    # and the sweep rely on it keeping no parents or backward closure
-    const = Tensor(np.ones(3))
-    node = Tensor(2.0 * const.data, _parents=(const,))._record(lambda g: None)
-    assert not node.requires_grad
-    assert node._parents == () and node._backward_fn is None
-    on_graph = Tensor(np.ones(3), requires_grad=True)
-    node = Tensor(2.0 * on_graph.data, _parents=(on_graph, const))._record(
-        lambda g: None)
-    assert node._parents == (on_graph, const)
-    assert node._backward_fn is not None
-
-
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_fit_builds_only_nodes_on_the_graph(monkeypatch, method):
-    # a loss term that the method leaves out is not built, not even as a
-    # constant: every node a fit creates needs a gradient
-    constants = []
+    # a loss term that the method leaves out is not built, and no node is a
+    # constant: every node a fit creates has parents and a backward, or is
+    # a parameter leaf whose grad is preset to its view of the model's
+    leaves, constants = [], []
     init = Tensor.__init__
 
     def tracked(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        if not self.requires_grad:
+        if self.grad is not None:
+            leaves.append(self.data.shape)
+        elif not (self._parents and self._backward_fn is not None):
             constants.append(self.data.shape)
 
     monkeypatch.setattr(Tensor, "__init__", tracked)
     tiny_fit(method)
+    assert len(leaves) == 8   # W and b of two hidden layers and two heads
     assert constants == []

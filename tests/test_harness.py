@@ -15,7 +15,7 @@ from josnc.harness import (METRICS_COLUMNS, METHODS, OUTPUT_DIR_ENV, PRESETS,
                            resolve_config, run, save_checkpoint,
                            write_metrics_csv)
 from josnc.selector import CLEAN, ID, OOD
-from josnc.trainer import TrainConfig
+from josnc.trainer import TrainConfig, fit
 
 
 def tiny_raw_config(out_dir, **train_overrides):
@@ -410,6 +410,13 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     blocked = str(tmp_path / "bad.json" / "sub")
     assert cli.main(["run", good, "--output-dir", blocked]) == 2
     assert f"config error: {blocked}: " in capsys.readouterr().err
+    # a temperature whose reciprocal overflows (1.0 / 1e-320 is inf)
+    for key in ("t_ssl", "t_pll_in", "t_pll_out"):
+        out = tmp_path / key
+        raw = tiny_raw_config(str(out), **{key: 1e-320})
+        assert cli.main(["run", write_config(tmp_path, raw, "t.json")]) == 2
+        assert f"config error: config.train.{key}: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -502,12 +509,21 @@ def test_cli_exit_code_divergence(tmp_path, capsys):
     check_divergence_exit(tmp_path, capsys, learning_rate=1e160)
 
 
-@pytest.mark.parametrize("overrides", [
+@pytest.mark.parametrize("overrides, assigned", [
     # one batch per epoch: the first update's overflow reaches the
     # evaluation before any next step
-    {"learning_rate": 1e160, "batch_size": 128},
-    # 1 / t_ssl is inf: the first robust step's InfoNCE logits overflow
-    {"t_ssl": 1e-320},
+    ({"learning_rate": 1e160, "batch_size": 128}, {}),
+    # 1 / t_ssl is inf: the first robust step's InfoNCE logits overflow.
+    # The config check rejects such a t_ssl, so it is assigned to the
+    # validated TrainConfig, which skips that check.
+    ({}, {"t_ssl": 1e-320}),
 ], ids=["evaluation", "infonce"])
-def test_cli_exit_code_divergence_elsewhere(tmp_path, capsys, overrides):
+def test_cli_exit_code_divergence_elsewhere(tmp_path, capsys, monkeypatch,
+                                            overrides, assigned):
+    def fit_assigned(config, *args, **kwargs):
+        for key, value in assigned.items():
+            setattr(config, key, value)
+        return fit(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit", fit_assigned)
     check_divergence_exit(tmp_path, capsys, **overrides)

@@ -157,7 +157,7 @@ def test_feature_consistency_bit_exact_against_tape_chain(t_ssl):
     grads, losses = [], []
     for build in (lambda *a: feature_consistency_loss(*a, weight=gamma),
                   tape_feature_consistency_loss):
-        emb = TapeTensor(query.copy(), requires_grad=True)
+        emb = TapeTensor(query.copy())
         loss = build(emb, keys, queue, t_ssl)
         (on_tape(loss) * gamma).backward()   # upstream gamma, as in total_loss
         grads.append(emb.grad)
@@ -180,11 +180,11 @@ def test_blocked_feature_consistency_equals_one_shot(n):
     query = unit(rng.normal(size=(n, e)))
     keys = unit(query + 0.3 * rng.normal(size=(n, e)))
     queue = unit(rng.normal(size=(q, e)))
-    emb = Tensor(query, requires_grad=True)
+    emb = Tensor(query)
     loss = feature_consistency_loss(emb, keys, queue, t_ssl, weight=gamma,
                                     out=Scratch())
     (on_tape(loss) * gamma).backward()
-    want = TapeTensor(query.copy(), requires_grad=True)
+    want = TapeTensor(query.copy())
     (on_tape(tape_feature_consistency_loss(want, keys, queue, t_ssl))
      * gamma).backward()
     assert emb.grad.tobytes() == want.grad.tobytes()
@@ -199,13 +199,13 @@ def test_feature_consistency_rejects_an_upstream_it_was_not_built_for(rng):
     # the gradient is computed in the forward for one upstream weight
     keys = np.eye(E)[np.arange(N) % E]
     for weight, upstream in ((1.0, 0.01), (0.01, 1.0), (0.01, 0.02)):
-        emb = Tensor(rng.normal(size=(N, E)), requires_grad=True)
+        emb = Tensor(rng.normal(size=(N, E)))
         loss = feature_consistency_loss(emb, keys, keys, 0.1, weight=weight)
         with pytest.raises(DiffMathError, match="upstream"):
             (on_tape(loss) * upstream).backward()
         assert emb.grad is None
     # a root backward passes 1.0, the default weight
-    emb = Tensor(rng.normal(size=(N, E)), requires_grad=True)
+    emb = Tensor(rng.normal(size=(N, E)))
     feature_consistency_loss(emb, keys, keys, 0.1).backward()
     assert emb.grad is not None
 
@@ -389,20 +389,22 @@ def test_neighbor_preds_receive_no_gradient(rng):
 WEIGHTS = {"alpha": 0.3, "beta": 0.1, "gamma": 0.01}
 
 
-def edge_case_batch(seed):
+def edge_case_batch(seed, hidden_dims=(16, 12)):
     """A model and a two-view batch that hold the gradient's edge cases.
 
     Row 0 is all zeros, so every ReLU of its path sits at exactly 0 and its
-    projection is the dead row; encoder units 0-3 never fire; rows 1-6 are
-    scaled until some probabilities fall under the 1e-12 log floor and some
-    reach 1.0 (so 1 - p is floored too, where the OOD rows 1-3 put their
-    complementary label); rows 7-12 are OOD; about a third of the ncon mask
-    is zero.
+    projection is the dead row; encoder units 0-3 never fire (when there is
+    an encoder); rows 1-6 are scaled until some probabilities fall under the
+    1e-12 log floor and some reach 1.0 (so 1 - p is floored too, where the
+    OOD rows 1-3 put their complementary label); rows 7-12 are OOD; about a
+    third of the ncon mask is zero.
     """
     rng = np.random.default_rng(seed)
     n, d, c, e, q = 40, 7, 5, 6, 30
-    model = Model(ModelConfig(d, c, hidden_dims=(16, 12), embed_dim=e), rng)
-    model.params["encoder.0.b"].data[:4] = -50.0
+    model = Model(ModelConfig(d, c, hidden_dims=hidden_dims, embed_dim=e),
+                  rng)
+    if hidden_dims:
+        model.params["encoder.0.b"].data[:4] = -50.0
     x1 = rng.normal(size=(n, d))
     x1[1:7] *= 200.0
     x2 = x1 + 0.3 * rng.normal(size=(n, d))
@@ -460,10 +462,7 @@ def tape_loss(params, config, method, b):
         tape_feature_consistency_loss, tape_total_loss)
 
 
-@pytest.mark.parametrize("method", sorted(METHODS))
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_step_gradient_bit_identical_to_generic_tape(method, seed):
-    model, b = edge_case_batch(seed)
+def check_step_gradient_against_tape(model, b, method):
     params = tape_params(model.snapshot())
     _, probs, emb = tape_forward(params, model.config, b["x1"])
     # the batch reaches the edge cases it is built for
@@ -488,6 +487,20 @@ def test_step_gradient_bit_identical_to_generic_tape(method, seed):
         if expected is None:
             expected = np.zeros_like(got)
         assert got.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_gradient_bit_identical_to_generic_tape(method, seed):
+    check_step_gradient_against_tape(*edge_case_batch(seed), method)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_linear_model_step_gradient_bit_identical_to_generic_tape(method):
+    # hidden_dims () passes config validation: the encoder node is then a
+    # parentless leaf on the input, and both heads read the input directly
+    check_step_gradient_against_tape(*edge_case_batch(0, hidden_dims=()),
+                                     method)
 
 
 def test_p1_partials_arrive_in_the_tapes_order(monkeypatch):

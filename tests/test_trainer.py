@@ -45,7 +45,8 @@ def test_config_validation():
     for key, value in [
             ("warmup_epochs", 0), ("warmup_epochs", 6), ("learning_rate", 0.0),
             ("epsilon", 1.0), ("ema_omega", 1.5), ("kappa", 0),
-            ("t_ssl", 0.0), ("tau_omega_warmup", -0.1),
+            ("t_ssl", 0.0), ("t_ssl", 1e-320), ("t_pll_in", 1e-320),
+            ("t_pll_out", 1e-320), ("tau_omega_warmup", -0.1),
             ("tau_omega_main", 1.2), ("queue_capacity", 0), ("embed_dim", 0),
             ("hidden_dims", (16, 0)), ("hidden_dims", (1.5, 64.9))]:
         with pytest.raises(TrainerError) as exc:
@@ -400,6 +401,21 @@ def test_divergence_aborts_with_artifacts():
     assert isinstance(exc.value.history, list)
     assert isinstance(exc.value.student, dict)
     assert isinstance(exc.value.teacher, dict)
+
+
+def test_infonce_overflow_aborts_with_the_warmup_epochs():
+    # TrainConfig rejects a t_ssl whose reciprocal overflows; assigning the
+    # field skips that check, so the first robust step's InfoNCE logits are
+    # inf and the fit diverges with its two warmup epochs
+    ds = tiny_data()
+    cfg = tiny_config()
+    cfg.t_ssl = 1e-320
+    with pytest.raises(TrainingDiverged, match=r"^numeric overflow at epoch "
+                       r"3: softmax input contains non-finite") as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
+    assert [r.epoch for r in exc.value.history] == [1, 2]
+    assert isinstance(exc.value.__cause__, DiffMathError)
 
 
 def test_teacher_forward_overflow_in_robust_step_aborts(monkeypatch):
