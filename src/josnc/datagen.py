@@ -91,13 +91,9 @@ def make_blobs(n_id_classes: int, n_ood_classes: int, per_class: int, dim: int,
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB10B]))
     centroids = rng.normal(0.0, 1.0, size=(n_total_classes, dim))
 
-    xs, trues = [], []
-    for c in range(n_total_classes):
-        pts = centroids[c] + spread * rng.normal(size=(per_class, dim))
-        xs.append(pts)
-        trues.append(np.full(per_class, c, dtype=np.int64))
-    x = np.concatenate(xs)
-    true_labels = np.concatenate(trues)
+    x = _blob_points(centroids, per_class, spread, rng)
+    true_labels = np.repeat(np.arange(n_total_classes, dtype=np.int64),
+                            per_class)
     n = x.shape[0]
     ids = np.arange(n, dtype=np.int64)
 
@@ -106,22 +102,29 @@ def make_blobs(n_id_classes: int, n_ood_classes: int, per_class: int, dim: int,
     # OOD samples get placeholder ID-space labels; inject_noise redraws them
     observed[is_ood] = rng.integers(0, n_id_classes, size=int(is_ood.sum()))
     noise_kinds = np.where(is_ood, OOD_NOISY, CLEAN).astype(np.int64)
-
-    test_xs, test_ys = [], []
-    for c in range(n_id_classes):
-        pts = centroids[c] + spread * rng.normal(size=(test_per_class, dim))
-        test_xs.append(pts)
-        test_ys.append(np.full(test_per_class, c, dtype=np.int64))
+    test_x = _blob_points(centroids[:n_id_classes], test_per_class, spread,
+                          rng)
 
     return BlobDataset(
         train=TrainingSet(x=x, observed_labels=observed, ids=ids),
         tags=TagTable(ids=ids.copy(), true_labels=true_labels, noise_kinds=noise_kinds),
-        test_x=np.concatenate(test_xs),
-        test_y=np.concatenate(test_ys),
+        test_x=test_x,
+        test_y=np.repeat(np.arange(n_id_classes, dtype=np.int64),
+                         test_per_class),
         n_id_classes=n_id_classes,
         n_ood_classes=n_ood_classes,
         centroids=centroids,
     )
+
+
+def _blob_points(centroids: np.ndarray, per_class: int, spread: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """per_class points around each centroid in turn, drawn class by class
+    into one array."""
+    x = np.empty((len(centroids) * per_class, centroids.shape[1]))
+    for c, rows in enumerate(np.split(x, len(centroids))):
+        rows[...] = centroids[c] + spread * rng.normal(size=rows.shape)
+    return x
 
 
 def inject_noise(dataset: BlobDataset, spec: NoiseSpec, seed: int) -> BlobDataset:

@@ -38,13 +38,15 @@ class DiffMathError(ValueError):
 # ---------------------------------------------------------------------------
 
 def softmax(logits) -> np.ndarray:
-    """Softmax over the last axis. Rejects non-finite input."""
+    """Softmax over the last axis, in one new array; logits is left
+    unchanged. Rejects non-finite input."""
     x = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(x).all():
         raise DiffMathError("softmax input contains non-finite values")
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def js_divergence_rows(p, q) -> np.ndarray:

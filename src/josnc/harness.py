@@ -238,8 +238,9 @@ def read_metrics_csv(path: str) -> tuple:
 
     Raises ConfigError naming path:line when the file cannot be read, the
     header (first column "epoch") is missing, no epoch row follows it, a
-    row's field count differs from the header's, or a value is not a finite
-    number (the engine never records a non-finite one).
+    row's field count differs from the header's, a value is not a finite
+    number (the engine never records a non-finite one), or an epoch is not
+    an integer or repeats an earlier row's.
     """
     try:
         with open(path) as f:
@@ -252,7 +253,7 @@ def read_metrics_csv(path: str) -> tuple:
         raise ConfigError(f"{path}:1: missing header")
     if len(lines) == 1:
         raise ConfigError(f"{path}:1: no epoch rows")
-    rows = []
+    rows, lines_of = [], {}   # lines_of: epoch -> its line
     for n, ln in lines[1:]:
         vals = ln.split(",")
         if len(vals) != len(columns):
@@ -264,6 +265,13 @@ def read_metrics_csv(path: str) -> tuple:
             raise ConfigError(f"{path}:{n}: {exc}") from exc
         if not np.isfinite(list(row.values())).all():
             raise ConfigError(f"{path}:{n}: non-finite value")
+        epoch = row["epoch"]
+        if epoch != int(epoch):
+            raise ConfigError(f"{path}:{n}: epoch {vals[0]} is not an integer")
+        if epoch in lines_of:
+            raise ConfigError(f"{path}:{n}: epoch {vals[0]} repeats line "
+                              f"{lines_of[epoch]}")
+        lines_of[epoch] = n
         rows.append(row)
     return columns, rows
 

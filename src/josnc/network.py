@@ -1,18 +1,19 @@
 """Student MLP (encoder + classifier head + projection head) and its
 mean-teacher shadow.
 
-There is one forward pass, on plain arrays; it keeps the pre-activations a
-backward needs and computes only the heads its caller asks for (keywords
-`classifier` and `projection`). The teacher and evaluation call it through
-`forward_arrays` and build no graph. `Model.forward` wraps the same pass as
-three graph nodes (encoder output, classifier head + softmax, projection
-head + L2-normalize; the last left out without `projection`) whose
-backwards are explicit array code. The weights live in one flat float64
-buffer, `Model.flat`, and their gradients in another, `Model.grad`, laid
-out by `Model.layout` (name -> shape, in checkpoint.bin's sorted-name
-order); the leaf Tensors of `Model.params` view both. The teacher and the
-SGD velocity are flat arrays of the same layout, so SGD, the teacher's EMA
-and the finiteness check are one array op each.
+There is one forward pass, on plain arrays; it computes each layer in one
+array, keeps only each layer's input for a backward, and computes only the
+heads its caller asks for (keywords `classifier` and `projection`). The
+teacher and evaluation call it through `forward_arrays` and build no graph.
+`Model.forward` wraps the same pass as three graph nodes (encoder output,
+classifier head + softmax, projection head + L2-normalize; the first left
+out for a linear model, the last without `projection`) whose backwards are
+explicit array code. The weights live in one flat float64 buffer,
+`Model.flat`, and their gradients in another, `Model.grad`, laid out by
+`Model.layout` (name -> shape, in checkpoint.bin's sorted-name order); the
+leaf Tensors of `Model.params` view both. The teacher and the SGD velocity
+are flat arrays of the same layout, so SGD, the teacher's EMA and the
+finiteness check are one array op each.
 """
 
 from __future__ import annotations
@@ -80,8 +81,10 @@ class Model:
     def forward(self, x: np.ndarray, *, projection: bool = True):
         """Returns (h, probs, embeddings) as graph nodes.
 
-        h is the encoder output; probs is softmax(logits, T=1); embeddings
-        are unit-norm rows, or None without `projection`.
+        h is the encoder output, or None for a linear model (no hidden
+        layer), whose heads read the input and pass it no gradient; probs
+        is softmax(logits, T=1); embeddings are unit-norm rows, or None
+        without `projection`.
         """
         p = self.params
         layers, h, probs, emb, norms, dead = _forward(
@@ -93,16 +96,18 @@ class Model:
         def encoder_backward(g):
             # relu -> bias add -> matmul per layer, last layer first; the
             # input needs no gradient
+            out = h
             for i in reversed(range(len(layers))):
-                (w, b), (inp, z) = encoder[i], layers[i]
-                g = g * (z > 0)
+                (w, b), inp = encoder[i], layers[i]
+                g = g * (out > 0)
                 b._accum(g.sum(axis=0))
                 w._accum(inp.T @ g)
                 if i:
                     g = g @ w.data.T
+                out = inp
 
-        h_node = Tensor(h, tuple(t for wb in encoder for t in wb),
-                        encoder_backward)
+        h_node = (Tensor(h, tuple(t for wb in encoder for t in wb),
+                         encoder_backward) if layers else None)
 
         def head(name, y, output_backward):
             w, b = p[f"{name}.W"], p[f"{name}.b"]
@@ -110,9 +115,11 @@ class Model:
             def backward(g):
                 dz = output_backward(g)
                 b._accum(dz.sum(axis=0))
-                h_node._accum(dz @ w.data.T)
+                if h_node is not None:
+                    h_node._accum(dz @ w.data.T)
                 w._accum(h.T @ dz)
-            return Tensor(y, (h_node, w, b), backward)
+            return Tensor(y, (w, b) if h_node is None else (h_node, w, b),
+                          backward)
 
         def l2_normalize_backward(g):
             gx = (g - emb * (g * emb).sum(axis=-1, keepdims=True)) / norms
@@ -155,13 +162,15 @@ def _forward(params: dict[str, np.ndarray], config: ModelConfig,
              x: np.ndarray, *, classifier: bool, projection: bool):
     """(layers, h, probs, embeddings, norms, dead) on plain arrays.
 
-    layers holds each encoder layer's (input, pre-activation); norms and
-    dead are the L2-normalize's clamped row norms and dead-row mask: a
-    (near-)zero row, e.g. from a dead ReLU path, maps to the first basis
-    vector and receives zero gradient. The classifier head's outputs are
-    None without `classifier`, the projection's without `projection`. The
-    softmax raises DiffMathError on non-finite logits, the projection on
-    non-finite row norms.
+    Each layer is computed in one array, its ReLU output written over its
+    pre-activation. layers holds each encoder layer's input; a backward
+    masks with the layer's output, since relu(z) > 0 exactly where z > 0
+    (NaN and +-0 included). norms and dead are the L2-normalize's clamped
+    row norms and dead-row mask: a (near-)zero row, e.g. from a dead ReLU
+    path, maps to the first basis vector and receives zero gradient. The
+    classifier head's outputs are None without `classifier`, the
+    projection's without `projection`. The softmax raises DiffMathError on
+    non-finite logits, the projection on non-finite row norms.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != config.input_dim:
@@ -169,21 +178,25 @@ def _forward(params: dict[str, np.ndarray], config: ModelConfig,
             f"input dim {x.shape[1]} != expected {config.input_dim}")
     layers, h = [], x
     for i in range(len(config.hidden_dims)):
-        z = h @ params[f"encoder.{i}.W"] + params[f"encoder.{i}.b"]
-        layers.append((h, z))
-        h = np.maximum(z, 0.0)
+        layers.append(h)
+        h = h @ params[f"encoder.{i}.W"]
+        h += params[f"encoder.{i}.b"]
+        np.maximum(h, 0.0, out=h)
     probs = emb = norms = dead = None
     if classifier:
-        probs = softmax(h @ params["classifier.W"] + params["classifier.b"])
+        logits = h @ params["classifier.W"]
+        logits += params["classifier.b"]
+        probs = softmax(logits)
     if not projection:
         return layers, h, probs, emb, norms, dead
-    emb = h @ params["projection.W"] + params["projection.b"]
+    emb = h @ params["projection.W"]
+    emb += params["projection.b"]
     norms = np.sqrt((emb ** 2).sum(axis=-1, keepdims=True))
     if not np.isfinite(norms).all():
         raise DiffMathError("projection row norms contain non-finite values")
     dead = norms[:, 0] < 1e-12
     norms = np.maximum(norms, 1e-12)
-    emb = emb / norms
+    emb /= norms
     if dead.any():
         emb[dead] = 0.0
         emb[dead, 0] = 1.0

@@ -387,7 +387,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                 total=float(means[4]), test_acc=test_acc,
                 mean_tau_clean=float(thresholds.tau_clean.mean()),
                 mean_tau_ood=float(thresholds.tau_ood.mean()),
-                partition_codes=codes_epoch.copy()))
+                partition_codes=codes_epoch))
     except DiffMathError as exc:
         # an overflow in any step or evaluation is divergence too
         raise diverged(f"numeric overflow at epoch {epoch}: {exc}") from exc

@@ -50,6 +50,14 @@ def test_softmax_shift_invariance():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def test_softmax_leaves_its_argument_unchanged():
+    logits = np.random.default_rng(0).normal(size=(5, 4)) * 30.0
+    before = logits.copy()
+    probs = softmax(logits)
+    assert logits.tobytes() == before.tobytes()
+    assert not np.shares_memory(probs, logits)
+
+
 def test_softmax_two_logits():
     # exp-normalize by hand: e^1 / (e^1 + e^2), e^2 / (e^1 + e^2)
     e1, e2 = math.exp(1.0), math.exp(2.0)
@@ -246,12 +254,12 @@ def test_temperature_softmax_gradient(rng):
 
 # the graph the trainer builds -------------------------------------------------
 
-def tiny_fit(method, step_hook=None):
+def tiny_fit(method, step_hook=None, hidden_dims=(16, 16)):
     """Three epochs (two robust) of a tiny fit of `method`."""
     ds = make_blobs(3, 1, 30, 6, 0.6, seed=3)
     ds = inject_noise(ds, NoiseSpec("symmetric", 0.3), seed=3)
     cfg = TrainConfig(epochs=3, warmup_epochs=1, batch_size=32,
-                      hidden_dims=(16, 16), embed_dim=8, queue_capacity=64,
+                      hidden_dims=hidden_dims, embed_dim=8, queue_capacity=64,
                       knn_k=3, kappa=2, seed=1, method=method)
     return fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes,
                step_hook=step_hook)
@@ -294,8 +302,8 @@ def test_backward_frees_the_graph_without_the_cycle_collector(monkeypatch):
 def test_fit_builds_only_nodes_on_the_graph(monkeypatch, method):
     # a loss term that the method leaves out is not built, and no node is a
     # constant: every node a fit creates has parents and a backward, or is
-    # a parameter leaf whose grad is preset to its view of the model's
-    leaves, constants = [], []
+    # a parameter leaf whose grad is preset to its view of the model's. A
+    # linear model builds no encoder node on its input.
     init = Tensor.__init__
 
     def tracked(self, *args, **kwargs):
@@ -306,6 +314,9 @@ def test_fit_builds_only_nodes_on_the_graph(monkeypatch, method):
             constants.append(self.data.shape)
 
     monkeypatch.setattr(Tensor, "__init__", tracked)
-    tiny_fit(method)
-    assert len(leaves) == 8   # W and b of two hidden layers and two heads
-    assert constants == []
+    # W and b of each hidden layer and of the two heads
+    for hidden_dims, n_leaves in (((16, 16), 8), ((), 4)):
+        leaves, constants = [], []
+        tiny_fit(method, hidden_dims=hidden_dims)
+        assert len(leaves) == n_leaves, hidden_dims
+        assert constants == [], hidden_dims

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,7 +342,14 @@ def test_compare_rejects_schema_mismatch(tmp_path):
     (",".join(METRICS_COLUMNS) + "\n", ":1: no epoch rows"),
     # the engine never records a non-finite value
     ("epoch,train_loss\n1,0.5\n2,nan\n3,inf\n", ":3: non-finite value"),
-], ids=["empty", "cut-at-field", "cut-in-field", "header-only", "non-finite"])
+    # epochs are whole numbers, one row each
+    ("epoch,train_loss\n1,0.5\n2.7,0.4\n", ":3: epoch 2.7 is not an integer"),
+    ("epoch,train_loss\n1,0.5\n1,0.4\n2.7,0.3\n",
+     ":3: epoch 1 repeats line 2"),
+    ("epoch,train_loss\n1,0.5\n2,0.4\n\n2.0,0.3\n",
+     ":5: epoch 2.0 repeats line 3"),
+], ids=["empty", "cut-at-field", "cut-in-field", "header-only", "non-finite",
+        "fractional-epoch", "repeated-epoch", "repeated-epoch-spelled-apart"])
 def test_cli_compare_rejects_corrupt_metrics(tmp_path, capsys, text, where):
     out = str(tmp_path / "one")
     run(write_config(tmp_path, tiny_raw_config(out)))
@@ -368,6 +376,19 @@ def test_gen_config_presets_resolve():
                                  "mask_rate": 0.2}
     with pytest.raises(ConfigError):
         gen_config("sym99")
+
+
+def test_build_dataset_holds_each_split_once():
+    # make_blobs writes each split's points into one array, so building the
+    # gate's dataset peaks below two copies of its train and test points
+    cfg = resolve_config(gen_config("openset-sym40"))
+    tracemalloc.start()
+    try:
+        ds = harness.build_dataset(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (ds.train.x.nbytes + ds.test_x.nbytes)
 
 
 def test_methods_table_complete():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,21 @@ def test_forward_arrays_row_bits_do_not_depend_on_other_rows(rng):
         sub_probs, sub_emb = forward_arrays(params, m.config, x[rows])
         assert sub_probs.tobytes() == probs[rows].tobytes()
         assert sub_emb.tobytes() == emb[rows].tobytes()
+
+
+def test_evaluation_forward_holds_under_three_activations(rng):
+    # each layer is computed in one array, and only layer inputs are kept,
+    # so an 800-row evaluation forward through (64, 64) peaks below three
+    # hidden activations
+    m = make_model(rng, input_dim=32, n_classes=8, hidden=(64, 64), embed=32)
+    x = rng.normal(size=(800, 32))
+    tracemalloc.start()
+    try:
+        forward_arrays(m.arrays, m.config, x, projection=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 800 * 64 * 8
 
 
 def test_forward_arrays_builds_no_graph(rng, monkeypatch):

@@ -497,8 +497,8 @@ def test_step_gradient_bit_identical_to_generic_tape(method, seed):
 
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_linear_model_step_gradient_bit_identical_to_generic_tape(method):
-    # hidden_dims () passes config validation: the encoder node is then a
-    # parentless leaf on the input, and both heads read the input directly
+    # hidden_dims () passes config validation: there is then no encoder
+    # node, and both heads read the input directly
     check_step_gradient_against_tape(*edge_case_batch(0, hidden_dims=()),
                                      method)
 
