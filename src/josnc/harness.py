@@ -125,9 +125,13 @@ def resolve_config(raw: dict) -> dict:
 
 
 def load_config(path: str) -> dict:
+    def reject(constant):
+        # json.load accepts NaN and Infinity, which JSON does not
+        raise ConfigError(f"{path}: {constant} is not a JSON number")
+
     try:
         with open(path) as f:
-            raw = json.load(f)
+            raw = json.load(f, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except OSError as exc:
@@ -209,18 +213,11 @@ def _fmt(value) -> str:
 
 
 def metrics_rows(history, noise_kinds: np.ndarray) -> list:
-    rows = []
-    for rec in history:
-        sel = evaluate_selection(rec.partition_codes, noise_kinds)
-        rows.append({
-            "epoch": rec.epoch, "train_loss": rec.total, "l_cls": rec.l_cls,
-            "l_con_s": rec.l_con_s, "l_con_n": rec.l_con_n,
-            "l_con_f": rec.l_con_f, "test_acc": rec.test_acc,
-            **sel,
-            "mean_tau_clean": rec.mean_tau_clean,
-            "mean_tau_ood": rec.mean_tau_ood,
-        })
-    return rows
+    return [{"epoch": rec.epoch, **rec.losses._asdict(),
+             "test_acc": rec.test_acc,
+             **evaluate_selection(rec.partition_codes, noise_kinds),
+             "mean_tau_clean": rec.mean_tau_clean,
+             "mean_tau_ood": rec.mean_tau_ood} for rec in history]
 
 
 def write_metrics_csv(path: str, rows: list) -> None:
@@ -295,8 +292,9 @@ def run(config_path: str, output_dir_override: str = None) -> str:
     artifacts are retained).
     """
     cfg = load_config(config_path)
-    train_config = build_train_config(cfg)
+    # first, so a negative spread is not reported as its jitter_sigma default
     dataset = build_dataset(cfg)
+    train_config = build_train_config(cfg)
     out_dir = (output_dir_override or os.environ.get(OUTPUT_DIR_ENV)
                or cfg["output_dir"])
     try:
@@ -320,17 +318,18 @@ def run(config_path: str, output_dir_override: str = None) -> str:
     }
     _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
 
+    diverged = None
     try:
-        outcome = fit(train_config, dataset.train, dataset.test_x,
-                      dataset.test_y, n_classes)
+        result = fit(train_config, dataset.train, dataset.test_x,
+                     dataset.test_y, n_classes)
     except TrainingDiverged as exc:
-        outcome = exc
-    rows = metrics_rows(outcome.history, dataset.tags.noise_kinds)
+        result, diverged = exc.result, exc
+    rows = metrics_rows(result.history, dataset.tags.noise_kinds)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"),
-                    outcome.student, outcome.teacher)
-    if isinstance(outcome, TrainingDiverged):
-        raise outcome
+                    result.student, result.teacher)
+    if diverged is not None:
+        raise diverged
     return out_dir
 
 

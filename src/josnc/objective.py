@@ -17,20 +17,21 @@ bit-identical to it, and so are the values, except the InfoNCE value
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .diffmath import BLOCK_ROWS, LOG2, LOG_FLOOR, DiffMathError, Tensor
 
 
-@dataclass
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
+    """A step's losses, or an epoch's means of them: metrics.csv's loss
+    columns, in its order and under its names."""
+    train_loss: float
     l_cls: float
     l_con_s: float
     l_con_n: float
     l_con_f: float
-    total: float
 
 
 def classification_loss(probs: Tensor, positive_targets: np.ndarray,
@@ -221,7 +222,7 @@ def total_loss(l_cls: Tensor, l_con_s: Tensor | None, l_con_n: Tensor | None,
     def backward(g):
         for term, weight in weighted:
             term._accum(g * weight)
-    breakdown = LossBreakdown(
-        *(0.0 if term is None else term.item()
-          for term in (l_cls, l_con_s, l_con_n, l_con_f)), total=float(total))
+    breakdown = LossBreakdown(float(total), *(
+        0.0 if term is None else term.item()
+        for term in (l_cls, l_con_s, l_con_n, l_con_f)))
     return Tensor(total, tuple(t for t, _ in weighted), backward), breakdown

@@ -44,7 +44,7 @@ of a robust step, the KNN similarities and the InfoNCE logits
 The loop receives only features, observed labels, and sample ids; hidden noise
 tags are not reachable from this module. `fit` is the one divergence boundary:
 a `DiffMathError` in a step or in an evaluation becomes `TrainingDiverged`,
-with the history and weights that only `fit` holds.
+whose `result` is the partial `FitResult`, built as a finished fit's is.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ from .diffmath import DiffMathError, Scratch, js_divergence_rows
 from .embedqueue import EmbedQueue, KnnBatch
 from .labeler import lsr_matrix, make_negative_target, make_pll_target
 from .network import Model, ModelConfig, ema_update, forward_arrays
-from .objective import (classification_loss, cross_entropy_loss,
-                        feature_consistency_loss, neighbor_consistency_loss,
-                        neighbor_mixture, self_consistency_loss, total_loss)
+from .objective import (LossBreakdown, classification_loss,
+                        cross_entropy_loss, feature_consistency_loss,
+                        neighbor_consistency_loss, neighbor_mixture,
+                        self_consistency_loss, total_loss)
 
 
 class TrainerError(ValueError):
@@ -73,13 +74,11 @@ class TrainerError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """A fit that diverged; carries its history, student and teacher."""
+    """A fit that diverged; result is its partial FitResult."""
 
-    def __init__(self, message, history, student, teacher):
+    def __init__(self, message: str, result: FitResult):
         super().__init__(message)
-        self.history = history
-        self.student = student
-        self.teacher = teacher
+        self.result = result
 
 
 # method -> (selection, self-, neighbor-, feature consistency); each ablation
@@ -99,7 +98,8 @@ _FIELD_RULES = (
      "must be >= 1", lambda v: v >= 1),
     (("hidden_dims",), "must all be integers >= 1",
      lambda v: all(h >= 1 and float(h).is_integer() for h in v)),
-    (("seed",), "must be >= 0", lambda v: v >= 0),
+    (("seed", "alpha", "beta", "gamma", "jitter_sigma"), "must be >= 0",
+     lambda v: v >= 0),
     (("learning_rate", "t_ssl", "t_pll_in", "t_pll_out"), "must be positive",
      lambda v: v > 0),
     # a temperature divides logits: 1.0 / 1e-320 is inf and raises nothing
@@ -161,11 +161,7 @@ class TrainConfig:
 @dataclass
 class EpochRecord:
     epoch: int
-    l_cls: float
-    l_con_s: float
-    l_con_n: float
-    l_con_f: float
-    total: float
+    losses: LossBreakdown             # the means over the epoch's steps
     test_acc: float
     mean_tau_clean: float
     mean_tau_ood: float
@@ -235,16 +231,19 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     """Run the full schedule; deterministic for a fixed config.
 
     step_hook, if given, is called as hook(epoch, batch_ids, partition) after
-    every partitioned step. Raises TrainerError before the first step on
-    n_classes < 2, kappa > n_classes or a label outside [0, n_classes).
+    every partitioned step. Raises TrainerError before the first step on an
+    empty split, n_classes < 2, kappa > n_classes or a label out of range.
     """
     if n_classes < 2:
         raise TrainerError("n_classes", f"must be >= 2, got {n_classes}")
     if config.kappa > n_classes:
         raise TrainerError("kappa", f"must be <= n_classes ({n_classes}), "
                            f"got {config.kappa}")
+    for key, x in (("train", train.x), ("test_x", test_x)):
+        if x.shape[0] == 0:
+            raise TrainerError(key, "must hold at least one sample, got 0")
     labels = train.observed_labels
-    if labels.size and not (labels.min() >= 0 and labels.max() < n_classes):
+    if not (labels.min() >= 0 and labels.max() < n_classes):
         raise TrainerError("observed_labels",
                            f"must lie in [0, {n_classes}), got "
                            f"[{labels.min()}, {labels.max()}]")
@@ -262,11 +261,11 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     scratch = Scratch()
     thresholds = selector.ThresholdState(n_classes)
 
-    def diverged(message):
-        return TrainingDiverged(message, history, model.snapshot(),
-                                model.views(teacher_flat.copy()))
-
     history: list[EpochRecord] = []
+
+    def result():
+        return FitResult(history, model.snapshot(),
+                         model.views(teacher_flat.copy()))
 
     try:
         for epoch in range(1, config.epochs + 1):
@@ -276,7 +275,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                 np.random.SeedSequence([config.seed, 1, epoch]))
             perm = shuffle_rng.permutation(n)
             codes_epoch = np.zeros(n, dtype=np.int64)
-            sums = np.zeros(5)   # l_cls, l_con_s, l_con_n, l_con_f, total
+            sums = np.zeros(len(LossBreakdown._fields))
             n_batches = 0
 
             for b_start in range(0, n, config.batch_size):
@@ -342,8 +341,9 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                                                   config.alpha, config.beta,
                                                   config.gamma)
 
-                if not np.isfinite(breakdown.total):
-                    raise diverged(f"non-finite loss at epoch {epoch}")
+                if not np.isfinite(breakdown.train_loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}", result())
 
                 # momentum SGD; zero grad and velocity move no unreached bit
                 model.zero_grad()
@@ -355,8 +355,9 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                 # before a forward pass (a step's, the evaluation's) reads them
                 finite = np.isfinite(model.flat)
                 if not finite.all():
-                    raise diverged(f"non-finite parameters at epoch {epoch}: "
-                                   f"{model.name_at(int(np.argmin(finite)))}")
+                    raise TrainingDiverged(
+                        f"non-finite parameters at epoch {epoch}: "
+                        f"{model.name_at(int(np.argmin(finite)))}", result())
 
                 thresholds.accumulate_batch(p_clean, p_ood, y_b)
                 if selection:
@@ -371,8 +372,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                         *(set(ids_b[codes == c].tolist()) for c in
                           (selector.CLEAN, selector.ID, selector.OOD))))
 
-                sums += (breakdown.l_cls, breakdown.l_con_s,
-                         breakdown.l_con_n, breakdown.l_con_f, breakdown.total)
+                sums += breakdown
                 n_batches += 1
 
             thresholds.roll(config.tau_omega_warmup if warmup_mode
@@ -380,17 +380,15 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
             test_probs, _ = forward_arrays(model.arrays, model_config, test_x,
                                            projection=False)
             test_acc = float((test_probs.argmax(axis=1) == test_y).mean())
-            means = sums / n_batches
             history.append(EpochRecord(
-                epoch=epoch, l_cls=float(means[0]), l_con_s=float(means[1]),
-                l_con_n=float(means[2]), l_con_f=float(means[3]),
-                total=float(means[4]), test_acc=test_acc,
+                epoch=epoch, test_acc=test_acc,
+                losses=LossBreakdown(*(sums / n_batches).tolist()),
                 mean_tau_clean=float(thresholds.tau_clean.mean()),
                 mean_tau_ood=float(thresholds.tau_ood.mean()),
                 partition_codes=codes_epoch))
     except DiffMathError as exc:
         # an overflow in any step or evaluation is divergence too
-        raise diverged(f"numeric overflow at epoch {epoch}: {exc}") from exc
+        raise TrainingDiverged(f"numeric overflow at epoch {epoch}: {exc}",
+                               result()) from exc
 
-    return FitResult(history=history, student=model.snapshot(),
-                     teacher=model.views(teacher_flat.copy()))
+    return result()

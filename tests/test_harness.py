@@ -10,13 +10,14 @@ from josnc import cli, harness
 from josnc.datagen import CLEAN as KIND_CLEAN
 from josnc.datagen import ID_NOISY, OOD_NOISY, TagTable, TrainingSet
 from josnc.harness import (METRICS_COLUMNS, METHODS, OUTPUT_DIR_ENV, PRESETS,
-                           ConfigError, build_train_config, compare_runs,
-                           evaluate_selection, format_compare_report,
-                           gen_config, load_config, read_metrics_csv,
-                           resolve_config, run, save_checkpoint,
-                           write_metrics_csv)
+                           ConfigError, build_dataset, build_train_config,
+                           compare_runs, evaluate_selection,
+                           format_compare_report, gen_config, load_config,
+                           metrics_rows, read_metrics_csv, resolve_config, run,
+                           save_checkpoint, write_metrics_csv)
+from josnc.objective import LossBreakdown
 from josnc.selector import CLEAN, ID, OOD
-from josnc.trainer import TrainConfig, fit
+from josnc.trainer import TrainConfig, TrainingDiverged, fit
 
 
 def tiny_raw_config(out_dir, **train_overrides):
@@ -214,6 +215,8 @@ def test_metrics_header_fixed():
     assert len(METRICS_COLUMNS) == 15
     assert METRICS_COLUMNS[0] == "epoch"
     assert METRICS_COLUMNS[-2:] == ["mean_tau_clean", "mean_tau_ood"]
+    # an epoch's losses are written as LossBreakdown holds them
+    assert list(LossBreakdown._fields) == METRICS_COLUMNS[1:6]
 
 
 # full runs ---------------------------------------------------------------------------
@@ -464,6 +467,10 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     ("dataset.noise", "kind", "bogus"),
     ("train", "seed", -1),
     ("dataset", "seed", -1),
+    ("train", "alpha", -5.0),
+    ("train", "beta", -0.1),
+    ("train", "gamma", -1.0),
+    ("train", "jitter_sigma", -0.1),
     # null is no value for a required key ("" is the top level)
     ("train", "seed", None),
     ("dataset", "seed", None),
@@ -486,6 +493,21 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key,
     path = ".".join(filter(None, ("config", section, key)))
     assert f"config error: {path}: " in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha", float("nan")), ("learning_rate", float("inf")),
+    ("jitter_sigma", float("-inf")), ("jitter_sigma", float("nan"))])
+def test_cli_rejects_non_finite_json_constants(tmp_path, capsys, key, value):
+    # json.dumps writes NaN, Infinity and -Infinity, which are not JSON
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path,
+                            tiny_raw_config(str(out), **{key: value}))
+    assert json.dumps(value) in open(cfg_path).read()
+    assert cli.main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {cfg_path}: {json.dumps(value)} " in err
     assert not out.exists()
 
 
@@ -524,6 +546,32 @@ def check_divergence_exit(tmp_path, capsys, **overrides):
     assert manifest["blas_threads"] == 1
     assert manifest["model_config"] == {"input_dim": 6, "n_classes": 3,
                                         "hidden_dims": [12], "embed_dim": 6}
+
+
+def test_diverged_run_writes_the_partial_fit_result(tmp_path, monkeypatch):
+    # the first robust step's InfoNCE overflows (as in the "infonce" case
+    # below), so the run diverges with its one warmup epoch recorded
+    def fit_overflowing(config, *args, **kwargs):
+        config.t_ssl = 1e-320
+        return fit(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit", fit_overflowing)
+    out = tmp_path / "div"
+    raw = tiny_raw_config(str(out))
+    with pytest.raises(TrainingDiverged) as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            run(write_config(tmp_path, raw))
+    result = exc.value.result
+    assert [r.epoch for r in result.history] == [1]
+    noise_kinds = build_dataset(resolve_config(raw)).tags.noise_kinds
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    write_metrics_csv(str(expected / "metrics.csv"),
+                      metrics_rows(result.history, noise_kinds))
+    save_checkpoint(str(expected / "checkpoint.bin"), result.student,
+                    result.teacher)
+    for name in ("metrics.csv", "checkpoint.bin"):
+        assert (out / name).read_bytes() == (expected / name).read_bytes()
 
 
 def test_cli_exit_code_divergence(tmp_path, capsys):

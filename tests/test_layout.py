@@ -148,3 +148,25 @@ def test_fit_is_the_one_divergence_handler():
                          and d.lineno <= node.lineno <= d.end_lineno]
                 handlers.append((path.stem, *owner))
     assert handlers == [("trainer", "fit")], handlers
+
+
+def test_fit_builds_its_outcome_at_one_site():
+    # a finished fit and a diverged one hand over the same FitResult, built
+    # where the history and weights are; TrainingDiverged holds only that
+    sites, diverged_attrs = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "FitResult"):
+                owner = [d.name for d in tree.body
+                         if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                         and d.lineno <= node.lineno <= d.end_lineno]
+                sites.append((path.stem, *owner))
+            if (isinstance(node, ast.ClassDef)
+                    and node.name == "TrainingDiverged"):
+                diverged_attrs |= {
+                    t.attr for n in ast.walk(node) if isinstance(n, ast.Assign)
+                    for t in n.targets if isinstance(t, ast.Attribute)}
+    assert sites == [("trainer", "fit")], sites
+    assert diverged_attrs == {"result"}, diverged_attrs

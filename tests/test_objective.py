@@ -230,16 +230,17 @@ def test_total_loss_weighting(rng):
     total, br = total_loss(*parts, alpha=0.3, beta=0.1, gamma=1e-4)
     assert total.item() == pytest.approx(1.0 + 0.6 + 0.3 + 4e-4, abs=1e-12)
     assert (br.l_cls, br.l_con_s, br.l_con_n, br.l_con_f) == (1.0, 2.0, 3.0, 4.0)
-    assert br.total == total.item()
+    assert br.train_loss == total.item()
     # a term left out is None: it reads 0.0 and adds nothing, so a total of
     # l_cls alone has l_cls's bits
     l_cls = Tensor(np.array(0.1 + 0.2))
     total, br = total_loss(l_cls, None, None, None, 0.3, 0.1, 1e-4)
     assert total.data.tobytes() == l_cls.data.tobytes()
-    assert (br.l_con_s, br.l_con_n, br.l_con_f, br.total) == (
+    assert (br.l_con_s, br.l_con_n, br.l_con_f, br.train_loss) == (
         0.0, 0.0, 0.0, l_cls.item())
     total, br = total_loss(l_cls, parts[1], parts[2], None, 0.3, 0.1, 1e-4)
-    assert total.item() == br.total == l_cls.item() + 2.0 * 0.3 + 3.0 * 0.1
+    assert (total.item() == br.train_loss
+            == l_cls.item() + 2.0 * 0.3 + 3.0 * 0.1)
     assert (br.l_con_s, br.l_con_n, br.l_con_f) == (2.0, 3.0, 0.0)
 
 

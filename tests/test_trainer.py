@@ -48,7 +48,9 @@ def test_config_validation():
             ("t_ssl", 0.0), ("t_ssl", 1e-320), ("t_pll_in", 1e-320),
             ("t_pll_out", 1e-320), ("tau_omega_warmup", -0.1),
             ("tau_omega_main", 1.2), ("queue_capacity", 0), ("embed_dim", 0),
-            ("hidden_dims", (16, 0)), ("hidden_dims", (1.5, 64.9))]:
+            ("hidden_dims", (16, 0)), ("hidden_dims", (1.5, 64.9)),
+            ("alpha", -5.0), ("beta", -0.1), ("gamma", -1.0),
+            ("jitter_sigma", -0.1), ("alpha", float("nan"))]:
         with pytest.raises(TrainerError) as exc:
             tiny_config(**{key: value})
         assert exc.value.key == key
@@ -76,6 +78,23 @@ def test_fit_checks_its_inputs_before_its_first_step(key, kappa, first_label,
     assert exc.value.key == key and steps == []
 
 
+@pytest.mark.parametrize("key", ["train", "test_x"])
+def test_fit_rejects_an_empty_split_before_its_first_step(key):
+    # an empty split has no epoch mean to record: every metric would be NaN
+    ds = tiny_data()
+    train, test_x, test_y = ds.train, ds.test_x, ds.test_y
+    if key == "train":
+        train = TrainingSet(train.x[:0], train.observed_labels[:0],
+                            train.ids[:0])
+    else:
+        test_x, test_y = test_x[:0], test_y[:0]
+    steps = []
+    with pytest.raises(TrainerError) as exc:
+        fit(tiny_config(), train, test_x, test_y, ds.n_id_classes,
+            step_hook=lambda *args: steps.append(args))
+    assert exc.value.key == key and steps == []
+
+
 def test_unknown_method_rejected_by_train_config():
     with pytest.raises(TrainerError, match="must be one of") as exc:
         tiny_config(method="MAGIC")
@@ -96,7 +115,7 @@ def test_fit_deterministic():
     a = run_tiny()
     b = run_tiny()
     for ra, rb in zip(a.history, b.history):
-        assert ra.total == rb.total
+        assert ra.losses.train_loss == rb.losses.train_loss
         assert ra.test_acc == rb.test_acc
         np.testing.assert_array_equal(ra.partition_codes, rb.partition_codes)
     for k in a.student:
@@ -107,14 +126,15 @@ def test_fit_deterministic():
 def test_fit_seed_changes_trajectory():
     a = run_tiny(tiny_config(seed=1))
     b = run_tiny(tiny_config(seed=2))
-    assert a.history[-1].total != b.history[-1].total
+    assert (a.history[-1].losses.train_loss
+            != b.history[-1].losses.train_loss)
 
 
 def test_warmup_epochs_are_all_clean_and_conless():
     res = run_tiny()
     for rec in res.history[:2]:
         assert np.all(rec.partition_codes == CLEAN)
-        assert rec.l_con_s == 0.0 and rec.l_con_n == 0.0 and rec.l_con_f == 0.0
+        assert rec.losses[2:] == (0.0, 0.0, 0.0)   # l_con_s, _n, _f
 
 
 def test_robust_epochs_produce_mixed_partition():
@@ -149,7 +169,7 @@ def test_selection_off_stays_in_warmup_mode(monkeypatch):
     res = run_tiny(tiny_config(method="STANDARD"), ds)
     for rec in res.history:
         assert np.all(rec.partition_codes == CLEAN)
-        assert rec.l_con_s == 0.0 and rec.l_con_n == 0.0 and rec.l_con_f == 0.0
+        assert rec.losses[2:] == (0.0, 0.0, 0.0)   # l_con_s, _n, _f
     assert enqueues == [] and knns == []
     # one evaluation forward per epoch, no teacher forward
     assert len(forwards) == 6
@@ -159,12 +179,12 @@ def test_selection_off_stays_in_warmup_mode(monkeypatch):
 def test_ablation_flags_zero_their_terms():
     res = run_tiny(tiny_config(method="SELECT_ONLY"))
     for rec in res.history[2:]:
-        assert rec.l_con_s == 0.0
-        assert rec.l_con_n == 0.0
-        assert rec.l_con_f == 0.0
+        assert rec.losses.l_con_s == 0.0
+        assert rec.losses.l_con_n == 0.0
+        assert rec.losses.l_con_f == 0.0
     full = run_tiny()
-    assert any(r.l_con_s > 0 for r in full.history[2:])
-    assert any(r.l_con_f > 0 for r in full.history[2:])
+    assert any(r.losses.l_con_s > 0 for r in full.history[2:])
+    assert any(r.losses.l_con_f > 0 for r in full.history[2:])
 
 
 def test_partition_sound_every_step():
@@ -387,7 +407,7 @@ def test_training_reduces_loss_and_learns():
     cfg = tiny_config(epochs=12, warmup_epochs=3, epsilon=0.1,
                       learning_rate=0.1)
     res = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
-    assert res.history[-1].l_cls < res.history[0].l_cls
+    assert res.history[-1].losses.l_cls < res.history[0].losses.l_cls
     assert res.history[-1].test_acc > 0.8
 
 
@@ -398,9 +418,9 @@ def test_divergence_aborts_with_artifacts():
     with pytest.raises(TrainingDiverged) as exc:
         with np.errstate(over="ignore", invalid="ignore"):
             fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
-    assert isinstance(exc.value.history, list)
-    assert isinstance(exc.value.student, dict)
-    assert isinstance(exc.value.teacher, dict)
+    assert isinstance(exc.value.result.history, list)
+    assert isinstance(exc.value.result.student, dict)
+    assert isinstance(exc.value.result.teacher, dict)
 
 
 def test_infonce_overflow_aborts_with_the_warmup_epochs():
@@ -414,7 +434,7 @@ def test_infonce_overflow_aborts_with_the_warmup_epochs():
                        r"3: softmax input contains non-finite") as exc:
         with np.errstate(over="ignore", invalid="ignore"):
             fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
-    assert [r.epoch for r in exc.value.history] == [1, 2]
+    assert [r.epoch for r in exc.value.result.history] == [1, 2]
     assert isinstance(exc.value.__cause__, DiffMathError)
 
 
@@ -439,8 +459,8 @@ def test_teacher_forward_overflow_in_robust_step_aborts(monkeypatch):
         with pytest.raises(TrainingDiverged,
                            match="epoch 3: inf logits") as exc:
             fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
-        assert [r.epoch for r in exc.value.history] == [1, 2]
-        student, teacher = exc.value.student, exc.value.teacher
+        assert [r.epoch for r in exc.value.result.history] == [1, 2]
+        student, teacher = exc.value.result.student, exc.value.result.teacher
         assert student and set(student) == set(teacher)
         for params in (student, teacher):
             assert all(np.isfinite(a).all() for a in params.values())
@@ -465,7 +485,7 @@ def test_evaluation_overflow_aborts_with_the_completed_epochs(monkeypatch):
                        r"3: softmax input contains non-finite") as exc:
         with np.errstate(over="ignore", invalid="ignore"):
             run_tiny(data=ds)
-    assert [r.epoch for r in exc.value.history] == [1, 2]
+    assert [r.epoch for r in exc.value.result.history] == [1, 2]
     assert isinstance(exc.value.__cause__, DiffMathError)
 
 
@@ -501,8 +521,8 @@ def test_nonfinite_parameters_name_the_first_in_layout_order(monkeypatch):
     with pytest.raises(TrainingDiverged) as exc:
         run_tiny()
     assert str(exc.value) == "non-finite parameters at epoch 1: encoder.0.b"
-    assert exc.value.history == []
-    assert np.isnan(exc.value.student["encoder.0.b"][2])
+    assert exc.value.result.history == []
+    assert np.isnan(exc.value.result.student["encoder.0.b"][2])
 
 
 def head_bytes(model, flat, head="projection"):
