@@ -1,7 +1,8 @@
 """One BLAS thread for the whole engine.
 
-Every training step is a chain of small float64 GEMMs: the batch forwards,
-the batch-by-queue KNN similarity and the InfoNCE forward and backward. At
+Every training step is a chain of small GEMMs: the batch forwards and the
+batch-by-queue KNN similarity in float64, the InfoNCE forward and backward
+in float32. At
 that size a second OpenBLAS thread spins without saving time. Worse, for
 some of these shapes (the InfoNCE backward of a short last batch against a
 4,000-key pool) threaded OpenBLAS sums in a different order, so the thread

@@ -1,16 +1,19 @@
 """Divergence primitives and the node type of a coarse reverse-mode graph.
 
-Everything runs on float64 numpy arrays. A training step's graph has one
+Everything runs on float64 numpy arrays, but for the InfoNCE's pool, logits
+and softmax, which are float32 views of a `Scratch`
+(`objective.feature_consistency_loss`). A training step's graph has one
 `Tensor` per forward stage (`network.Model.forward`) and one per loss term
 (`objective`), at most ten in all, above the parameter leaves; there are no
 constant nodes. Each node's backward is explicit array code that repeats, in
 order, the float operations of the generic op-by-op tape kept as the
 reference in `tests/oracles.py`; where partials meet, the depth-first sweep
 adds them in that tape's order, so parameter gradients are bit-identical to
-it. The tape's `0 + g` copy at each intermediate op is not repeated: it only
-turns -0.0 into +0.0, no backward divides by a gradient, and a summed
-gradient starts from +0.0 (in `_accum` or `Model.zero_grad`), so a zero's
-sign never reaches a weight. backward() tears a graph down.
+it when the reference's InfoNCE takes the node's float32 steps. The tape's
+`0 + g` copy at each intermediate op is not repeated: it only turns -0.0
+into +0.0, no backward divides by a gradient, and a summed gradient starts
+from +0.0 (in `_accum` or `Model.zero_grad`), so a zero's sign never reaches
+a weight. backward() tears a graph down.
 
 Divergences use base-2 logarithms throughout so that the Jensen-Shannon
 divergence is bounded in [0, 1]; the selection thresholds rely on that bound.
@@ -74,25 +77,30 @@ BLOCK_ROWS = 32
 
 
 class Scratch:
-    """One flat float64 buffer that successive products are written into.
+    """One flat buffer that successive products are written into.
 
-    view(shape) returns a C-contiguous view of the buffer's first
-    prod(shape) elements. The buffer is allocated on the first call and
+    view(shape, dtype) returns a C-contiguous view of dtype over the
+    buffer's first bytes. The buffer is allocated on the first call and
     grows, never shrinks, to the largest view asked for; a view is valid
-    until the next call, which may overwrite or replace its memory. A
-    fit's one scratch holds at most BLOCK_ROWS x (N + Q) floats (about
-    1.1 MB for a 128-row batch and a 4,096-key queue).
+    until the next call, which may overwrite or replace its memory. A fit's
+    one scratch holds either a block of BLOCK_ROWS x M float64 KNN
+    similarities or the InfoNCE's float32 (SINGLE) pool and block of logits,
+    (N + Q) x E + BLOCK_ROWS x (N + Q) values (about 1.1 MB either way for
+    a 128-row batch, a 4,096-key queue and embed 32).
     """
+
+    # the InfoNCE's pool, logits and softmax; all else is float64
+    SINGLE = np.float32
 
     def __init__(self):
         self.buffer = np.empty(0)
 
-    def view(self, shape) -> np.ndarray:
-        size = math.prod(shape)
-        if size > self.buffer.size:
+    def view(self, shape, dtype=np.float64) -> np.ndarray:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if nbytes > self.buffer.nbytes:
             self.buffer = np.empty(0)   # free the old one before allocating
-            self.buffer = np.empty(size)
-        return self.buffer[:size].reshape(shape)
+            self.buffer = np.empty(-(-nbytes // 8))   # whole float64 slots
+        return self.buffer.view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ selection metrics; the base only rescales the alpha/beta weights.
 
 Each term is one `Tensor`. Every backward but the InfoNCE one takes any
 upstream scalar and repeats the float operations of the generic tape's log /
-product / sum / scale chain (`tests/oracles.py`) in order, so gradients are
-bit-identical to it, and so are the values, except the InfoNCE value
-(`feature_consistency_loss`).
+product / sum / scale chain (`tests/oracles.py`) in order, so gradients and
+values are bit-identical to it. The InfoNCE node (`feature_consistency_loss`)
+runs its pool, logits and softmax in float32: its value and gradient have
+the bits of an oracle that takes the same float32 steps in one product, and
+stay within float32 rounding of the tape's float64 chain.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diffmath import BLOCK_ROWS, LOG2, LOG_FLOOR, DiffMathError, Tensor
+from .diffmath import (BLOCK_ROWS, LOG2, LOG_FLOOR, DiffMathError, Scratch,
+                       Tensor)
 
 
 class LossBreakdown(NamedTuple):
@@ -146,33 +149,40 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
     a time: a block's (b, N + Q) logits are softmaxed and turned into logit
     gradients in place, then multiplied by the pool into the block's rows of
     the (N, E) gradient, which backward adds. backward raises DiffMathError
-    for any other upstream. out, a `diffmath.Scratch` or None, receives each
-    block's logits; with None they are allocated.
+    for any other upstream.
 
-    The value sums the N diagonal log-probabilities directly instead of a
-    masked (N, N + Q) matrix, so it can differ from the tape chain's in the
-    last ulp. The gradient has the chain's bits when N <= BLOCK_ROWS or N is
-    a multiple of 8 (embed 32, a 4,096-key pool); at other batch sizes, such
-    as 33 or 100, OpenBLAS's shape-dependent kernels can move the last bit
-    of the pool product, though each row stays deterministic.
+    The pool, the logits, the softmax and both products are float32
+    (`Scratch.SINGLE`), held in out, a `diffmath.Scratch` (allocated when
+    None); the query is scaled by 1 / t_ssl before its cast. The positive
+    probabilities, the log floor, the value, the per-row gradient factors
+    and the (N, E) gradient are float64. The blocked gradient has the bits
+    of one (N, N + Q) product when N <= BLOCK_ROWS or N is a multiple of 8
+    (embed 32, a 4,096-key pool); at other batch sizes, such as 33 or 100,
+    OpenBLAS's shape-dependent kernels can move its last bit, though each
+    row stays deterministic.
     """
     positive_keys = np.atleast_2d(positive_keys)
-    n = query_emb.data.shape[0]
-    pieces = [p for p in (queue_pool if isinstance(queue_pool, tuple)
-                          else (queue_pool,)) if p is not None and len(p)]
-    pool = np.concatenate([positive_keys, *pieces]) if pieces else positive_keys
-    if pool.shape[0] == 0:
+    n, e = query_emb.data.shape
+    pieces = queue_pool if isinstance(queue_pool, tuple) else (queue_pool,)
+    pieces = [positive_keys, *(p for p in pieces if p is not None and len(p))]
+    m = sum(len(p) for p in pieces)
+    if m == 0:
         raise DiffMathError("empty contrastive pool")
+    # the pool, then one block of logits, end to end in the scratch
+    flat = (Scratch() if out is None else out).view(
+        (m * e + min(n, BLOCK_ROWS) * m,), Scratch.SINGLE)
+    pool = flat[:m * e].reshape(m, e)
+    np.concatenate(pieces, out=pool)
     inv_t = 1.0 / t_ssl
+    scaled = (query_emb.data * inv_t).astype(Scratch.SINGLE)
     floored = np.empty(n)
-    grad = np.empty(query_emb.data.shape)
+    grad = np.empty((n, e))
     for lo in range(0, n, BLOCK_ROWS):
-        query = query_emb.data[lo:lo + BLOCK_ROWS]
+        query = scaled[lo:lo + BLOCK_ROWS]
         rows = np.arange(query.shape[0])
         # (b, N + Q) logits, softmaxed in place
-        y = np.matmul(query, pool.T, out=None if out is None else
-                      out.view((rows.size, pool.shape[0])))
-        y *= inv_t
+        y = np.matmul(query, pool.T,
+                      out=flat[m * e:m * e + rows.size * m].reshape(-1, m))
         # a NaN or +inf reaches its row's max, a -inf its row's min: no
         # (b, N + Q) mask is needed
         row_max = y.max(axis=-1, keepdims=True)
@@ -182,17 +192,15 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
         y -= row_max
         np.exp(y, out=y)
         y /= y.sum(axis=-1, keepdims=True)
-        y_pos = y[rows, lo + rows]
+        y_pos = y[rows, lo + rows].astype(np.float64)
         f = np.maximum(y_pos, LOG_FLOOR)
         floored[lo:lo + rows.size] = f
-        # The float steps of the log -> softmax -> scale -> matmul tape
-        # chain's backward, in its order, so the gradient is bit-identical
-        # to it; the logit gradient overwrites the softmax.
+        # the logit gradient overwrites the softmax: -s y_j off the
+        # diagonal and y_pos (g - s) on it, both times 1 / t_ssl
         g = -(weight * (1.0 / n)) / f
         s = g * y_pos
-        y *= -s[:, None]
-        y[rows, lo + rows] = y_pos * (g - s)
-        y *= inv_t
+        y *= (-s * inv_t).astype(Scratch.SINGLE)[:, None]
+        y[rows, lo + rows] = y_pos * (g - s) * inv_t
         grad[lo:lo + rows.size] = y @ pool
 
     def backward(g):

@@ -39,7 +39,7 @@ kernels can move a row's last bit (`network.forward_arrays`).
 
 A fit owns one `diffmath.Scratch`, shared by the two queue-sized products
 of a robust step, the KNN similarities and the InfoNCE logits
-(`diffmath.BLOCK_ROWS`).
+(`diffmath.BLOCK_ROWS`), and by the InfoNCE's float32 pool.
 
 The loop receives only features, observed labels, and sample ids; hidden noise
 tags are not reachable from this module. `fit` is the one divergence boundary:
@@ -80,6 +80,11 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
         self.result = result
 
+    def __reduce__(self):
+        # by default only the message is pickled, so a process pool could
+        # not rebuild the exception a worker raised
+        return type(self), (str(self), self.result)
+
 
 # method -> (selection, self-, neighbor-, feature consistency); each ablation
 # adds one part to the one before it. Without selection every epoch runs in
@@ -102,9 +107,12 @@ _FIELD_RULES = (
      lambda v: v >= 0),
     (("learning_rate", "t_ssl", "t_pll_in", "t_pll_out"), "must be positive",
      lambda v: v > 0),
-    # a temperature divides logits: 1.0 / 1e-320 is inf and raises nothing
-    (("t_ssl", "t_pll_in", "t_pll_out"), "must have a finite reciprocal",
+    # a temperature divides logits: 1.0 / 1e-320 is inf and raises nothing;
+    # the InfoNCE scales its query by 1 / t_ssl into single precision
+    (("t_pll_in", "t_pll_out"), "must have a finite reciprocal",
      lambda v: np.isfinite(1.0 / v)),
+    (("t_ssl",), "must have a reciprocal finite in single precision",
+     lambda v: 1.0 / v <= float(np.finfo(Scratch.SINGLE).max)),
     (("epsilon", "mask_rate"), "must be in [0, 1)", lambda v: 0.0 <= v < 1.0),
     (("ema_omega", "tau_omega_warmup", "tau_omega_main", "momentum"),
      "must be in [0, 1]", lambda v: 0.0 <= v <= 1.0),

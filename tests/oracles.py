@@ -14,7 +14,11 @@ target helpers check that each teacher prediction is a distribution with
 log, softmax, sum, L2-normalize) that the engine's coarse graph replaced,
 with the forward pass and loss terms as they were written on it
 (`tape_forward`, `tape_*_loss`). The coarse nodes' gradients must be
-bit-identical to this tape's.
+bit-identical to this tape's, the InfoNCE node's excepted: its pool, logits
+and softmax are single precision, so its value and gradient must stay close
+to the float64 chain's `tape_feature_consistency_loss` and be bit-identical
+to `single_feature_consistency_loss`, which takes its float32 steps in one
+product.
 """
 
 import numpy as np
@@ -390,6 +394,37 @@ def tape_feature_consistency_loss(query_emb, positive_keys, queue_pool, t_ssl):
     onehot = np.zeros((n, pool.shape[0]))
     onehot[np.arange(n), np.arange(n)] = 1.0
     return -(log_p * onehot).sum() / n
+
+
+def single_feature_consistency_loss(query_emb, positive_keys, queue_pool,
+                                    t_ssl):
+    """InfoNCE in the engine's single-precision steps, as one node over one
+    (N, N + Q) product.
+
+    The query is scaled by 1 / t_ssl in float64 and cast; the pool, the
+    logits and their softmax are float32, and each row's positive
+    probability, its log floor and the value are float64. backward repeats
+    the float steps of the log -> one-hot sum chain's backward for its
+    upstream g and multiplies the float32 logit gradient by the pool.
+    """
+    n = query_emb.data.shape[0]
+    inv_t = 1.0 / t_ssl
+    pool = np.concatenate([positive_keys, queue_pool]).astype(np.float32)
+    logits = (query_emb.data * inv_t).astype(np.float32) @ pool.T
+    y = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    y /= y.sum(axis=-1, keepdims=True)
+    diagonal = np.arange(n)
+    y_pos = y[diagonal, diagonal].astype(np.float64)
+    floored = np.maximum(y_pos, LOG_FLOOR)
+    out = TapeTensor(-np.log(floored).sum() * (1.0 / n), parents=(query_emb,))
+
+    def bw(g):
+        g_pos = -(g * (1.0 / n)) / floored
+        s = g_pos * y_pos
+        dz = y * (-s * inv_t).astype(np.float32)[:, None]
+        dz[diagonal, diagonal] = y_pos * (g_pos - s) * inv_t
+        query_emb._accum((dz @ pool).astype(np.float64))
+    return out._record(bw)
 
 
 def tape_total_loss(l_cls, l_con_s, l_con_n, l_con_f, alpha, beta, gamma):

@@ -175,6 +175,16 @@ def test_scratch_grows_to_its_largest_view_and_never_shrinks():
     assert scratch.buffer is first   # no reallocation within its size
 
 
+def test_scratch_views_of_single_precision_share_its_bytes():
+    scratch = Scratch()
+    single = scratch.view((3, 5), Scratch.SINGLE)
+    assert single.shape == (3, 5) and single.dtype == np.float32
+    assert single.flags.c_contiguous and single.flags.writeable
+    assert scratch.buffer.size == 8   # 60 bytes, in whole float64 slots
+    double = scratch.view((2, 4))
+    assert scratch.buffer.size == 8 and np.shares_memory(single, double)
+
+
 # the generic tape (tests/oracles.py) -------------------------------------------
 
 def test_backward_sum_is_ones():

@@ -471,6 +471,8 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     ("train", "beta", -0.1),
     ("train", "gamma", -1.0),
     ("train", "jitter_sigma", -0.1),
+    # 1 / 1e-39 is finite in float64 but not in the InfoNCE's float32
+    ("train", "t_ssl", 1e-39),
     # null is no value for a required key ("" is the top level)
     ("train", "seed", None),
     ("dataset", "seed", None),

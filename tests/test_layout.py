@@ -170,3 +170,42 @@ def test_fit_builds_its_outcome_at_one_site():
                     for t in n.targets if isinstance(t, ast.Attribute)}
     assert sites == [("trainer", "fit")], sites
     assert diverged_attrs == {"result"}, diverged_attrs
+
+
+# the single-precision dtype by each of its spellings
+_SINGLE_NAMES = {"float32", "single", "SINGLE"}
+_SINGLE_STRINGS = {"float32", "single", "f4", "<f4", "=f4"}
+
+
+def test_float32_only_in_the_infonce_and_the_scratch():
+    # the InfoNCE's pool, logits and softmax are the engine's only float32
+    # arrays, held by the fit's scratch: weights, gradients, the teacher and
+    # the selection scores stay float64. Elsewhere the dtype may only be
+    # handed to np.finfo, to read its range.
+    allowed = {("objective", "feature_consistency_loss"),
+               ("diffmath", "Scratch")}
+    outside, inside = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        spans = {(d.lineno, d.end_lineno): (path.stem, d.name)
+                 for d in tree.body
+                 if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                 and (path.stem, d.name) in allowed}
+        range_reads = {id(n) for call in ast.walk(tree)
+                       if isinstance(call, ast.Call)
+                       and getattr(call.func, "attr", None) == "finfo"
+                       for n in ast.walk(call)}
+        for node in ast.walk(tree):
+            single = (getattr(node, "attr", getattr(node, "id", None))
+                      in _SINGLE_NAMES
+                      or (isinstance(node, ast.Constant)
+                          and node.value in _SINGLE_STRINGS))
+            if not single or id(node) in range_reads:
+                continue
+            owner = [name for (a, b), name in spans.items()
+                     if a <= node.lineno <= b]
+            inside.update(owner)
+            if not owner:
+                outside.append(f"{path.stem}:{node.lineno}")
+    assert outside == [], f"float32 outside the InfoNCE and Scratch: {outside}"
+    assert inside == allowed, f"allowed but unused: {allowed - inside}"

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from collections import Counter
 
@@ -14,8 +15,9 @@ from josnc.embedqueue import EmbedQueue
 from josnc.labeler import lsr_matrix
 from josnc.objective import neighbor_mixture
 from josnc.selector import CLEAN, ID, OOD, ThresholdState, fails_own_test
-from josnc.trainer import (TrainConfig, TrainerError, TrainingDiverged, _lr_at,
-                           fit, robust_codes, robust_targets)
+from josnc.trainer import (FitResult, TrainConfig, TrainerError,
+                           TrainingDiverged, _lr_at, fit, robust_codes,
+                           robust_targets)
 
 from oracles import robust_step_loop
 
@@ -423,6 +425,16 @@ def test_divergence_aborts_with_artifacts():
     assert isinstance(exc.value.result.teacher, dict)
 
 
+def test_training_diverged_survives_pickling():
+    # a process pool hands a worker's exception back pickled
+    result = FitResult([], {"w": np.arange(3.0)}, {"w": np.ones(3)})
+    back = pickle.loads(pickle.dumps(TrainingDiverged("at epoch 2", result)))
+    assert type(back) is TrainingDiverged and str(back) == "at epoch 2"
+    assert back.result.history == []
+    assert back.result.student["w"].tolist() == [0.0, 1.0, 2.0]
+    assert back.result.teacher["w"].tolist() == [1.0, 1.0, 1.0]
+
+
 def test_infonce_overflow_aborts_with_the_warmup_epochs():
     # TrainConfig rejects a t_ssl whose reciprocal overflows; assigning the
     # field skips that check, so the first robust step's InfoNCE logits are
@@ -587,8 +599,8 @@ def test_scratch_reuse_changes_no_byte(tmp_path, monkeypatch, method):
     reused = fit_artifacts(tmp_path / "reused.csv", cfg, ds)
     weights = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
     assert len(made) == 2 and made[0].buffer.size > 0   # one per fit
-    monkeypatch.setattr(Scratch, "view",
-                        lambda self, shape: np.full(shape, np.nan))
+    monkeypatch.setattr(Scratch, "view", lambda self, shape, dtype=np.float64:
+                        np.full(shape, np.nan, dtype))
     assert fit_artifacts(tmp_path / "fresh.csv", cfg, ds) == reused
     fresh = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
     for name in ("student", "teacher"):
@@ -622,6 +634,8 @@ def test_robust_step_allocates_no_queue_sized_product(monkeypatch):
     # and every later one's under half of it; a step runs from its
     # augmentation to its hook. The first step's peak holds at least the
     # scratch it sizes, so the measurement sees the step's allocations.
+    # The InfoNCE casts its (B + Q, E) pool into that scratch, so no later
+    # step allocates a float64 pool either.
     ds = make_blobs(n_id_classes=4, n_ood_classes=1, per_class=210, dim=8,
                     spread=0.6, seed=3)
     ds = inject_noise(ds, NoiseSpec("symmetric", 0.3), seed=3)
@@ -650,6 +664,8 @@ def test_robust_step_allocates_no_queue_sized_product(monkeypatch):
     block = BLOCK_ROWS * (cfg.batch_size + cfg.queue_capacity) * 8
     assert len(growth) > 2 and block <= growth[0] and max(growth) < product
     assert max(growth[1:]) < product / 2
+    pool = (cfg.batch_size + cfg.queue_capacity) * cfg.embed_dim * 8
+    assert max(growth[1:]) < pool
 
 
 # the batched robust step against the per-row loop ----------------------------
