@@ -4,7 +4,7 @@ The generator mirrors the open-set benchmark construction: a handful of
 "known" classes plus extra classes whose samples are mixed into training with
 labels drawn from the known label space. Hidden ground-truth tags (true label,
 noise kind) live in a separate structure so the training path physically never
-sees them.
+sees them. It takes no training setting; `harness` checks per_class > knn_k.
 """
 
 from __future__ import annotations
@@ -63,13 +63,11 @@ class BlobDataset:
     test_x: np.ndarray
     test_y: np.ndarray
     n_id_classes: int
-    n_ood_classes: int
     centroids: np.ndarray = field(repr=False, default=None)
 
 
 def make_blobs(n_id_classes: int, n_ood_classes: int, per_class: int, dim: int,
-               spread: float, seed: int, test_per_class: int = 100,
-               knn_k: int = 10) -> BlobDataset:
+               spread: float, seed: int, test_per_class: int = 100) -> BlobDataset:
     """Gaussian blob classes; OOD classes appear only in the training split.
 
     Deterministic for a fixed seed. The held-out test set is drawn from ID
@@ -81,9 +79,6 @@ def make_blobs(n_id_classes: int, n_ood_classes: int, per_class: int, dim: int,
             ("dim", dim, 2), ("seed", seed, 0)):
         if value < least:
             raise DataGenError(key, f"must be >= {least}, got {value}")
-    if per_class < knn_k + 1:
-        raise DataGenError("per_class", f"must exceed knn_k = {knn_k} for K "
-                           f"nearest neighbors, got {per_class}")
     if spread < 0:
         raise DataGenError("spread", f"must be non-negative, got {spread}")
 
@@ -112,7 +107,6 @@ def make_blobs(n_id_classes: int, n_ood_classes: int, per_class: int, dim: int,
         test_y=np.repeat(np.arange(n_id_classes, dtype=np.int64),
                          test_per_class),
         n_id_classes=n_id_classes,
-        n_ood_classes=n_ood_classes,
         centroids=centroids,
     )
 

@@ -1,22 +1,24 @@
 """Experiment harness: config validation, run orchestration, selection-quality
-evaluation against hidden tags, metrics CSV, and run comparison.
+evaluation against hidden tags, the run's files, and run comparison.
 
 This is the only module that reads the hidden noise tags (the dataset's
-TagTable); it passes the trainer only the TrainingSet. Every artifact file is
-written atomically.
+TagTable); it passes the trainer only the TrainingSet. It is the one module
+that touches files: it reads the config and metrics.csv and writes every
+artifact atomically; a file it cannot read, decode or write is a ConfigError.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
 import subprocess
 from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import __version__, blas, datagen, selector
-from .network import ModelConfig, save_checkpoint, write_atomic
+from .network import ModelConfig
 from .trainer import METHODS, TrainConfig, TrainerError, TrainingDiverged, fit
 
 METRICS_COLUMNS = [
@@ -134,7 +136,7 @@ def load_config(path: str) -> dict:
             raw = json.load(f, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return resolve_config(raw)
 
@@ -148,7 +150,7 @@ def build_dataset(cfg: dict) -> datagen.BlobDataset:
             n_id_classes=ds["n_id_classes"], n_ood_classes=ds["n_ood_classes"],
             per_class=ds["per_class"], dim=ds["dim"],
             spread=float(ds["spread"]), seed=ds["seed"],
-            test_per_class=ds["test_per_class"], knn_k=cfg["train"]["knn_k"])
+            test_per_class=ds["test_per_class"])
         spec = datagen.NoiseSpec(kind=ds["noise"]["kind"],
                                  rate_id=float(ds["noise"]["rate_id"]))
         return datagen.inject_noise(blobs, spec, seed=ds["seed"])
@@ -158,12 +160,16 @@ def build_dataset(cfg: dict) -> datagen.BlobDataset:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    """The TrainConfig of a resolved config; a value TrainConfig rejects, or
-    a kappa above the class count, raises ConfigError naming its key."""
+    """The TrainConfig of a resolved config. A value TrainConfig rejects, or
+    a kappa or per_class out of bounds, raises ConfigError naming its key."""
     kappa, n_classes = cfg["train"]["kappa"], cfg["dataset"]["n_id_classes"]
     if kappa > n_classes:
         raise ConfigError(f"config.train.kappa: must be <= dataset.n_id_classes "
                           f"({n_classes}), got {kappa}")
+    knn_k, per_class = cfg["train"]["knn_k"], cfg["dataset"]["per_class"]
+    if per_class < knn_k + 1:
+        raise ConfigError(f"config.dataset.per_class: must exceed knn_k = "
+                          f"{knn_k} for K nearest neighbors, got {per_class}")
     values = {key: float(value) if key in _FLOAT_KEYS else value
               for key, value in {**cfg["train"], **cfg["model"]}.items()}
     try:
@@ -230,20 +236,69 @@ def _write_json(path: str, obj: dict) -> None:
     write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
+def write_atomic(path: str, data: bytes) -> None:
+    """Write data to a sibling temp file, then rename it over path.
+
+    A reader of path sees its old contents or all of data, never a prefix.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def save_checkpoint(path: str, student: dict[str, np.ndarray],
+                    teacher: dict[str, np.ndarray]) -> None:
+    """checkpoint.bin: a little-endian u32 manifest length, a JSON manifest
+    of (name, shape, offset) entries, then one flat little-endian f64 blob."""
+    entries = []
+    blob = bytearray()
+    for prefix, params in (("student", student), ("teacher", teacher)):
+        for name in sorted(params):
+            arr = np.ascontiguousarray(params[name], dtype="<f8")
+            entries.append({"name": f"{prefix}.{name}",
+                            "shape": list(arr.shape),
+                            "offset": len(blob)})
+            blob.extend(arr.tobytes())
+    manifest = json.dumps({"entries": entries}, sort_keys=True).encode()
+    write_atomic(path, struct.pack("<I", len(manifest)) + manifest + bytes(blob))
+
+
+def load_checkpoint(path: str):
+    """Returns (student_arrays, teacher_arrays)."""
+    with open(path, "rb") as f:
+        (mlen,) = struct.unpack("<I", f.read(4))
+        manifest = json.loads(f.read(mlen))
+        blob = f.read()
+    student, teacher = {}, {}
+    for e in manifest["entries"]:
+        shape = tuple(e["shape"])
+        count = int(np.prod(shape)) if shape else 1
+        arr = np.frombuffer(blob, dtype="<f8", count=count,
+                            offset=e["offset"]).reshape(shape).copy()
+        prefix, name = e["name"].split(".", 1)
+        (student if prefix == "student" else teacher)[name] = arr
+    return student, teacher
+
+
 def read_metrics_csv(path: str) -> tuple:
     """Returns (columns, list of row dicts with float values).
 
-    Raises ConfigError naming path:line when the file cannot be read, the
-    header (first column "epoch") is missing, no epoch row follows it, a
-    row's field count differs from the header's, a value is not a finite
-    number (the engine never records a non-finite one), or an epoch is not
-    an integer or repeats an earlier row's.
+    Raises ConfigError naming path when the file cannot be read or decoded,
+    and path:line when the header (first column "epoch") is missing, no
+    epoch row follows it, a row's field count differs from the header's, a
+    value is not a finite number (the engine never records a non-finite
+    one), or an epoch is not an integer or repeats an earlier row's.
     """
     try:
         with open(path) as f:
             lines = [(n, ln) for n, ln in enumerate(f.read().splitlines(), 1)
                      if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     columns = lines[0][1].split(",") if lines else []
     if columns[:1] != ["epoch"]:
@@ -297,15 +352,7 @@ def run(config_path: str, output_dir_override: str = None) -> str:
     train_config = build_train_config(cfg)
     out_dir = (output_dir_override or os.environ.get(OUTPUT_DIR_ENV)
                or cfg["output_dir"])
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"{out_dir}: {exc}") from exc
-
-    _write_json(os.path.join(out_dir, "config.resolved.json"), cfg)
-
     n_classes = dataset.n_id_classes
-    # written before the fit, so a diverged run keeps its record too
     manifest = {
         "version": _git_describe(),
         "package_version": __version__,
@@ -316,18 +363,24 @@ def run(config_path: str, output_dir_override: str = None) -> str:
             dataset.train.x.shape[1], n_classes)),
         "blas_threads": blas.thread_count(),
     }
-    _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
-
     diverged = None
+    # the fit does no I/O: an OSError here is an output it cannot write
     try:
-        result = fit(train_config, dataset.train, dataset.test_x,
-                     dataset.test_y, n_classes)
-    except TrainingDiverged as exc:
-        result, diverged = exc.result, exc
-    rows = metrics_rows(result.history, dataset.tags.noise_kinds)
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
-    save_checkpoint(os.path.join(out_dir, "checkpoint.bin"),
-                    result.student, result.teacher)
+        os.makedirs(out_dir, exist_ok=True)
+        _write_json(os.path.join(out_dir, "config.resolved.json"), cfg)
+        # written before the fit, so a diverged run keeps its record too
+        _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
+        try:
+            result = fit(train_config, dataset.train, dataset.test_x,
+                         dataset.test_y, n_classes)
+        except TrainingDiverged as exc:
+            result, diverged = exc.result, exc
+        rows = metrics_rows(result.history, dataset.tags.noise_kinds)
+        write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
+        save_checkpoint(os.path.join(out_dir, "checkpoint.bin"),
+                        result.student, result.teacher)
+    except OSError as exc:
+        raise ConfigError(f"{out_dir}: {exc}") from exc
     if diverged is not None:
         raise diverged
     return out_dir

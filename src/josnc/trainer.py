@@ -158,6 +158,10 @@ class TrainConfig:
                 if not ok(getattr(self, key)):
                     raise TrainerError(
                         key, f"{requirement}, got {getattr(self, key)!r}")
+        # below K keys no row has K neighbors: the neighbor terms would be off
+        if self.knn_k > self.queue_capacity:
+            raise TrainerError("queue_capacity", f"must be >= knn_k "
+                               f"({self.knn_k}), got {self.queue_capacity}")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
 
     def model_config(self, input_dim: int, n_classes: int) -> ModelConfig:
@@ -240,7 +244,9 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
 
     step_hook, if given, is called as hook(epoch, batch_ids, partition) after
     every partitioned step. Raises TrainerError before the first step on an
-    empty split, n_classes < 2, kappa > n_classes or a label out of range.
+    empty split, test rows of another width than train's (the model's), not
+    one test label per test row, n_classes < 2, kappa > n_classes or a label
+    out of range.
     """
     if n_classes < 2:
         raise TrainerError("n_classes", f"must be >= 2, got {n_classes}")
@@ -250,6 +256,12 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     for key, x in (("train", train.x), ("test_x", test_x)):
         if x.shape[0] == 0:
             raise TrainerError(key, "must hold at least one sample, got 0")
+    if test_x.shape[1:] != train.x.shape[1:]:
+        raise TrainerError("test_x", f"must have rows of shape "
+                           f"{train.x.shape[1:]} like train, got {test_x.shape}")
+    if test_y.shape != test_x.shape[:1]:
+        raise TrainerError("test_y", f"must hold one label per test_x row, "
+                           f"shape {test_x.shape[:1]}, got {test_y.shape}")
     labels = train.observed_labels
     if not (labels.min() >= 0 and labels.max() < n_classes):
         raise TrainerError("observed_labels",

@@ -49,8 +49,6 @@ def test_make_blobs_rejections():
     with pytest.raises(DataGenError):
         make_blobs(4, 0, 40, 1, 0.5, 0)
     with pytest.raises(DataGenError):
-        make_blobs(4, 0, 10, 8, 0.5, 0, knn_k=10)
-    with pytest.raises(DataGenError):
         make_blobs(4, 0, 40, 8, -0.1, 0)
     with pytest.raises(DataGenError, match="must be >= 0, got -1") as exc:
         make_blobs(4, 0, 40, 8, 0.5, -1)

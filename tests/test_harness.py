@@ -363,6 +363,20 @@ def test_cli_compare_rejects_corrupt_metrics(tmp_path, capsys, text, where):
     assert os.path.join(str(bad), "metrics.csv") + where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, name, data", [
+    ("run", "config.json", b'{"method": "\xff"}'),
+    ("compare", "metrics.csv", b"epoch,train_loss\n1,0.5\xff\n"),
+], ids=["config", "metrics"])
+def test_cli_rejects_undecodable_files(tmp_path, capsys, command, name, data):
+    # a byte that is not UTF-8 is a file the run cannot read, not a crash
+    path = tmp_path / name
+    path.write_bytes(data)
+    argv = (["run", str(path)] if command == "run"
+            else ["compare", str(tmp_path), str(tmp_path)])
+    assert cli.main(argv) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
 # presets + cli ------------------------------------------------------------------------
 
 def test_gen_config_presets_resolve():
@@ -443,6 +457,18 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("artifact", ["config.resolved.json", "metrics.csv"])
+def test_cli_unwritable_artifact_exits_2(tmp_path, capsys, artifact):
+    # a directory where the artifact goes: os.replace cannot rename over it
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    cfg_path = write_config(tmp_path, tiny_raw_config(str(out)))
+    assert cli.main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {out}: " in err and artifact in err
+    assert not (out / (artifact + ".tmp")).exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("train", "warmup_epochs", 5),     # with epochs 3 below
     ("train", "epsilon", 1.5),
@@ -481,6 +507,7 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     ("dataset", "spread", None),
     ("dataset.noise", "rate_id", None),
     ("", "output_dir", None),
+    ("train", "queue_capacity", 4),    # below knn_k = 5
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key,
                                          value):

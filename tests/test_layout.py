@@ -8,7 +8,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "josnc"
 # public names with no caller in src/, each for a stated reason (cli.main
 # needs no entry: its __main__ guard calls it)
 ALLOWED_UNREFERENCED = {
-    "network.load_checkpoint": "reader of checkpoint.bin, kept for resume",
+    "harness.load_checkpoint": "reader of checkpoint.bin, kept for resume",
     "selector.Partition.check_sound":
         "set-level soundness check for step_hook consumers; the trainer "
         "checks its codes with selector.check_codes",
@@ -209,3 +209,32 @@ def test_float32_only_in_the_infonce_and_the_scratch():
                 outside.append(f"{path.stem}:{node.lineno}")
     assert outside == [], f"float32 outside the InfoNCE and Scratch: {outside}"
     assert inside == allowed, f"allowed but unused: {allowed - inside}"
+
+
+# the calls that open, rename, delete or create a file or directory
+_FILE_CALLS = {("", "open"), ("os", "replace"), ("os", "remove"),
+               ("os", "makedirs")}
+
+
+def test_only_the_harness_touches_files():
+    # the engine is array code; the run's files, their formats and their
+    # errors belong to the harness, which reads the config and metrics.csv
+    # and writes every artifact
+    outside, in_harness = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            call = ((getattr(func.value, "id", None), func.attr)
+                    if isinstance(func, ast.Attribute)
+                    else ("", getattr(func, "id", None)))
+            if call not in _FILE_CALLS:
+                continue
+            if path.stem == "harness":
+                in_harness += 1
+            else:
+                outside.append(f"{path.stem}:{node.lineno}")
+    assert outside == [], f"file calls outside the harness: {outside}"
+    assert in_harness, "the harness makes no file call"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from josnc.diffmath import DiffMathError, Tensor
-from josnc.network import (Model, ModelConfig, NetworkError, ema_update,
-                           forward_arrays, load_checkpoint, save_checkpoint)
+from josnc.harness import load_checkpoint, save_checkpoint
+from josnc.network import Model, ModelConfig, ema_update, forward_arrays
 
 from oracles import tape_forward, tape_params
 
@@ -35,10 +35,12 @@ def test_zero_classifier_gives_uniform(rng):
 
 
 def test_forward_rejects_wrong_dim(rng):
+    # the forward pass checks no shape: fit checks its inputs' width once,
+    # and a direct caller's wrong width fails at the first matmul
     m = make_model(rng)
-    with pytest.raises(NetworkError):
+    with pytest.raises(ValueError, match="matmul"):
         m.forward(rng.normal(size=(3, 7)))
-    with pytest.raises(NetworkError):
+    with pytest.raises(ValueError, match="matmul"):
         forward_arrays(m.arrays, m.config, rng.normal(size=(3, 7)))
 
 

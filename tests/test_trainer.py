@@ -52,7 +52,8 @@ def test_config_validation():
             ("tau_omega_main", 1.2), ("queue_capacity", 0), ("embed_dim", 0),
             ("hidden_dims", (16, 0)), ("hidden_dims", (1.5, 64.9)),
             ("alpha", -5.0), ("beta", -0.1), ("gamma", -1.0),
-            ("jitter_sigma", -0.1), ("alpha", float("nan"))]:
+            ("jitter_sigma", -0.1), ("alpha", float("nan")),
+            ("queue_capacity", 4)]:   # below knn_k = 5
         with pytest.raises(TrainerError) as exc:
             tiny_config(**{key: value})
         assert exc.value.key == key
@@ -61,7 +62,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("key, kappa, first_label, n_classes", [
     ("kappa", 4, None, 3), ("observed_labels", 2, -1, 3),
-    ("observed_labels", 2, 3, 3), ("n_classes", 1, None, 1)])
+    ("observed_labels", 2, 3, 3), ("n_classes", 1, None, 1),
+    ("test_x", 2, None, 3), ("test_y", 2, None, 3)])
 def test_fit_checks_its_inputs_before_its_first_step(key, kappa, first_label,
                                                      n_classes):
     # tiny_data has 3 classes: kappa 4 and labels -1 and 3 are out of range,
@@ -71,11 +73,16 @@ def test_fit_checks_its_inputs_before_its_first_step(key, kappa, first_label,
     labels = ds.train.observed_labels.copy()
     if first_label is not None:
         labels[0] = first_label
+    test_x, test_y = ds.test_x, ds.test_y
+    if key == "test_x":
+        test_x = test_x[:, :-1]   # one feature fewer than the training rows
+    elif key == "test_y":
+        test_y = test_y[:1]       # would broadcast against every prediction
     steps = []
     with pytest.raises(TrainerError) as exc:
         fit(tiny_config(kappa=kappa), TrainingSet(ds.train.x, labels,
                                                   ds.train.ids),
-            ds.test_x, ds.test_y, n_classes,
+            test_x, test_y, n_classes,
             step_hook=lambda *args: steps.append(args))
     assert exc.value.key == key and steps == []
 
