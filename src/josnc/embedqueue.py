@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmath import BLOCK_ROWS
+from .diffmath import BLOCK_ROWS, Scratch
 
 # key blocks of the grouped top-k threshold in knn_batch
 _GROUPS = 32
@@ -65,13 +65,6 @@ class KnnBatch:
                          sample_ids=self.sample_ids[i])
 
 
-def _rows(values: np.ndarray, hit: np.ndarray, n: int) -> np.ndarray:
-    """n rows of zeros with values placed at rows hit."""
-    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
-    out[hit] = values
-    return out
-
-
 class EmbedQueue:
     def __init__(self, capacity: int, embed_dim: int, n_classes: int):
         self.capacity = capacity
@@ -105,7 +98,7 @@ class EmbedQueue:
         if not (np.abs(norms - 1.0) <= 1e-6).all():
             raise QueueError("key embeddings must be unit-norm")
         p_clean = np.asarray(p_clean, dtype=np.float64)
-        if ((p_clean < 0) | (p_clean > 1)).any():
+        if not ((p_clean >= 0) & (p_clean <= 1)).all():   # NaN fails too
             raise QueueError("p_clean must lie in [0, 1]")
         stores = (self._emb, self._labels, self._p_clean, self._preds,
                   self._ids)
@@ -132,7 +125,8 @@ class EmbedQueue:
 
         Each found row holds the k kept entries of highest cosine
         similarity, in descending order with exact ties newest first. A row
-        is not found when fewer than k entries remain after its exclusion.
+        is not found when fewer than k entries remain after its exclusion;
+        its fields are gathered like the others', then zeroed.
 
         Similarities come from a matmul over the ring's slots, BLOCK_ROWS
         queries at a time. A lone query is multiplied as two copies of
@@ -143,22 +137,24 @@ class EmbedQueue:
         kernels by shape.
 
         out, a `diffmath.Scratch` or None, receives each block's (b, M)
-        similarities; with None they are allocated. The returned KnnBatch
-        is built by gathers, so the caller may reuse out at once.
+        similarities. The returned KnnBatch is built by gathers, so the
+        caller may reuse out at once.
 
-        Grouped threshold, per block: the first G*L slots (G = _GROUPS,
-        L = M // G) form G blocks of L columns, whose elementwise max gives
-        L group maxima per row, each over G distinct keys. With E the most
-        entries any of the block's rows excludes, at least k kept keys reach
-        the (k + E)-th largest group max, so every top-k key and every key
-        tied with the k-th does. Only the keys at or above it, plus the
-        M mod G tail keys, are candidates; if L < k + E every key is. One
-        lexsort over (row, -similarity, -insertion order) orders every
-        block's candidates.
+        One threshold per row bounds the candidates. The first G*L slots
+        (G = _GROUPS, L = M // G) form G blocks of L columns, whose
+        elementwise max gives L group maxima per row, each over G distinct
+        keys. With E the most entries any row of the block excludes, at
+        least k kept keys reach the (k + E)-th largest group max, so every
+        top-k key and every key tied with the k-th does. That max is the
+        row's threshold when L >= k + E, and -inf otherwise; every key at
+        or above it is a candidate. Each row's kept candidates fill its row
+        of a table, which one lexsort orders by -similarity, then newest
+        first.
         """
         queries = np.atleast_2d(queries)
         b, m = queries.shape[0], len(self)
         exclude_ids = np.asarray(exclude_ids, dtype=np.int64)
+        out = Scratch() if out is None else out
         keys, ids = self._emb[:m], self._ids[:m]
         # entries each row excludes, by id lookup (an id may repeat)
         sorted_ids = np.sort(ids)
@@ -166,46 +162,43 @@ class EmbedQueue:
                   - np.searchsorted(sorted_ids, exclude_ids, side="left"))
         found = m - n_excl >= k
         n_groups = m // _GROUPS
-        head = _GROUPS * n_groups
-        # (row, slot, similarity) of every block's kept candidates; the
-        # empty first entry serves a call with no queries
-        none = np.empty(0, dtype=np.int64)
-        blocks = [(none, none, np.empty(0))]
+        slots = np.zeros((b, k), dtype=np.int64)
+        similarities = np.zeros((b, k))
         for lo in range(0, b, BLOCK_ROWS):
             block = queries[lo:lo + BLOCK_ROWS]
             rows = block.shape[0]
             if rows == 1:
                 block = np.repeat(block, 2, axis=0)
             # unit vectors: cosine == dot
-            sims = np.matmul(block, keys.T, out=None if out is None else
-                             out.view((block.shape[0], m)))[:rows]
-            cand = np.ones((rows, m), dtype=bool)
+            sims = np.matmul(block, keys.T,
+                             out=out.view((block.shape[0], m)))[:rows]
             need = k + int(n_excl[lo:lo + rows].max())
+            th = np.full((rows, 1), -np.inf)
             if n_groups >= need:
-                group_max = sims[:, :head].reshape(
+                group_max = sims[:, :_GROUPS * n_groups].reshape(
                     rows, _GROUPS, n_groups).max(axis=1)
                 th = np.partition(group_max, n_groups - need,
-                                  axis=1)[:, n_groups - need]
-                np.greater_equal(sims[:, :head], th[:, None],
-                                 out=cand[:, :head])
-            r, c = np.divmod(np.flatnonzero(cand), m)
+                                  axis=1)[:, n_groups - need, None]
+            r, c = np.divmod(np.flatnonzero(sims >= th), m)
             kept = found[lo + r] & (ids[c] != exclude_ids[lo + r])
             r, c = r[kept], c[kept]
-            blocks.append((lo + r, c, sims[r, c]))
-        rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-        age = (cols - self._head()) % self.capacity   # 0 = oldest
-        order = np.lexsort((-age, -vals, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        hit = np.flatnonzero(found)
-        top = np.searchsorted(rows, hit)[:, None] + np.arange(k)
-        slots = cols[top]
-        return KnnBatch(
-            similarities=_rows(vals[top], hit, b),
-            observed_labels=_rows(self._labels[slots], hit, b),
-            p_clean=_rows(self._p_clean[slots], hit, b),
-            preds=_rows(self._preds[slots], hit, b),
-            sample_ids=_rows(ids[slots], hit, b),
-            found=found)
+            # each row's candidates, left-aligned in its row of a table; the
+            # padding's +inf sorts after every -similarity
+            col = np.arange(r.size) - np.searchsorted(r, r)
+            width = int(col.max(initial=k - 1)) + 1
+            table = np.zeros((rows, width), dtype=np.int64)
+            neg_sims = np.full((rows, width), np.inf)
+            table[r, col], neg_sims[r, col] = c, -sims[r, c]
+            age = (table - self._head()) % self.capacity   # 0 = oldest
+            top = (np.arange(rows)[:, None],
+                   np.lexsort((-age, neg_sims), axis=1)[:, :k])
+            slots[lo:lo + rows], similarities[lo:lo + rows] = (
+                table[top], -neg_sims[top])
+        fields = (similarities, self._labels[slots], self._p_clean[slots],
+                  self._preds[slots], self._ids[slots])
+        for field in fields:
+            field[~found] = 0
+        return KnnBatch(*fields, found=found)
 
     def key_views(self) -> tuple:
         """Read-only views of the stored keys, oldest first, as the ring's

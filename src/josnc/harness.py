@@ -9,6 +9,7 @@ artifact atomically; a file it cannot read, decode or write is a ConfigError.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import struct
@@ -370,6 +371,11 @@ def run(config_path: str, output_dir_override: str = None) -> str:
         _write_json(os.path.join(out_dir, "config.resolved.json"), cfg)
         # written before the fit, so a diverged run keeps its record too
         _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
+        # os.replace cannot rename over a directory: fail before the fit
+        for name in ("metrics.csv", "checkpoint.bin"):
+            if os.path.isdir(os.path.join(out_dir, name)):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        os.path.join(out_dir, name))
         try:
             result = fit(train_config, dataset.train, dataset.test_x,
                          dataset.test_y, n_classes)

@@ -34,6 +34,9 @@ def test_enqueue_validation(rng):
     with pytest.raises(QueueError):
         q.enqueue(unit_rows(rng, 2, 3), [0, 1], [0.5, 1.5],
                   np.full((2, 2), 0.5), [0, 1])
+    with pytest.raises(QueueError, match="p_clean"):
+        q.enqueue(unit_rows(rng, 2, 3), [0, 1], [0.5, np.nan],
+                  np.full((2, 2), 0.5), [0, 1])
     # a norm within 1e-6 of 1 passes; a NaN row or one 2e-6 off does not
     def row(x):
         return np.array([[x, 0.0, 0.0]])
@@ -153,6 +156,62 @@ def test_knn_batch_equals_knn_oracle(seed, length, k, pinned_frac, id_pool):
                                       want.observed_labels)
         np.testing.assert_array_equal(got.p_clean, want.p_clean)
         np.testing.assert_array_equal(got.preds, want.preds)
+
+
+def test_knn_batch_tail_ties_with_head_under_grouped_threshold(rng):
+    # 700 keys = 32 * 21 groups + a 28-key tail. The keys nearest e0 sit in
+    # the tail, and e0 itself is stored at head slot 10 and tail slot 690:
+    # an exact tie (e0 . e0 is 1 in any summation order) that the newer tail
+    # key wins. k + E = 7 <= 21 groups, so the grouped threshold is in use.
+    d, k = 6, 6
+    q = EmbedQueue(700, d, 4)
+    emb = unit_rows(rng, 700, d)
+    emb[:, 0] = -np.abs(emb[:, 0])   # every other key far from e0
+    e0 = np.eye(d)[0]
+    emb[680:686] = unit_rows(rng, 6, d) * 0.05 + e0
+    emb[680:686] /= np.sqrt((emb[680:686] ** 2).sum(axis=1, keepdims=True))
+    emb[[10, 690]] = e0
+    q.enqueue(emb, rng.integers(0, 4, 700), rng.random(700),
+              rng.dirichlet(np.ones(4), 700), np.arange(700))
+    queries = np.stack([e0, e0, e0, emb[683]])
+    exclude = np.array([-1, 690, 10, 683])
+    batch = q.knn_batch(queries, k, exclude)
+    np.testing.assert_array_equal(batch[0].sample_ids[:2], [690, 10])
+    for i, (query, exc, got) in enumerate(zip(queries, exclude, batch)):
+        want = knn(q, query, k=k, exclude_id=int(exc))
+        np.testing.assert_array_equal(got.sample_ids, want.sample_ids)
+        np.testing.assert_allclose(got.similarities, want.similarities,
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(got.observed_labels,
+                                      want.observed_labels)
+        np.testing.assert_array_equal(got.p_clean, want.p_clean)
+        np.testing.assert_array_equal(got.preds, want.preds)
+        lone = q.knn_batch(query, k, exclude[i:i + 1])[0]
+        np.testing.assert_array_equal(lone.sample_ids, want.sample_ids)
+
+
+@pytest.mark.parametrize("length, k, b", [
+    (5, 5, 3),      # short queue: excluding id 7 leaves k - 1 keys
+    (3, 5, 2),      # shorter than k: no row is found
+    (700, 10, 40),  # a second block, whose rows use the grouped threshold
+])
+def test_not_found_rows_equal_one_shot(rng, length, k, b):
+    # every field byte for byte, the zeros of not-found rows and the dtypes
+    # included
+    q = EmbedQueue(length, 4, 3)
+    fill(q, rng, length, d=4, c=3)
+    q._ids[:length - k + 1] = 7
+    exclude = np.full(b, -1)
+    exclude[:32:2] = 7
+    exclude[33::2] = length - 1
+    queries = unit_rows(rng, b, 4)
+    want = knn_batch_one_shot(q, queries, k, exclude)
+    got = q.knn_batch(queries, k, exclude)
+    assert not want.found.all() and (want.found.any() or length < k)
+    for name in vars(want):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert getattr(got, name).tobytes() == \
+            getattr(want, name).tobytes(), name
 
 
 def test_knn_batch_none_when_too_small(rng):

@@ -457,9 +457,15 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("artifact", ["config.resolved.json", "metrics.csv"])
-def test_cli_unwritable_artifact_exits_2(tmp_path, capsys, artifact):
-    # a directory where the artifact goes: os.replace cannot rename over it
+@pytest.mark.parametrize("artifact", ["config.resolved.json", "metrics.csv",
+                                      "checkpoint.bin"])
+def test_cli_unwritable_artifact_exits_2(tmp_path, capsys, monkeypatch,
+                                         artifact):
+    # a directory where the artifact goes: os.replace cannot rename over it,
+    # and the run fails before its fit
+    fits = []
+    monkeypatch.setattr(harness, "fit",
+                        lambda *args: fits.append(args) or fit(*args))
     out = tmp_path / "out"
     (out / artifact).mkdir(parents=True)
     cfg_path = write_config(tmp_path, tiny_raw_config(str(out)))
@@ -467,6 +473,7 @@ def test_cli_unwritable_artifact_exits_2(tmp_path, capsys, artifact):
     err = capsys.readouterr().err
     assert f"config error: {out}: " in err and artifact in err
     assert not (out / (artifact + ".tmp")).exists()
+    assert fits == []
 
 
 @pytest.mark.parametrize("section, key, value", [
