@@ -63,7 +63,7 @@ class BlobDataset:
     test_x: np.ndarray
     test_y: np.ndarray
     n_id_classes: int
-    centroids: np.ndarray = field(repr=False, default=None)
+    centroids: np.ndarray = field(repr=False)
 
 
 def make_blobs(n_id_classes: int, n_ood_classes: int, per_class: int, dim: int,

@@ -9,7 +9,6 @@ artifact atomically; a file it cannot read, decode or write is a ConfigError.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import struct
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__, blas, datagen, selector
 from .network import ModelConfig
-from .trainer import METHODS, TrainConfig, TrainerError, TrainingDiverged, fit
+from .trainer import TrainConfig, TrainerError, TrainingDiverged, fit
 
 METRICS_COLUMNS = [
     "epoch", "train_loss", "l_cls", "l_con_s", "l_con_n", "l_con_f",
@@ -111,7 +110,8 @@ def _validate_section(section: dict, schema: dict, path: str) -> dict:
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate a raw config dict, reject unknown keys, fill defaults."""
+    """Check a raw config dict's structure and types, not its values' ranges
+    or its method, reject unknown keys, fill defaults."""
     top = _validate_section(raw, _TOP_SCHEMA, "config")
     top["dataset"] = _validate_section(top["dataset"], _DATASET_SCHEMA,
                                        "config.dataset")
@@ -119,9 +119,6 @@ def resolve_config(raw: dict) -> dict:
         top["dataset"]["noise"], _NOISE_SCHEMA, "config.dataset.noise")
     top["model"] = _validate_section(top["model"], _MODEL_SCHEMA, "config.model")
     top["train"] = _validate_section(top["train"], _TRAIN_SCHEMA, "config.train")
-    if top["method"] not in METHODS:
-        raise ConfigError(
-            f"config.method: must be one of {sorted(METHODS)}, got {top['method']!r}")
     if top["train"]["jitter_sigma"] is None:
         top["train"]["jitter_sigma"] = 0.1 * float(top["dataset"]["spread"])
     return top
@@ -176,8 +173,9 @@ def build_train_config(cfg: dict) -> TrainConfig:
     try:
         return TrainConfig(**values, method=cfg["method"])
     except TrainerError as exc:
-        section = "model" if exc.key in _MODEL_SCHEMA else "train"
-        raise ConfigError(f"config.{section}.{exc.key}: {exc.detail}") from exc
+        section = ("" if exc.key == "method" else
+                   "model." if exc.key in _MODEL_SCHEMA else "train.")
+        raise ConfigError(f"config.{section}{exc.key}: {exc.detail}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +342,10 @@ def _git_describe() -> str:
 def run(config_path: str, output_dir_override: str = None) -> str:
     """Execute one experiment; returns the output directory.
 
-    Raises ConfigError (exit 2 upstream) or TrainingDiverged (exit 3; partial
-    artifacts are retained).
+    Writes metrics.csv and checkpoint.bin once each and removes them before
+    the fit, so no earlier run's copy remains and an output it cannot write
+    raises ConfigError (exit 2 upstream) before the fit. Raises
+    TrainingDiverged (exit 3; partial artifacts are retained).
     """
     cfg = load_config(config_path)
     # first, so a negative spread is not reported as its jitter_sigma default
@@ -365,26 +365,25 @@ def run(config_path: str, output_dir_override: str = None) -> str:
         "blas_threads": blas.thread_count(),
     }
     diverged = None
+    metrics, checkpoint = (os.path.join(out_dir, name)
+                           for name in ("metrics.csv", "checkpoint.bin"))
     # the fit does no I/O: an OSError here is an output it cannot write
     try:
         os.makedirs(out_dir, exist_ok=True)
+        for path in (metrics, checkpoint):
+            write_atomic(path, b"")
+            os.remove(path)
         _write_json(os.path.join(out_dir, "config.resolved.json"), cfg)
         # written before the fit, so a diverged run keeps its record too
         _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
-        # os.replace cannot rename over a directory: fail before the fit
-        for name in ("metrics.csv", "checkpoint.bin"):
-            if os.path.isdir(os.path.join(out_dir, name)):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                        os.path.join(out_dir, name))
         try:
             result = fit(train_config, dataset.train, dataset.test_x,
                          dataset.test_y, n_classes)
         except TrainingDiverged as exc:
             result, diverged = exc.result, exc
         rows = metrics_rows(result.history, dataset.tags.noise_kinds)
-        write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
-        save_checkpoint(os.path.join(out_dir, "checkpoint.bin"),
-                        result.student, result.teacher)
+        write_metrics_csv(metrics, rows)
+        save_checkpoint(checkpoint, result.student, result.teacher)
     except OSError as exc:
         raise ConfigError(f"{out_dir}: {exc}") from exc
     if diverged is not None:

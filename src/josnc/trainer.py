@@ -43,8 +43,10 @@ of a robust step, the KNN similarities and the InfoNCE logits
 
 The loop receives only features, observed labels, and sample ids; hidden noise
 tags are not reachable from this module. `fit` is the one divergence boundary:
-a `DiffMathError` in a step or in an evaluation becomes `TrainingDiverged`,
-whose `result` is the partial `FitResult`, built as a finished fit's is.
+a step's non-finite loss or weights raise `DiffMathError`, as an overflow in a
+softmax, the projection norms or the InfoNCE does, and its one handler turns
+each into `TrainingDiverged` ("numeric overflow at epoch E: <what>"), whose
+`result` is the partial `FitResult`, built as a finished fit's is.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ class EpochRecord:
     test_acc: float
     mean_tau_clean: float
     mean_tau_ood: float
-    partition_codes: np.ndarray = field(repr=False, default=None)
+    partition_codes: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -362,8 +364,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                                                   config.gamma)
 
                 if not np.isfinite(breakdown.train_loss):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}", result())
+                    raise DiffMathError("non-finite loss")
 
                 # momentum SGD; zero grad and velocity move no unreached bit
                 model.zero_grad()
@@ -375,9 +376,8 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                 # before a forward pass (a step's, the evaluation's) reads them
                 finite = np.isfinite(model.flat)
                 if not finite.all():
-                    raise TrainingDiverged(
-                        f"non-finite parameters at epoch {epoch}: "
-                        f"{model.name_at(int(np.argmin(finite)))}", result())
+                    raise DiffMathError("non-finite parameter " + model.name_at(
+                        int(np.argmin(finite))))
 
                 thresholds.accumulate_batch(p_clean, p_ood, y_b)
                 if selection:
@@ -407,7 +407,7 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                 mean_tau_ood=float(thresholds.tau_ood.mean()),
                 partition_codes=codes_epoch))
     except DiffMathError as exc:
-        # an overflow in any step or evaluation is divergence too
+        # a non-finite loss, weight or activation in any step or evaluation
         raise TrainingDiverged(f"numeric overflow at epoch {epoch}: {exc}",
                                result()) from exc
 

@@ -10,6 +10,9 @@ entries oldest first. The scalar
 target helpers check that each teacher prediction is a distribution with
 `check_prob_vec`.
 
+`kl_oracle` and `js_oracle` are the base-2 divergences of two
+distributions written term by term, one term per nonzero probability.
+
 `TapeTensor` is the generic op-by-op autodiff tape (add, mul, matmul, relu,
 log, softmax, sum, L2-normalize) that the engine's coarse graph replaced,
 with the forward pass and loss terms as they were written on it
@@ -21,11 +24,24 @@ to `single_feature_consistency_loss`, which takes its float32 steps in one
 product.
 """
 
+import math
+
 import numpy as np
 
 from josnc.diffmath import LOG2, LOG_FLOOR, DiffMathError, Tensor, softmax
 from josnc.embedqueue import _GROUPS, KnnBatch, KnnResult
 from josnc.selector import CLEAN, ID, OOD
+
+
+def kl_oracle(p, q):
+    """KL(p || q) in bits."""
+    return sum(pi * math.log2(pi / qi) for pi, qi in zip(p, q) if pi > 0)
+
+
+def js_oracle(p, q):
+    """JS(p, q) in bits: the mean KL of p and q to their midpoint."""
+    m = [(pi + qi) / 2 for pi, qi in zip(p, q)]
+    return 0.5 * kl_oracle(p, m) + 0.5 * kl_oracle(q, m)
 
 
 def ring_slots(queue):

@@ -15,22 +15,7 @@ from josnc.objective import neighbor_consistency_loss
 from josnc.trainer import METHODS, TrainConfig, fit
 
 from conftest import central_diff_grads, rel_error
-from oracles import TapeTensor, check_prob_vec
-
-
-# independent term-by-term oracles -----------------------------------------
-
-def kl_oracle(p, q, base=2.0):
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi > 0:
-            total += pi * math.log(pi / qi, base)
-    return total
-
-
-def js_oracle(p, q):
-    m = [(pi + qi) / 2 for pi, qi in zip(p, q)]
-    return 0.5 * kl_oracle(p, m) + 0.5 * kl_oracle(q, m)
+from oracles import TapeTensor, check_prob_vec, js_oracle, kl_oracle
 
 
 def dirichlet_pair(rng, c):

@@ -9,7 +9,7 @@ import pytest
 from josnc import cli, harness
 from josnc.datagen import CLEAN as KIND_CLEAN
 from josnc.datagen import ID_NOISY, OOD_NOISY, TagTable, TrainingSet
-from josnc.harness import (METRICS_COLUMNS, METHODS, OUTPUT_DIR_ENV, PRESETS,
+from josnc.harness import (METRICS_COLUMNS, OUTPUT_DIR_ENV, PRESETS,
                            ConfigError, build_dataset, build_train_config,
                            compare_runs, evaluate_selection,
                            format_compare_report, gen_config, load_config,
@@ -17,7 +17,7 @@ from josnc.harness import (METRICS_COLUMNS, METHODS, OUTPUT_DIR_ENV, PRESETS,
                            save_checkpoint, write_metrics_csv)
 from josnc.objective import LossBreakdown
 from josnc.selector import CLEAN, ID, OOD
-from josnc.trainer import TrainConfig, TrainingDiverged, fit
+from josnc.trainer import METHODS, TrainConfig, TrainingDiverged, fit
 
 
 def tiny_raw_config(out_dir, **train_overrides):
@@ -106,11 +106,17 @@ def test_wrong_type_message_names_json_types(section, key, value, message):
     assert str(exc.value) == f"config.{section}.{key}: {message}"
 
 
-def test_unknown_method_rejected():
-    raw = tiny_raw_config("out")
+def test_unknown_method_rejected(tmp_path, capsys):
+    # TrainConfig alone owns the method rule; its key is the top-level one
+    raw = tiny_raw_config(str(tmp_path / "out"))
     raw["method"] = "MAGIC"
+    cfg = resolve_config(raw)   # its structure and types are sound
     with pytest.raises(ConfigError, match=r"config\.method"):
-        resolve_config(raw)
+        build_train_config(cfg)
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 2
+    assert (f"config error: config.method: must be one of {sorted(METHODS)}, "
+            f"got 'MAGIC'") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -458,11 +464,13 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("artifact", ["config.resolved.json", "metrics.csv",
-                                      "checkpoint.bin"])
+                                      "checkpoint.bin", "metrics.csv.tmp",
+                                      "checkpoint.bin.tmp"])
 def test_cli_unwritable_artifact_exits_2(tmp_path, capsys, monkeypatch,
                                          artifact):
-    # a directory where the artifact goes: os.replace cannot rename over it,
-    # and the run fails before its fit
+    # a directory where the artifact goes, or where its atomic write's temp
+    # file goes: os.replace cannot rename over it, open cannot open it, and
+    # the run fails before its fit
     fits = []
     monkeypatch.setattr(harness, "fit",
                         lambda *args: fits.append(args) or fit(*args))
@@ -474,6 +482,27 @@ def test_cli_unwritable_artifact_exits_2(tmp_path, capsys, monkeypatch,
     assert f"config error: {out}: " in err and artifact in err
     assert not (out / (artifact + ".tmp")).exists()
     assert fits == []
+
+
+def test_earlier_outputs_are_gone_when_the_fit_starts(tmp_path, monkeypatch):
+    # a stale metrics.csv or checkpoint.bin never sits beside the new
+    # config.resolved.json, not even while the fit runs
+    present = []
+
+    def fit_after_check(*args):
+        present.extend(name for name in ("metrics.csv", "checkpoint.bin")
+                       if (out / name).exists())
+        return fit(*args)
+
+    monkeypatch.setattr(harness, "fit", fit_after_check)
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("metrics.csv", "checkpoint.bin"):
+        (out / name).write_bytes(b"stale")
+    run(write_config(tmp_path, tiny_raw_config(str(out))))
+    assert present == []
+    for name in ("metrics.csv", "checkpoint.bin"):
+        assert (out / name).read_bytes() != b"stale"
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -150,6 +150,32 @@ def test_fit_is_the_one_divergence_handler():
     assert handlers == [("trainer", "fit")], handlers
 
 
+def _bare_names(node):
+    """The names and attribute names read anywhere in node."""
+    return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+
+def test_training_diverged_is_built_only_by_fit_handler():
+    # a step's non-finite loss or weights raise DiffMathError like any other
+    # overflow, so the one handler's message and partial result are the only
+    # divergence there is
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        in_handler = {}   # id of a node in an except DiffMathError: owner
+        for fn in tree.body:
+            for node in ast.walk(fn):
+                if (isinstance(fn, ast.FunctionDef)
+                        and isinstance(node, ast.ExceptHandler) and node.type
+                        and "DiffMathError" in _bare_names(node.type)):
+                    in_handler.update((id(n), (path.stem, fn.name))
+                                      for n in ast.walk(node))
+        sites += [in_handler.get(id(node), f"{path.stem}:{node.lineno}")
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "TrainingDiverged" in _bare_names(node.func)]
+    assert sites == [("trainer", "fit")], sites
+
+
 def test_fit_builds_its_outcome_at_one_site():
     # a finished fit and a diverged one hand over the same FitResult, built
     # where the history and weights are; TrainingDiverged holds only that
@@ -238,3 +264,43 @@ def test_only_the_harness_touches_files():
                 outside.append(f"{path.stem}:{node.lineno}")
     assert outside == [], f"file calls outside the harness: {outside}"
     assert in_harness, "the harness makes no file call"
+
+
+# the open modes that write, append, create or update, and the calls that
+# write a file without open
+_WRITE_MODES = set("wax+")
+_WRITE_CALLS = {("os", "open"), ("", "write_text"), ("", "write_bytes"),
+                ("", "tofile"), ("np", "save"), ("np", "savez"),
+                ("np", "savez_compressed"), ("np", "savetxt")}
+
+
+def test_only_write_atomic_opens_a_file_for_writing():
+    # artifacts are written atomically: every write goes to a sibling temp
+    # file renamed over its target, so a reader never sees a prefix
+    writers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(n): f"{path.stem}.{d.name}" for d in tree.body
+                 if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                 for n in ast.walk(d)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            module = getattr(getattr(func, "value", None), "id", "")
+            if name == "open" and not module:
+                mode = next((kw.value for kw in node.keywords
+                             if kw.arg == "mode"),
+                            node.args[1] if len(node.args) > 1 else None)
+                # a mode that is not a literal string may write
+                text = "r" if mode is None else getattr(mode, "value", None)
+                writes = not isinstance(text, str) or bool(_WRITE_MODES
+                                                           & set(text))
+            else:
+                writes = ((module, name) in _WRITE_CALLS
+                          or ("", name) in _WRITE_CALLS)
+            if writes:
+                writers.append(owner.get(id(node),
+                                         f"{path.stem}:{node.lineno}"))
+    assert writers == ["harness.write_atomic"], writers

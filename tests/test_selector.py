@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -11,12 +9,7 @@ from josnc.selector import (CLEAN, ID, OOD, Partition, SelectorError,
                             fails_own_test)
 from josnc.trainer import robust_codes
 
-
-def js_oracle(p, q):
-    def kl(a, b):
-        return sum(ai * math.log2(ai / bi) for ai, bi in zip(a, b) if ai > 0)
-    m = [(a + b) / 2 for a, b in zip(p, q)]
-    return 0.5 * kl(p, m) + 0.5 * kl(q, m)
+from oracles import js_oracle
 
 
 # scoring: the trainer's p_clean = 1 - JS(p, y), p_ood = JS(p, p') -----------

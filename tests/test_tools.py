@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from josnc import harness
 from josnc.trainer import FitResult, TrainingDiverged
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
@@ -48,6 +49,21 @@ def test_expect_rejects_a_malformed_file(tmp_path, capsys, fake_fits, text):
         output_digest.main(["--epochs", "6", "--expect", str(saved)])
     assert exc.value.code == 2
     assert "METHOD DIGEST" in capsys.readouterr().err
+
+
+def test_fit_scenario_is_the_run_of_its_config(tmp_path):
+    # the tools' fit is what `josnc run` fits and writes for the same config
+    ds, result = scenario.fit_scenario("STANDARD", 7, epochs=6)
+    assert [r.epoch for r in result.history] == [1, 2, 3, 4, 5, 6]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**scenario.scenario_config("STANDARD", 7, 6),
+                                  "output_dir": str(tmp_path / "run")}))
+    harness.run(str(config))
+    harness.write_metrics_csv(str(tmp_path / "metrics.csv"),
+                              harness.metrics_rows(result.history,
+                                                   ds.tags.noise_kinds))
+    assert ((tmp_path / "run" / "metrics.csv").read_bytes()
+            == (tmp_path / "metrics.csv").read_bytes())
 
 
 def diverge(message):

@@ -539,9 +539,31 @@ def test_nonfinite_parameters_name_the_first_in_layout_order(monkeypatch):
     monkeypatch.setattr(trainer, "ema_update", poisoning)
     with pytest.raises(TrainingDiverged) as exc:
         run_tiny()
-    assert str(exc.value) == "non-finite parameters at epoch 1: encoder.0.b"
+    assert str(exc.value) == ("numeric overflow at epoch 1: non-finite "
+                              "parameter encoder.0.b")
+    assert isinstance(exc.value.__cause__, DiffMathError)
     assert exc.value.result.history == []
     assert np.isnan(exc.value.result.student["encoder.0.b"][2])
+
+
+def test_nonfinite_loss_aborts_before_its_update(monkeypatch):
+    # the first step's loss reads NaN: the fit diverges in epoch 1 and that
+    # step moves no weight
+    models = record_models(monkeypatch)
+    total_loss = trainer.total_loss
+
+    def nan_loss(*args):
+        total, breakdown = total_loss(*args)
+        return total, breakdown._replace(train_loss=float("nan"))
+
+    monkeypatch.setattr(trainer, "total_loss", nan_loss)
+    with pytest.raises(TrainingDiverged) as exc:
+        run_tiny()
+    assert str(exc.value) == "numeric overflow at epoch 1: non-finite loss"
+    assert isinstance(exc.value.__cause__, DiffMathError)
+    assert exc.value.result.history == []
+    model, init = models[0]
+    assert model.flat.tobytes() == init.tobytes()
 
 
 def head_bytes(model, flat, head="projection"):

@@ -29,15 +29,12 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from josnc import harness, trainer  # noqa: E402
-from scenario import run_pool, scenario_config  # noqa: E402
+from scenario import fit_scenario, run_pool  # noqa: E402
 
 
 def output_digest(method: str, seed: int, epochs: int) -> str:
     """sha256 of metrics.csv, the partition codes and checkpoint.bin."""
-    cfg = scenario_config(method, seed, epochs)
-    ds = harness.build_dataset(cfg)
-    result = trainer.fit(harness.build_train_config(cfg), ds.train, ds.test_x,
-                         ds.test_y, ds.n_id_classes)
+    ds, result = fit_scenario(method, seed, epochs)
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out:
         metrics, checkpoint = (os.path.join(out, name)
@@ -81,7 +78,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
     digests = run_pool(output_digest, [(method, args.seed, args.epochs)
-                                       for method in harness.METHODS])
+                                       for method in trainer.METHODS])
     differ = []
     for (method, _, _), digest in digests.items():
         print(method, digest)

@@ -1,11 +1,11 @@
 """The acceptance gate's scenario, the openset-sym40 preset at one method
-and one seed, and the process pool that runs its fits."""
+and one seed, its fit, and the process pool that runs its fits."""
 
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-from josnc import harness
+from josnc import harness, trainer
 
 
 def scenario_config(method: str, seed: int, epochs: int = 60) -> dict:
@@ -14,6 +14,14 @@ def scenario_config(method: str, seed: int, epochs: int = 60) -> dict:
     return harness.resolve_config({
         **base, "method": method, "dataset": {**base["dataset"], "seed": seed},
         "train": {**base["train"], "seed": seed, "epochs": epochs}})
+
+
+def fit_scenario(method: str, seed: int, epochs: int = 60):
+    """(dataset, FitResult) of the scenario's fit at one method and seed."""
+    cfg = scenario_config(method, seed, epochs)
+    ds = harness.build_dataset(cfg)
+    return ds, trainer.fit(harness.build_train_config(cfg), ds.train,
+                           ds.test_x, ds.test_y, ds.n_id_classes)
 
 
 def run_pool(fn, keys) -> dict:

@@ -30,7 +30,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from josnc import harness, trainer  # noqa: E402
-from scenario import run_pool, scenario_config  # noqa: E402
+from scenario import fit_scenario, run_pool  # noqa: E402
 
 FIRST_SEED = 100
 ABLATIONS = ("SELECT_ONLY", "SCON", "SCON_NCON")
@@ -39,10 +39,8 @@ BOOTSTRAP_RESAMPLES = 10_000
 
 def sweep_fit(method: str, seed: int) -> dict:
     """Final test accuracy, clean F1 and OOD F1 of one scenario fit."""
-    cfg = scenario_config(method, seed)
-    ds = harness.build_dataset(cfg)
-    last = trainer.fit(harness.build_train_config(cfg), ds.train, ds.test_x,
-                       ds.test_y, ds.n_id_classes).history[-1]
+    ds, result = fit_scenario(method, seed)
+    last = result.history[-1]
     sel = harness.evaluate_selection(last.partition_codes, ds.tags.noise_kinds)
     return {"test_acc": last.test_acc, "clean_f1": sel["clean_f1"],
             "ood_f1": sel["ood_f1"]}
@@ -84,9 +82,9 @@ def main(argv=None) -> int:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
     seeds = range(FIRST_SEED, FIRST_SEED + args.seeds)
     results = run_pool(sweep_fit, [(method, seed) for seed in seeds
-                                   for method in harness.METHODS])
+                                   for method in trainer.METHODS])
     fits = {method: {seed: results[method, seed] for seed in seeds}
-            for method in harness.METHODS}
+            for method in trainer.METHODS}
     summary = summarize(fits)
     with open(args.out, "w") as f:
         json.dump({"scenario": "openset-sym40", "seeds": list(seeds),
