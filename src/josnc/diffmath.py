@@ -40,13 +40,17 @@ class DiffMathError(ValueError):
 # probability-vector helpers (plain numpy, no tape)
 # ---------------------------------------------------------------------------
 
-def softmax(logits) -> np.ndarray:
-    """Softmax over the last axis, in one new array; logits is left
-    unchanged. Rejects non-finite input."""
-    x = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(x).all():
+def softmax(logits, out=None) -> np.ndarray:
+    """Softmax over the last axis: in float64 into a new array, logits left
+    unchanged, or into out in its dtype (out may be logits itself). Rejects
+    non-finite input."""
+    x = np.asarray(logits, dtype=np.float64 if out is None else out.dtype)
+    # a NaN or +inf reaches its row's max, a -inf the least element (0.0
+    # stands in for an empty x): no mask of x's shape is needed
+    row_max = x.max(axis=-1, keepdims=True)
+    if not (np.isfinite(row_max).all() and math.isfinite(x.min(initial=0.0))):
         raise DiffMathError("softmax input contains non-finite values")
-    e = x - x.max(axis=-1, keepdims=True)
+    e = np.subtract(x, row_max, out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

@@ -9,7 +9,9 @@ artifact atomically; a file it cannot read, decode or write is a ConfigError.
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 import os
 import struct
 import subprocess
@@ -38,39 +40,36 @@ class ConfigError(ValueError):
 # config schema: {key: (type, required, default)} per section
 # ---------------------------------------------------------------------------
 
-_NOISE_SCHEMA = {
-    "kind": (str, True, None),
-    "rate_id": ((int, float), True, None),
-}
-
-_DATASET_SCHEMA = {
-    "n_id_classes": (int, True, None),
-    "n_ood_classes": (int, True, None),
-    "per_class": (int, True, None),
-    "dim": (int, True, None),
-    "spread": ((int, float), True, None),
-    "seed": (int, True, None),
-    "test_per_class": (int, False, 100),
-    "noise": (dict, True, None),
-}
-
-# The train and model keys are TrainConfig's fields, with its types and
-# defaults, except method, which is a top-level key; the model keys are the
-# ones ModelConfig shares. _FILE_RULES gives (required, default) of the two
-# keys whose config-file rule differs: a config must state its run's seed,
-# and the jitter default is 0.1 * dataset spread, resolved in resolve_config.
-_FILE_RULES = {"seed": (True, None), "jitter_sigma": (False, None)}
-_JSON_TYPES = {"int": int, "float": (int, float), "tuple": list}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "tuple": list}
 # JSON names of the schema's types and of the values json.load returns
 _JSON_NAMES = {int: "integer", (int, float): "number", float: "number",
                bool: "boolean", str: "string", list: "array", dict: "object",
                type(None): "null"}
-_FIELD_SCHEMA = {
-    f.name: (_JSON_TYPES[f.type], *_FILE_RULES.get(f.name, (False, f.default)))
-    for f in fields(TrainConfig) if f.name != "method"}
+
+
+def _schema(callee, **rules) -> dict:
+    """The keys of callee's parameters, with their types and defaults: one
+    without a default is required, unless rules gives its (required,
+    default)."""
+    return {p.name: (_JSON_TYPES[p.annotation], *rules.get(p.name, (
+        (True, None) if p.default is p.empty else (False, p.default))))
+        for p in inspect.signature(callee).parameters.values()}
+
+
+# The dataset keys are make_blobs's parameters plus noise, whose keys are
+# NoiseSpec's fields. The train and model keys are TrainConfig's fields,
+# except method, which is a top-level key; the model keys are the ones
+# ModelConfig shares. _FILE_RULES gives the two keys whose config-file rule
+# differs: a config must state its run's seed, and the jitter default is
+# 0.1 * dataset spread, resolved in resolve_config.
+_NOISE_SCHEMA = _schema(datagen.NoiseSpec)
+_DATASET_SCHEMA = {**_schema(datagen.make_blobs), "noise": (dict, True, None)}
+_FILE_RULES = {"seed": (True, None), "jitter_sigma": (False, None)}
+_FIELD_SCHEMA = _schema(TrainConfig, **_FILE_RULES)
 _MODEL_KEYS = {f.name for f in fields(ModelConfig)}
 _MODEL_SCHEMA = {k: v for k, v in _FIELD_SCHEMA.items() if k in _MODEL_KEYS}
-_TRAIN_SCHEMA = {k: v for k, v in _FIELD_SCHEMA.items() if k not in _MODEL_KEYS}
+_TRAIN_SCHEMA = {k: v for k, v in _FIELD_SCHEMA.items()
+                 if k not in _MODEL_KEYS | {"method"}}
 _FLOAT_KEYS = {f.name for f in fields(TrainConfig) if f.type == "float"}
 
 _TOP_SCHEMA = {
@@ -125,16 +124,21 @@ def resolve_config(raw: dict) -> dict:
 
 
 def load_config(path: str) -> dict:
-    def reject(constant):
-        # json.load accepts NaN and Infinity, which JSON does not
-        raise ConfigError(f"{path}: {constant} is not a JSON number")
+    """The resolved config of the JSON file at path; one that cannot be read
+    or parsed raises ConfigError naming path."""
+    def finite(text):
+        # json.load reads NaN and Infinity, which JSON does not have, and a
+        # number beyond float range, such as 1e400, as inf
+        if not math.isfinite(value := float(text)):
+            raise ValueError(f"{text} does not parse to a finite number")
+        return value
 
     try:
         with open(path) as f:
-            raw = json.load(f, parse_constant=reject)
+            raw = json.load(f, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return resolve_config(raw)
 
@@ -145,13 +149,9 @@ def build_dataset(cfg: dict) -> datagen.BlobDataset:
     ds = cfg["dataset"]
     try:
         blobs = datagen.make_blobs(
-            n_id_classes=ds["n_id_classes"], n_ood_classes=ds["n_ood_classes"],
-            per_class=ds["per_class"], dim=ds["dim"],
-            spread=float(ds["spread"]), seed=ds["seed"],
-            test_per_class=ds["test_per_class"])
-        spec = datagen.NoiseSpec(kind=ds["noise"]["kind"],
-                                 rate_id=float(ds["noise"]["rate_id"]))
-        return datagen.inject_noise(blobs, spec, seed=ds["seed"])
+            **{key: value for key, value in ds.items() if key != "noise"})
+        return datagen.inject_noise(blobs, datagen.NoiseSpec(**ds["noise"]),
+                                    seed=ds["seed"])
     except datagen.DataGenError as exc:
         section = "dataset.noise" if exc.key in _NOISE_SCHEMA else "dataset"
         raise ConfigError(f"config.{section}.{exc.key}: {exc.detail}") from exc
@@ -241,13 +241,14 @@ def write_atomic(path: str, data: bytes) -> None:
     A reader of path sees its old contents or all of data, never a prefix.
     """
     tmp = path + ".tmp"
+    f = open(tmp, "wb")   # when this fails, a file at tmp is not this call's
     try:
-        with open(tmp, "wb") as f:
+        with f:
             f.write(data)
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def save_checkpoint(path: str, student: dict[str, np.ndarray],
@@ -465,7 +466,8 @@ def gen_config(preset: str) -> dict:
     noise, dataset, train = PRESETS[preset]
     return {
         "dataset": {**dataset, "noise": {**noise}},
-        "model": {"hidden_dims": [64, 64], "embed_dim": 32},
+        "model": {key: list(default) if isinstance(default, tuple) else default
+                  for key, (_, _, default) in _MODEL_SCHEMA.items()},
         "train": {"seed": 7, **train},
         "method": "JOSNC",
         "output_dir": f"runs/{preset}",

@@ -31,8 +31,8 @@ from .diffmath import DiffMathError, Tensor, softmax
 class ModelConfig:
     input_dim: int
     n_classes: int
-    hidden_dims: tuple = (64, 64)
-    embed_dim: int = 32
+    hidden_dims: tuple
+    embed_dim: int
 
 
 class Model:

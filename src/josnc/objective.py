@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diffmath import (BLOCK_ROWS, LOG2, LOG_FLOOR, DiffMathError, Scratch,
-                       Tensor)
+                       Tensor, softmax)
 
 
 class LossBreakdown(NamedTuple):
@@ -146,10 +146,10 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
 
     The value and the gradient for an upstream weight (`total_loss`'s
     gamma; 1.0 for a root) are computed together, a block of query rows at
-    a time: a block's (b, N + Q) logits are softmaxed and turned into logit
-    gradients in place, then multiplied by the pool into the block's rows of
-    the (N, E) gradient, which backward adds. backward raises DiffMathError
-    for any other upstream.
+    a time: a block's (b, N + Q) logits are softmaxed by `diffmath.softmax`
+    and turned into logit gradients, both in place, then multiplied by the
+    pool into the block's rows of the (N, E) gradient, which backward adds.
+    backward raises DiffMathError for any other upstream.
 
     The pool, the logits, the softmax and both products are float32
     (`Scratch.SINGLE`), held in out, a `diffmath.Scratch` (allocated when
@@ -183,15 +183,7 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
         # (b, N + Q) logits, softmaxed in place
         y = np.matmul(query, pool.T,
                       out=flat[m * e:m * e + rows.size * m].reshape(-1, m))
-        # a NaN or +inf reaches its row's max, a -inf its row's min: no
-        # (b, N + Q) mask is needed
-        row_max = y.max(axis=-1, keepdims=True)
-        if not (np.isfinite(row_max).all()
-                and np.isfinite(y.min(axis=-1)).all()):
-            raise DiffMathError("softmax input contains non-finite values")
-        y -= row_max
-        np.exp(y, out=y)
-        y /= y.sum(axis=-1, keepdims=True)
+        softmax(y, out=y)
         y_pos = y[rows, lo + rows].astype(np.float64)
         f = np.maximum(y_pos, LOG_FLOOR)
         floored[lo:lo + rows.size] = f

@@ -217,6 +217,17 @@ def test_artifact_writes_are_atomic(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["checkpoint.bin", "metrics.csv"]
 
 
+def test_write_atomic_keeps_its_own_error(tmp_path):
+    # a directory at the temp name is not the write's to remove: its open
+    # fails, and that failure is the only error raised
+    (tmp_path / "x.tmp").mkdir()
+    with pytest.raises(IsADirectoryError) as exc:
+        harness.write_atomic(str(tmp_path / "x"), b"")
+    assert exc.value.__context__ is None
+    assert (tmp_path / "x.tmp").is_dir()
+    assert not (tmp_path / "x").exists()
+
+
 def test_metrics_header_fixed():
     assert len(METRICS_COLUMNS) == 15
     assert METRICS_COLUMNS[0] == "epoch"
@@ -574,6 +585,38 @@ def test_cli_rejects_non_finite_json_constants(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert f"config error: {cfg_path}: {json.dumps(value)} " in err
     assert not out.exists()
+
+
+def config_text_with(tmp_path, old, new):
+    """The tiny config's JSON text with one fragment replaced."""
+    text = json.dumps(tiny_raw_config(str(tmp_path / "out")))
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("make_text, message", [
+    # json reads 1e400 as inf, which passes every range check
+    (lambda tmp_path: config_text_with(tmp_path, '"spread": 0.5',
+                                       '"spread": 1e400'),
+     "1e400 does not parse to a finite number"),
+    # deeper than the parser's recursion limit
+    (lambda tmp_path: "[" * 200_000, "maximum recursion depth exceeded"),
+    # longer than Python's limit on integer digits
+    (lambda tmp_path: config_text_with(tmp_path, '"seed": 5',
+                                       '"seed": ' + "9" * 5000),
+     "integer string conversion"),
+], ids=["number-beyond-float-range", "deep-nesting", "5000-digit-integer"])
+def test_cli_rejects_unparsable_config_text(tmp_path, capsys, make_text,
+                                            message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(make_text(tmp_path))
+    with pytest.raises(ConfigError, match=f"^{cfg_path}: .*{message}"):
+        load_config(str(cfg_path))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg_path}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _other_valid_value(value):

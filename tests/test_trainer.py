@@ -13,6 +13,7 @@ from josnc.datagen import (NoiseSpec, TrainingSet, inject_noise,
 from josnc.diffmath import BLOCK_ROWS, DiffMathError, Scratch, Tensor
 from josnc.embedqueue import EmbedQueue
 from josnc.labeler import lsr_matrix
+from josnc.network import forward_arrays
 from josnc.objective import neighbor_mixture
 from josnc.selector import CLEAN, ID, OOD, ThresholdState, fails_own_test
 from josnc.trainer import (FitResult, TrainConfig, TrainerError,
@@ -601,6 +602,69 @@ def test_projection_head_keeps_its_init_bits_through_josnc_warmup(monkeypatch):
     # the feature term moves it from the first robust step on
     assert moved == ([False] * warmup_steps
                      + [True] * (len(students) - warmup_steps))
+
+
+# what a step stores in the queue --------------------------------------------
+
+def enqueued_steps(monkeypatch, method):
+    """A tiny fit's model and, for each step: its epoch, its two views, the
+    student's and the teacher's flat weights as the step's forward passes
+    read them, and the keys and predictions it passed to EmbedQueue.enqueue."""
+    steps, step, models = [], {}, []
+    augment, ema, enqueue = (trainer.augment_views, trainer.ema_update,
+                             EmbedQueue.enqueue)
+
+    class Recorded(trainer.Model):
+        def forward(self, x, **heads):
+            models[:] = [self]
+            step.setdefault("student", self.flat.copy())
+            return super().forward(x, **heads)
+
+    def spy_augment(*args):
+        views = augment(*args)
+        step["views"] = [v.copy() for v in views]
+        return views
+
+    def spy_ema(teacher, student, omega):
+        step["teacher"] = teacher.copy()   # before this step's update
+        ema(teacher, student, omega)
+
+    def spy_enqueue(self, keys, labels, p_clean, preds, ids):
+        step["keys"], step["preds"] = keys.copy(), preds.copy()
+        enqueue(self, keys, labels, p_clean, preds, ids)
+
+    def hook(epoch, batch_ids, partition):
+        steps.append({"epoch": epoch, **step})
+        step.clear()
+
+    for owner, name, spy in ((trainer, "Model", Recorded),
+                             (trainer, "augment_views", spy_augment),
+                             (trainer, "ema_update", spy_ema),
+                             (EmbedQueue, "enqueue", spy_enqueue)):
+        monkeypatch.setattr(owner, name, spy)
+    cfg, ds = tiny_config(method=method), tiny_data()
+    fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes, step_hook=hook)
+    assert any(s["epoch"] > cfg.warmup_epochs for s in steps)
+    return models[0], steps
+
+
+@pytest.mark.parametrize("method", ["SELECT_ONLY", "JOSNC"])
+def test_queue_stores_the_students_predictions_of_view_1(monkeypatch, method):
+    model, steps = enqueued_steps(monkeypatch, method)
+    for s in steps:
+        probs, _ = forward_arrays(model.views(s["student"]), model.config,
+                                  s["views"][0], projection=False)
+        assert s["preds"].tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("method", ["SELECT_ONLY", "JOSNC"])
+def test_queue_keys_are_the_teachers_projection_of_view_2(monkeypatch,
+                                                          method):
+    model, steps = enqueued_steps(monkeypatch, method)
+    for s in steps:
+        _, keys = forward_arrays(model.views(s["teacher"]), model.config,
+                                 s["views"][1], classifier=False)
+        assert s["keys"].tobytes() == keys.tobytes()
 
 
 # a fit's queue-sized products share one scratch -----------------------------
