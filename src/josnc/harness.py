@@ -3,18 +3,22 @@ evaluation against hidden tags, the run's files, and run comparison.
 
 This is the only module that reads the hidden noise tags (the dataset's
 TagTable); it passes the trainer only the TrainingSet. It is the one module
-that touches files: it reads the config and metrics.csv and writes every
-artifact atomically; a file it cannot read, decode or write is a ConfigError.
+that touches files: it reads the config, metrics.csv and checkpoint.bin and
+writes every artifact atomically; a file it cannot read, decode or write is
+a ConfigError.
 """
 
 from __future__ import annotations
 
 import inspect
+import io
 import json
 import math
 import os
-import struct
 import subprocess
+import sys
+import tokenize
+import zipfile
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -72,13 +76,9 @@ _TRAIN_SCHEMA = {k: v for k, v in _FIELD_SCHEMA.items()
                  if k not in _MODEL_KEYS | {"method"}}
 _FLOAT_KEYS = {f.name for f in fields(TrainConfig) if f.type == "float"}
 
-_TOP_SCHEMA = {
-    "dataset": (dict, True, None),
-    "model": (dict, False, {}),
-    "train": (dict, True, None),
-    "method": (str, True, None),
-    "output_dir": (str, True, None),
-}
+_TOP_SCHEMA = {"dataset": (dict, True, None), "model": (dict, False, {}),
+               "train": (dict, True, None), "method": (str, True, None),
+               "output_dir": (str, True, None)}
 
 
 def _validate_section(section: dict, schema: dict, path: str) -> dict:
@@ -100,11 +100,15 @@ def _validate_section(section: dict, schema: dict, path: str) -> dict:
             if isinstance(value, list) and not all(type(v) is int for v in value):
                 raise ConfigError(f"{path}.{key}: expected an array of "
                                   f"integers, got {json.dumps(value)}")
+            # json.load reads an integer of any size, float() a bounded one
+            if (typ == (int, float) and isinstance(value, int)
+                    and abs(value) > sys.float_info.max):
+                raise ConfigError(f"{path}.{key}: expected a number in float range")
             out[key] = value
         elif required:
             raise ConfigError(f"{path}.{key}: missing required key")
-        else:
-            out[key] = default
+        else:   # a tuple default is the JSON array it is written and read as
+            out[key] = list(default) if isinstance(default, tuple) else default
     return out
 
 
@@ -194,11 +198,8 @@ def _prf(predicted_pos: np.ndarray, actual_pos: np.ndarray):
 
 
 def evaluate_selection(partition_codes: np.ndarray, noise_kinds: np.ndarray) -> dict:
-    """Precision / recall / F1 per noise kind.
-
-    CLEAN metrics treat truly clean samples as the positive class; OOD metrics
-    treat OOD-noisy samples as the positive class.
-    """
+    """Precision / recall / F1 per noise kind: CLEAN metrics take truly clean
+    samples as the positive class, OOD metrics the OOD-noisy samples."""
     codes = np.asarray(partition_codes)
     kinds = np.asarray(noise_kinds)
     cp, cr, cf = _prf(codes == selector.CLEAN, kinds == datagen.CLEAN)
@@ -212,9 +213,8 @@ def evaluate_selection(partition_codes: np.ndarray, noise_kinds: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+    return (str(int(value)) if isinstance(value, (int, np.integer))
+            else repr(float(value)))
 
 
 def metrics_rows(history, noise_kinds: np.ndarray) -> list:
@@ -236,10 +236,8 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 def write_atomic(path: str, data: bytes) -> None:
-    """Write data to a sibling temp file, then rename it over path.
-
-    A reader of path sees its old contents or all of data, never a prefix.
-    """
+    """Write data to a sibling temp file, then rename it over path: a
+    reader of path sees its old contents or all of data, never a prefix."""
     tmp = path + ".tmp"
     f = open(tmp, "wb")   # when this fails, a file at tmp is not this call's
     try:
@@ -253,35 +251,48 @@ def write_atomic(path: str, data: bytes) -> None:
 
 def save_checkpoint(path: str, student: dict[str, np.ndarray],
                     teacher: dict[str, np.ndarray]) -> None:
-    """checkpoint.bin: a little-endian u32 manifest length, a JSON manifest
-    of (name, shape, offset) entries, then one flat little-endian f64 blob."""
-    entries = []
-    blob = bytearray()
-    for prefix, params in (("student", student), ("teacher", teacher)):
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype="<f8")
-            entries.append({"name": f"{prefix}.{name}",
-                            "shape": list(arr.shape),
-                            "offset": len(blob)})
-            blob.extend(arr.tobytes())
-    manifest = json.dumps({"entries": entries}, sort_keys=True).encode()
-    write_atomic(path, struct.pack("<I", len(manifest)) + manifest + bytes(blob))
+    """checkpoint.bin: an uncompressed .npz archive (np.load reads it) of one
+    little-endian f64 member per parameter, student.<name> then
+    teacher.<name>, each in sorted name order: the model's flat layout."""
+    archive = io.BytesIO()
+    with zipfile.ZipFile(archive, "w") as zf:
+        for prefix, params in (("student", student), ("teacher", teacher)):
+            for name in sorted(params):
+                # a bare ZipInfo's 1980 timestamp keeps the bytes the same
+                with zf.open(zipfile.ZipInfo(f"{prefix}.{name}.npy"), "w") as f:
+                    np.lib.format.write_array(f, np.asarray(params[name], "<f8"))
+    write_atomic(path, archive.getvalue())
 
 
 def load_checkpoint(path: str):
-    """Returns (student_arrays, teacher_arrays)."""
-    with open(path, "rb") as f:
-        (mlen,) = struct.unpack("<I", f.read(4))
-        manifest = json.loads(f.read(mlen))
-        blob = f.read()
-    student, teacher = {}, {}
-    for e in manifest["entries"]:
-        shape = tuple(e["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count,
-                            offset=e["offset"]).reshape(shape).copy()
-        prefix, name = e["name"].split(".", 1)
-        (student if prefix == "student" else teacher)[name] = arr
+    """Returns (student_arrays, teacher_arrays). Raises ConfigError naming
+    path when np.load cannot read it as an uncompressed archive, a member
+    fails its CRC-32 or .npy header or is not a student. or teacher. float64
+    array, or the student and teacher name different parameters or shapes."""
+    try:
+        # np.load leaks a file it opens itself when the zip in it is unreadable
+        with open(path, "rb") as f:
+            npz = np.load(f, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):   # a .npy file
+                raise ValueError("not an .npz archive")
+            if any(member.compress_type for member in npz.zip.infolist()):
+                raise ValueError("a member is compressed")
+            if (bad := npz.zip.testzip()) is not None:
+                raise ValueError(f"bad CRC-32 for member {bad}")
+            arrays = {key: npz[key] for key in npz.files}
+        student, teacher = ({key.removeprefix(part): arr for key, arr in
+                             arrays.items() if key.startswith(part)}
+                            for part in ("student.", "teacher."))
+        # a member that is not a .npy file reads as bytes, without a dtype
+        if len(student) + len(teacher) < len(arrays) or any(
+                getattr(arr, "dtype", None) != "<f8" for arr in arrays.values()):
+            raise ValueError("a member is not a student. or teacher. float64 array")
+        if not student or ({k: v.shape for k, v in student.items()}
+                           != {k: v.shape for k, v in teacher.items()}):
+            raise ValueError("student and teacher differ in parameters or shapes")
+    except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile,
+            tokenize.TokenError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return student, teacher
 
 
@@ -330,14 +341,12 @@ def read_metrics_csv(path: str) -> tuple:
 
 def _git_describe() -> str:
     try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=5,
-                             cwd=os.path.dirname(os.path.abspath(__file__)))
-        if out.returncode == 0:
-            return out.stdout.strip()
+        return subprocess.run(["git", "describe", "--always", "--dirty"],
+                              capture_output=True, text=True, timeout=5,
+                              check=True, cwd=os.path.dirname(
+                                  os.path.abspath(__file__))).stdout.strip()
     except (OSError, subprocess.SubprocessError):
-        pass
-    return f"josnc-{__version__}"
+        return f"josnc-{__version__}"
 
 
 def run(config_path: str, output_dir_override: str = None) -> str:
@@ -355,16 +364,12 @@ def run(config_path: str, output_dir_override: str = None) -> str:
     out_dir = (output_dir_override or os.environ.get(OUTPUT_DIR_ENV)
                or cfg["output_dir"])
     n_classes = dataset.n_id_classes
-    manifest = {
-        "version": _git_describe(),
-        "package_version": __version__,
-        "seed": cfg["train"]["seed"],
-        "dataset_seed": cfg["dataset"]["seed"],
-        "method": cfg["method"],
-        "model_config": asdict(train_config.model_config(
-            dataset.train.x.shape[1], n_classes)),
-        "blas_threads": blas.thread_count(),
-    }
+    manifest = {"version": _git_describe(), "package_version": __version__,
+                "seed": cfg["train"]["seed"], "method": cfg["method"],
+                "dataset_seed": cfg["dataset"]["seed"],
+                "model_config": asdict(train_config.model_config(
+                    dataset.train.x.shape[1], n_classes)),
+                "blas_threads": blas.thread_count()}
     diverged = None
     metrics, checkpoint = (os.path.join(out_dir, name)
                            for name in ("metrics.csv", "checkpoint.bin"))
@@ -408,12 +413,8 @@ def compare_runs(dir_a: str, dir_b: str) -> dict:
     metrics = [c for c in cols_a if c != "epoch"]
     deltas = {e: {m: by_epoch_b[e][m] - by_epoch_a[e][m] for m in metrics}
               for e in common}
-
-    def last10_mean(rows):
-        tail = rows[-10:]
-        return {m: float(np.mean([r[m] for r in tail])) for m in metrics}
-
-    mean_a, mean_b = last10_mean(rows_a), last10_mean(rows_b)
+    mean_a, mean_b = ({m: float(np.mean([r[m] for r in rows[-10:]]))
+                       for m in metrics} for rows in (rows_a, rows_b))
     return {
         "run_a": dir_a, "run_b": dir_b, "epochs_compared": common,
         "per_epoch_delta": deltas,
@@ -427,8 +428,7 @@ def format_compare_report(report: dict) -> str:
              f"epochs compared: {len(report['epochs_compared'])}",
              "", "last-10-epoch means (A | B | delta):"]
     for m, d in report["last10_mean_delta"].items():
-        a = report["last10_mean_a"][m]
-        b = report["last10_mean_b"][m]
+        a, b = report["last10_mean_a"][m], report["last10_mean_b"][m]
         lines.append(f"  {m:18s} {a:12.6f} | {b:12.6f} | {d:+12.6f}")
     return "\n".join(lines)
 
@@ -466,8 +466,7 @@ def gen_config(preset: str) -> dict:
     noise, dataset, train = PRESETS[preset]
     return {
         "dataset": {**dataset, "noise": {**noise}},
-        "model": {key: list(default) if isinstance(default, tuple) else default
-                  for key, (_, _, default) in _MODEL_SCHEMA.items()},
+        "model": _validate_section({}, _MODEL_SCHEMA, "config.model"),
         "train": {"seed": 7, **train},
         "method": "JOSNC",
         "output_dir": f"runs/{preset}",

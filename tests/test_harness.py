@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import os
+import pickle
+import re
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from josnc import cli, harness
 from josnc.datagen import CLEAN as KIND_CLEAN
@@ -12,9 +17,11 @@ from josnc.datagen import ID_NOISY, OOD_NOISY, TagTable, TrainingSet
 from josnc.harness import (METRICS_COLUMNS, OUTPUT_DIR_ENV, PRESETS,
                            ConfigError, build_dataset, build_train_config,
                            compare_runs, evaluate_selection,
-                           format_compare_report, gen_config, load_config,
-                           metrics_rows, read_metrics_csv, resolve_config, run,
-                           save_checkpoint, write_metrics_csv)
+                           format_compare_report, gen_config, load_checkpoint,
+                           load_config, metrics_rows, read_metrics_csv,
+                           resolve_config, run, save_checkpoint,
+                           write_metrics_csv)
+from josnc.network import Model, ModelConfig
 from josnc.objective import LossBreakdown
 from josnc.selector import CLEAN, ID, OOD
 from josnc.trainer import METHODS, TrainConfig, TrainingDiverged, fit
@@ -619,6 +626,30 @@ def test_cli_rejects_unparsable_config_text(tmp_path, capsys, make_text,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("dataset", "spread", 10 ** 400),
+    ("dataset.noise", "rate_id", -10 ** 400),
+    ("train", "learning_rate", 10 ** 400),
+], ids=["dataset", "dataset.noise", "train"])
+def test_cli_rejects_an_integer_beyond_float_range(tmp_path, capsys, section,
+                                                   key, value):
+    # json.load reads an integer of any size into a number key; one that
+    # float() cannot hold is that key's config error, not an OverflowError
+    out = tmp_path / "out"
+    raw = tiny_raw_config(str(out))
+    node = raw
+    for part in section.split("."):
+        node = node[part]
+    node[key] = value
+    message = f"config.{section}.{key}: expected a number in float range"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        resolve_config(raw)
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def _other_valid_value(value):
     """A valid value that differs from a resolved tiny-config value."""
     if isinstance(value, list):
@@ -704,3 +735,224 @@ def test_cli_exit_code_divergence_elsewhere(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(harness, "fit", fit_assigned)
     check_divergence_exit(tmp_path, capsys, **overrides)
+
+
+# checkpoint.bin -----------------------------------------------------------------
+
+def write_npz(path, members, compress=False):
+    """An .npz archive at path of {name: array, or bytes for a non-.npy
+    member}."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED if compress
+                         else zipfile.ZIP_STORED) as zf:
+        for name, value in members.items():
+            if isinstance(value, bytes):
+                zf.writestr(name, value)
+            else:
+                with zf.open(name + ".npy", "w") as f:
+                    np.lib.format.write_array(f, value)
+
+
+def write_bytes(path, data):
+    with open(path, "wb") as f:
+        f.write(data)
+
+
+def write_npy(path, array):
+    with open(path, "wb") as f:
+        np.save(f, array)
+
+
+def flip_bit_0(path, where):
+    """Flip bit 0 of the byte at where(data) of the file at path."""
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
+    data[where(data)] ^= 0x01
+    write_bytes(path, data)
+
+
+def npy_with_header(header: str) -> bytes:
+    """A version 1.0 .npy file of header, padded, and 48 zero bytes."""
+    text = header.encode() + b" " * (-(len(header) + 11) % 64) + b"\n"
+    return (b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text
+            + bytes(48))
+
+
+W = np.arange(6.0).reshape(2, 3)
+MEMBER = "a member is not a student. or teacher. float64 array"
+PAIRS = "student and teacher differ in parameters or shapes"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda p: None, "No such file or directory"),
+    (lambda p: write_bytes(p, b""), "No data left in file"),
+    # np.load takes any file without a zip or .npy magic for a pickle
+    (lambda p: write_bytes(p, b"not a checkpoint\n"), "pickled"),
+    (lambda p: write_bytes(p, pickle.dumps({"student.w": W})), "pickled"),
+    (lambda p: write_npy(p, W), "not an .npz archive"),
+    (lambda p: (save_checkpoint(p, {"w": W}, {"w": W}),
+                os.truncate(p, os.path.getsize(p) // 2)), "not a zip file"),
+    # the last member's last byte sits just before the central directory,
+    # whose first entry's general-purpose flags start 8 bytes in
+    (lambda p: (save_checkpoint(p, {"w": W}, {"w": W}), flip_bit_0(
+        p, lambda data: data.find(b"PK\x01\x02") - 1)),
+     "bad CRC-32 for member teacher.w.npy"),
+    (lambda p: (save_checkpoint(p, {"w": W}, {"w": W}), flip_bit_0(
+        p, lambda data: data.find(b"PK\x01\x02") + 8)),
+     "is encrypted"),
+    # a header cut inside its shape tuple, under a valid CRC-32
+    (lambda p: write_npz(p, {name: npy_with_header(
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3")
+        for name in ("student.w.npy", "teacher.w.npy")}),
+     "EOF in multi-line statement"),
+    (lambda p: write_npz(p, {"student.w": W, "teacher.w": W}, compress=True),
+     "a member is compressed"),
+    (lambda p: write_npz(p, {"student.w": W, "teacher.w": W.astype("f4")}),
+     MEMBER),
+    (lambda p: write_npz(p, {"student.w": W, "teacher.w": W, "extra.w": W}),
+     MEMBER),
+    (lambda p: write_npz(p, {"student.w": W, "teacher.w": W,
+                             "student.notes": b"hello"}), MEMBER),
+    (lambda p: write_npz(p, {"student.w": W, "teacher.w": W.T.copy()}), PAIRS),
+    (lambda p: write_npz(p, {"student.w": W, "teacher.v": W}), PAIRS),
+    (lambda p: write_npz(p, {"student.w": W}), PAIRS),
+    (lambda p: write_npz(p, {}), PAIRS),
+], ids=["missing", "empty", "text", "pickle", "npy", "truncated", "bad-crc",
+        "encrypted-flag", "bad-npy-header", "compressed", "float32",
+        "foreign-member", "bytes-member", "shape-mismatch", "name-mismatch",
+        "student-only", "no-members"])
+def test_load_checkpoint_rejects_a_damaged_or_foreign_file(tmp_path, make,
+                                                           message):
+    path = str(tmp_path / "checkpoint.bin")
+    make(path)
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: .*"
+                                          f"{re.escape(message)}"):
+        load_checkpoint(path)
+
+
+# every reader fails typed on a damaged copy of a valid file --------------------
+
+def tiny_checkpoint():
+    """(student, teacher) arrays of a tiny model."""
+    rng = np.random.default_rng(3)
+    model = Model(ModelConfig(input_dim=6, n_classes=3, hidden_dims=(12,),
+                              embed_dim=6), rng)
+    student = model.snapshot()
+    return student, {k: v + rng.normal(size=v.shape)
+                     for k, v in student.items()}
+
+
+def damaged_copies(data: bytes):
+    """Truncated, bit-flipped and spliced copies of data."""
+    n = len(data)
+
+    def flip(bits):
+        out = bytearray(data)
+        for bit in bits:
+            out[bit // 8] ^= 1 << bit % 8
+        return bytes(out)
+
+    return st.one_of(
+        st.integers(0, n - 1).map(lambda i: data[:i]),
+        st.lists(st.integers(0, 8 * n - 1), min_size=1, max_size=8).map(flip),
+        # a segment cut out (j > i) or repeated (j < i)
+        st.tuples(st.integers(0, n), st.integers(0, n)).map(
+            lambda ij: data[:ij[0]] + data[ij[1]:]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "file")
+
+
+def read_damaged(path, write_valid, reader, data):
+    """reader(path) of a damaged copy, drawn from data, of the file that
+    write_valid(path) writes, or None if it raised ConfigError; any other
+    exception fails the test."""
+    write_valid(path)
+    with open(path, "rb") as f:
+        write_bytes(path, data.draw(damaged_copies(f.read())))
+    try:
+        return reader(path)
+    except ConfigError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_config_fails_typed_on_a_damaged_copy(fuzz_path, data):
+    read_damaged(fuzz_path, lambda path: harness._write_json(
+        path, tiny_raw_config("out")), load_config, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_metrics_csv_fails_typed_on_a_damaged_copy(fuzz_path, data):
+    rows = [{c: epoch if c == "epoch" else (epoch + i) / 7.0
+             for i, c in enumerate(METRICS_COLUMNS)} for epoch in (1, 2, 3)]
+    read_damaged(fuzz_path, lambda path: write_metrics_csv(path, rows),
+                 read_metrics_csv, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_checkpoint_fails_typed_on_a_damaged_copy(fuzz_path, data):
+    # the CRC-32 of each member covers its .npy header and array; a copy
+    # whose damage it does not see loads the original arrays
+    original = tiny_checkpoint()
+    loaded = read_damaged(fuzz_path, lambda path: save_checkpoint(
+        path, *original), load_checkpoint, data)
+    if loaded is not None:
+        for arrays, saved in zip(loaded, original):
+            assert list(arrays) == list(saved) and all(
+                arrays[k].dtype == "<f8" and arrays[k].shape == saved[k].shape
+                and arrays[k].tobytes() == saved[k].tobytes() for k in saved)
+
+
+# config.resolved.json loads back ------------------------------------------------
+
+def check_resolved_config_loads_back(path, raw):
+    """config.resolved.json of the config raw, as a run writes it at path,
+    loads back to the resolved dict, each value as the same JSON type."""
+    with open(path, "w") as f:
+        json.dump(raw, f)
+    cfg = load_config(path)
+    harness._write_json(path, cfg)
+    loaded = load_config(path)
+    assert loaded == cfg and repr(loaded) == repr(cfg)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_resolved_config_of_a_preset_loads_back(tmp_path, preset):
+    check_resolved_config_loads_back(str(tmp_path / "config.json"),
+                                     gen_config(preset))
+
+
+_JSON_VALUES = {int: st.integers(-2 ** 63, 2 ** 63),
+                (int, float): st.integers(-2 ** 63, 2 ** 63)
+                | st.floats(allow_nan=False, allow_infinity=False),
+                str: st.text(), list: st.lists(st.integers(-2 ** 63, 2 ** 63))}
+
+
+def valid_sections(schema, **nested):
+    """Sections of schema: every required key and some optional ones, each
+    with a value of its type, or null for an optional null default; nested
+    gives the strategy of an object-valued key."""
+    required, optional = {}, {}
+    for key, (typ, is_required, default) in schema.items():
+        drawn = nested[key] if typ is dict else _JSON_VALUES[typ]
+        if is_required:
+            required[key] = drawn
+        else:
+            optional[key] = drawn | st.none() if default is None else drawn
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=valid_sections(
+    harness._TOP_SCHEMA,
+    dataset=valid_sections(harness._DATASET_SCHEMA,
+                           noise=valid_sections(harness._NOISE_SCHEMA)),
+    model=valid_sections(harness._MODEL_SCHEMA),
+    train=valid_sections(harness._TRAIN_SCHEMA)))
+def test_resolved_config_of_a_drawn_config_loads_back(fuzz_path, raw):
+    check_resolved_config_loads_back(fuzz_path, raw)

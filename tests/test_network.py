@@ -159,13 +159,17 @@ def test_params_are_views_of_two_flat_buffers(tmp_path, rng):
         name for name, t in m.params.items() for _ in range(t.data.size)]
     with pytest.raises(IndexError):
         m.name_at(m.flat.size)
-    # the layout is checkpoint.bin's order: its blob ends with the student
-    # buffer, then the teacher's
+    # the layout is checkpoint.bin's order: its members are the student's
+    # parameters, then the teacher's, each in layout order, and their arrays
+    # in member order are the student buffer, then the teacher's
     path = str(tmp_path / "ckpt.bin")
     teacher = m.flat + 1.0
     save_checkpoint(path, m.arrays, m.views(teacher))
-    blob = open(path, "rb").read()
-    assert blob.endswith(m.flat.tobytes() + teacher.tobytes())
+    with np.load(path) as npz:
+        assert npz.files == [f"{part}.{name}" for part in ("student", "teacher")
+                             for name in m.layout]
+        members = b"".join(npz[key].tobytes() for key in npz.files)
+    assert members == m.flat.tobytes() + teacher.tobytes()
 
 
 # EMA --------------------------------------------------------------------------

@@ -186,6 +186,20 @@ def test_selection_off_stays_in_warmup_mode(monkeypatch):
     assert all(x is ds.test_x for _, _, x in forwards)
 
 
+@pytest.mark.parametrize("method", trainer.METHODS)
+def test_thresholds_roll_with_the_warmup_omega_then_the_main_one(monkeypatch,
+                                                                method):
+    # a selection method leaves warmup after warmup_epochs (2 of 6); without
+    # selection every epoch is a warmup epoch
+    rolls = []
+    count_calls(monkeypatch, ThresholdState, "roll", rolls)
+    run_tiny(tiny_config(method=method, tau_omega_warmup=0.5,
+                         tau_omega_main=0.25))
+    warmup = 2 if trainer.METHODS[method][0] else 6
+    omegas = [omega for _, omega in rolls]
+    assert omegas == [0.5] * warmup + [0.25] * (6 - warmup)
+
+
 def test_ablation_flags_zero_their_terms():
     res = run_tiny(tiny_config(method="SELECT_ONLY"))
     for rec in res.history[2:]:

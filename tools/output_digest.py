@@ -4,10 +4,13 @@ The scenario is the acceptance gate's criterion-6 scenario, the
 openset-sym40 preset as tools/scenario.py builds it, at --seed and
 --epochs. The five methods' fits run concurrently, one spawned process per
 core. Each digest covers the fit's metrics.csv, its per-epoch partition
-codes and its checkpoint.bin, in that order. To check that a change
-leaves every output unchanged, save one checkout's digests and compare the
-other's against them; --expect names each method whose digest differs and
-exits 1:
+codes and the arrays of its checkpoint.bin, in that order. The arrays are
+read back with harness.load_checkpoint and hashed in sorted name order,
+each as its name, dtype, shape and bytes, so the digest does not depend on
+the checkpoint's container format and two checkouts that store the same
+arrays in different formats digest alike. To check that a change leaves
+every output unchanged, save one checkout's digests and compare the other's
+against them; --expect names each method whose digest differs and exits 1:
 
     python3 /path/to/other/checkout/tools/output_digest.py --seed 7 \\
         --epochs 60 > old.txt
@@ -33,7 +36,8 @@ from scenario import fit_scenario, run_pool  # noqa: E402
 
 
 def output_digest(method: str, seed: int, epochs: int) -> str:
-    """sha256 of metrics.csv, the partition codes and checkpoint.bin."""
+    """sha256 of metrics.csv, the partition codes and the checkpoint's
+    arrays."""
     ds, result = fit_scenario(method, seed, epochs)
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out:
@@ -46,8 +50,14 @@ def output_digest(method: str, seed: int, epochs: int) -> str:
             digest.update(f.read())
         digest.update(np.stack([r.partition_codes
                                 for r in result.history]).tobytes())
-        with open(checkpoint, "rb") as f:
-            digest.update(f.read())
+        saved = harness.load_checkpoint(checkpoint)
+    # student.* sorts before teacher.*, so this is sorted full-name order
+    for part, arrays in zip(("student", "teacher"), saved):
+        for name in sorted(arrays):
+            arr = arrays[name]
+            digest.update(f"{part}.{name} {arr.dtype.str} {arr.shape}\n"
+                          .encode())
+            digest.update(arr.tobytes())
     return digest.hexdigest()
 
 
