@@ -50,8 +50,7 @@ class TrainingSet:
 
 @dataclass
 class TagTable:
-    """Hidden evaluation-only tags, aligned with TrainingSet.ids."""
-    ids: np.ndarray
+    """Hidden evaluation-only tags, row for row with the TrainingSet."""
     true_labels: np.ndarray   # over the full label space incl. OOD classes
     noise_kinds: np.ndarray   # CLEAN / ID_NOISY / OOD_NOISY
 
@@ -102,7 +101,7 @@ def make_blobs(n_id_classes: int, n_ood_classes: int, per_class: int, dim: int,
 
     return BlobDataset(
         train=TrainingSet(x=x, observed_labels=observed, ids=ids),
-        tags=TagTable(ids=ids.copy(), true_labels=true_labels, noise_kinds=noise_kinds),
+        tags=TagTable(true_labels=true_labels, noise_kinds=noise_kinds),
         test_x=test_x,
         test_y=np.repeat(np.arange(n_id_classes, dtype=np.int64),
                          test_per_class),

@@ -74,7 +74,6 @@ _MODEL_KEYS = {f.name for f in fields(ModelConfig)}
 _MODEL_SCHEMA = {k: v for k, v in _FIELD_SCHEMA.items() if k in _MODEL_KEYS}
 _TRAIN_SCHEMA = {k: v for k, v in _FIELD_SCHEMA.items()
                  if k not in _MODEL_KEYS | {"method"}}
-_FLOAT_KEYS = {f.name for f in fields(TrainConfig) if f.type == "float"}
 
 _TOP_SCHEMA = {"dataset": (dict, True, None), "model": (dict, False, {}),
                "train": (dict, True, None), "method": (str, True, None),
@@ -149,7 +148,8 @@ def load_config(path: str) -> dict:
 
 def build_dataset(cfg: dict) -> datagen.BlobDataset:
     """The noisy dataset of a resolved config; a value datagen rejects
-    raises ConfigError naming its key."""
+    raises ConfigError naming its key, and a dataset too large for numpy to
+    shape or allocate raises ConfigError naming config.dataset."""
     ds = cfg["dataset"]
     try:
         blobs = datagen.make_blobs(
@@ -159,6 +159,8 @@ def build_dataset(cfg: dict) -> datagen.BlobDataset:
     except datagen.DataGenError as exc:
         section = "dataset.noise" if exc.key in _NOISE_SCHEMA else "dataset"
         raise ConfigError(f"config.{section}.{exc.key}: {exc.detail}") from exc
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"config.dataset: {exc}") from exc
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
@@ -172,10 +174,9 @@ def build_train_config(cfg: dict) -> TrainConfig:
     if per_class < knn_k + 1:
         raise ConfigError(f"config.dataset.per_class: must exceed knn_k = "
                           f"{knn_k} for K nearest neighbors, got {per_class}")
-    values = {key: float(value) if key in _FLOAT_KEYS else value
-              for key, value in {**cfg["train"], **cfg["model"]}.items()}
     try:
-        return TrainConfig(**values, method=cfg["method"])
+        return TrainConfig(**cfg["train"], **cfg["model"],
+                           method=cfg["method"])
     except TrainerError as exc:
         section = ("" if exc.key == "method" else
                    "model." if exc.key in _MODEL_SCHEMA else "train.")
@@ -251,9 +252,9 @@ def write_atomic(path: str, data: bytes) -> None:
 
 def save_checkpoint(path: str, student: dict[str, np.ndarray],
                     teacher: dict[str, np.ndarray]) -> None:
-    """checkpoint.bin: an uncompressed .npz archive (np.load reads it) of one
-    little-endian f64 member per parameter, student.<name> then
-    teacher.<name>, each in sorted name order: the model's flat layout."""
+    """checkpoint.bin: an uncompressed .npz archive of one little-endian f64
+    member per parameter, student.<name> then teacher.<name>, each in sorted
+    name order: the model's flat layout."""
     archive = io.BytesIO()
     with zipfile.ZipFile(archive, "w") as zf:
         for prefix, params in (("student", student), ("teacher", teacher)):
@@ -265,27 +266,24 @@ def save_checkpoint(path: str, student: dict[str, np.ndarray],
 
 
 def load_checkpoint(path: str):
-    """Returns (student_arrays, teacher_arrays). Raises ConfigError naming
-    path when np.load cannot read it as an uncompressed archive, a member
-    fails its CRC-32 or .npy header or is not a student. or teacher. float64
+    """Returns (student_arrays, teacher_arrays), read with the libraries
+    save_checkpoint writes with. Raises ConfigError naming path: in zipfile's
+    or numpy's words when they cannot read it or a member fails its CRC-32,
+    else when a member is compressed or not a student. or teacher. float64
     array, or the student and teacher name different parameters or shapes."""
     try:
-        # np.load leaks a file it opens itself when the zip in it is unreadable
-        with open(path, "rb") as f:
-            npz = np.load(f, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):   # a .npy file
-                raise ValueError("not an .npz archive")
-            if any(member.compress_type for member in npz.zip.infolist()):
+        with zipfile.ZipFile(path) as zf:
+            if any(member.compress_type for member in zf.infolist()):
                 raise ValueError("a member is compressed")
-            if (bad := npz.zip.testzip()) is not None:
-                raise ValueError(f"bad CRC-32 for member {bad}")
-            arrays = {key: npz[key] for key in npz.files}
+            # ZipFile.read checks each member's CRC-32 at the member's end
+            arrays = {name.removesuffix(".npy"): np.lib.format.read_array(
+                io.BytesIO(zf.read(name)), allow_pickle=False)
+                for name in zf.namelist()}
         student, teacher = ({key.removeprefix(part): arr for key, arr in
                              arrays.items() if key.startswith(part)}
                             for part in ("student.", "teacher."))
-        # a member that is not a .npy file reads as bytes, without a dtype
         if len(student) + len(teacher) < len(arrays) or any(
-                getattr(arr, "dtype", None) != "<f8" for arr in arrays.values()):
+                arr.dtype != "<f8" for arr in arrays.values()):
             raise ValueError("a member is not a student. or teacher. float64 array")
         if not student or ({k: v.shape for k, v in student.items()}
                            != {k: v.shape for k, v in teacher.items()}):

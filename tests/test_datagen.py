@@ -18,7 +18,6 @@ def test_make_blobs_shapes_and_alignment():
     assert ds.train.x.shape == (n, 8)
     assert ds.train.observed_labels.shape == (n,)
     assert len(np.unique(ds.train.ids)) == n
-    np.testing.assert_array_equal(ds.train.ids, ds.tags.ids)
     assert ds.test_x.shape == (4 * 100, 8)
     # test split covers ID classes only
     assert ds.test_y.max() == 3

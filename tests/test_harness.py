@@ -283,7 +283,7 @@ def test_fit_receives_no_hidden_tags(tmp_path, monkeypatch):
     assert [f.name for f in dataclasses.fields(train)] == [
         "x", "observed_labels", "ids"]
     tags = built[0].tags
-    hidden = (tags.ids, tags.true_labels, tags.noise_kinds)
+    hidden = (tags.true_labels, tags.noise_kinds)
     for arg in [*args, *kwargs.values()]:
         held = ([getattr(arg, f.name) for f in dataclasses.fields(arg)]
                 if dataclasses.is_dataclass(arg) else [])
@@ -300,6 +300,26 @@ def test_run_byte_identical_across_repeats(tmp_path):
     a = open(os.path.join(out_a, "metrics.csv"), "rb").read()
     b = open(os.path.join(out_b, "metrics.csv"), "rb").read()
     assert a == b
+
+
+def test_integer_float_keys_give_the_bytes_of_floats(tmp_path):
+    # a train value reaches TrainConfig as written: an integer in a float
+    # key gives the bits of the same value written as a float
+    ints = {"momentum": 0, "t_pll_out": 1, "ema_omega": 1, "alpha": 1,
+            "t_ssl": 1}
+    outputs = []
+    for name, values in (("int", ints),
+                         ("float", {k: float(v) for k, v in ints.items()})):
+        out = tmp_path / name
+        cfg_path = write_config(tmp_path, tiny_raw_config(str(out), **values),
+                                f"{name}.json")
+        train_config = build_train_config(load_config(cfg_path))
+        assert {type(getattr(train_config, k)) for k in ints} == {
+            type(v) for v in values.values()}
+        run(cfg_path)
+        outputs.append([(out / f).read_bytes()
+                        for f in ("metrics.csv", "checkpoint.bin")])
+    assert outputs[0] == outputs[1]
 
 
 def test_standard_method_zero_consistency_columns(tmp_path):
@@ -650,6 +670,40 @@ def test_cli_rejects_an_integer_beyond_float_range(tmp_path, capsys, section,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("dim", 10 ** 30, "Maximum allowed dimension exceeded"),
+    ("per_class", 10 ** 30, "Maximum allowed dimension exceeded"),
+    # each axis fits numpy's index range, their 4 * 2**62 elements do not
+    ("dim", 2 ** 62, "array is too big"),
+], ids=["dim", "per_class", "dim-by-classes"])
+def test_cli_rejects_a_dataset_too_large_for_numpy(tmp_path, capsys, key,
+                                                   value, message):
+    # numpy refuses each shape before it allocates: at least 2**63 elements
+    out = tmp_path / "out"
+    raw = tiny_raw_config(str(out))
+    raw["dataset"][key] = value
+    with pytest.raises(ConfigError,
+                       match=f"^config\\.dataset: {re.escape(message)}"):
+        build_dataset(resolve_config(raw))
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.dataset: {message}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[]", '"config"'], ids=["array", "string"])
+def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, text):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    with pytest.raises(ConfigError, match="^config: expected an object$"):
+        load_config(str(cfg_path))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config: expected an object\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def _other_valid_value(value):
     """A valid value that differs from a resolved tiny-config value."""
     if isinstance(value, list):
@@ -784,18 +838,19 @@ PAIRS = "student and teacher differ in parameters or shapes"
 
 @pytest.mark.parametrize("make, message", [
     (lambda p: None, "No such file or directory"),
-    (lambda p: write_bytes(p, b""), "No data left in file"),
-    # np.load takes any file without a zip or .npy magic for a pickle
-    (lambda p: write_bytes(p, b"not a checkpoint\n"), "pickled"),
-    (lambda p: write_bytes(p, pickle.dumps({"student.w": W})), "pickled"),
-    (lambda p: write_npy(p, W), "not an .npz archive"),
+    (lambda p: write_bytes(p, b""), "File is not a zip file"),
+    (lambda p: write_bytes(p, b"not a checkpoint\n"),
+     "File is not a zip file"),
+    (lambda p: write_bytes(p, pickle.dumps({"student.w": W})),
+     "File is not a zip file"),
+    (lambda p: write_npy(p, W), "File is not a zip file"),
     (lambda p: (save_checkpoint(p, {"w": W}, {"w": W}),
                 os.truncate(p, os.path.getsize(p) // 2)), "not a zip file"),
     # the last member's last byte sits just before the central directory,
     # whose first entry's general-purpose flags start 8 bytes in
     (lambda p: (save_checkpoint(p, {"w": W}, {"w": W}), flip_bit_0(
         p, lambda data: data.find(b"PK\x01\x02") - 1)),
-     "bad CRC-32 for member teacher.w.npy"),
+     "Bad CRC-32 for file 'teacher.w.npy'"),
     (lambda p: (save_checkpoint(p, {"w": W}, {"w": W}), flip_bit_0(
         p, lambda data: data.find(b"PK\x01\x02") + 8)),
      "is encrypted"),
@@ -810,8 +865,10 @@ PAIRS = "student and teacher differ in parameters or shapes"
      MEMBER),
     (lambda p: write_npz(p, {"student.w": W, "teacher.w": W, "extra.w": W}),
      MEMBER),
+    # a member that is not a .npy file, in numpy's words
     (lambda p: write_npz(p, {"student.w": W, "teacher.w": W,
-                             "student.notes": b"hello"}), MEMBER),
+                             "student.notes": b"hello"}),
+     "EOF: reading magic string, expected 8 bytes got 5"),
     (lambda p: write_npz(p, {"student.w": W, "teacher.w": W.T.copy()}), PAIRS),
     (lambda p: write_npz(p, {"student.w": W, "teacher.v": W}), PAIRS),
     (lambda p: write_npz(p, {"student.w": W}), PAIRS),

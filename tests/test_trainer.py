@@ -618,6 +618,55 @@ def test_projection_head_keeps_its_init_bits_through_josnc_warmup(monkeypatch):
                      + [True] * (len(students) - warmup_steps))
 
 
+# how a step moves the student and the teacher -------------------------------
+
+def stepped_weights(monkeypatch, cfg):
+    """A tiny fit of cfg: its model, its FitResult and, for each step, its
+    epoch, the student's flat weights before and after it and its
+    gradient."""
+    models, steps, before = [], [], {}
+
+    class Recorded(trainer.Model):
+        def forward(self, x, **heads):
+            models[:] = [self]
+            before.setdefault("flat", self.flat.copy())
+            return super().forward(x, **heads)
+
+    def hook(epoch, batch_ids, partition):
+        model, = models
+        steps.append((epoch, before.pop("flat"), model.flat.copy(),
+                      model.grad.copy()))
+
+    monkeypatch.setattr(trainer, "Model", Recorded)
+    ds = tiny_data()
+    result = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes,
+                 step_hook=hook)
+    assert steps[-1][0] == cfg.epochs
+    return models[0], steps, result
+
+
+def test_each_step_moves_the_student_at_its_epochs_rate(monkeypatch):
+    # without momentum a step's velocity is its gradient, so the step moves
+    # the weights by -lr * gradient, lr being the rate of the step's epoch
+    cfg = tiny_config(momentum=0.0)
+    _, steps, _ = stepped_weights(monkeypatch, cfg)
+    for epoch, before, after, grad in steps:
+        assert np.array_equal(after, before - _lr_at(cfg, epoch) * grad)
+
+
+def test_teacher_is_the_ema_of_the_students_steps(monkeypatch):
+    # the teacher starts as the student; each step moves it to
+    # omega * teacher + (1 - omega) * student at the config's omega
+    cfg = tiny_config(ema_omega=0.75)
+    model, steps, result = stepped_weights(monkeypatch, cfg)
+    teacher = steps[0][1].copy()
+    for _, _, after, _ in steps:
+        teacher *= cfg.ema_omega
+        teacher += (1.0 - cfg.ema_omega) * after
+    for name, array in model.views(teacher).items():
+        assert result.teacher[name].tobytes() == array.tobytes()
+
+
 # what a step stores in the queue --------------------------------------------
 
 def enqueued_steps(monkeypatch, method):
