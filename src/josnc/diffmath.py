@@ -1,4 +1,4 @@
-"""Divergence primitives and the node type of a coarse reverse-mode graph.
+"""Divergence primitives, the EMA rule and the node type of a coarse graph.
 
 Everything runs on float64 numpy arrays, but for the InfoNCE's pool, logits
 and softmax, which are float32 views of a `Scratch`
@@ -70,6 +70,12 @@ def js_divergence_rows(p, q) -> np.ndarray:
     kl_qm = np.sum(q * (np.log(np.maximum(q, LOG_FLOOR)) - log_m), axis=-1)
     js = 0.5 * (kl_pm + kl_qm) / LOG2
     return np.clip(js, 0.0, 1.0)
+
+
+def ema_update(average: np.ndarray, value, omega: float) -> None:
+    """average <- omega * average + (1 - omega) * value, in place."""
+    average *= omega
+    average += (1.0 - omega) * value
 
 
 # query rows per block of a queue-sized product (the KNN similarities, the

@@ -267,18 +267,20 @@ def save_checkpoint(path: str, student: dict[str, np.ndarray],
 
 def load_checkpoint(path: str):
     """Returns (student_arrays, teacher_arrays), read with the libraries
-    save_checkpoint writes with. Raises ConfigError naming path: in zipfile's
-    or numpy's words when they cannot read it or a member fails its CRC-32,
-    else when a member is compressed or not a student. or teacher. float64
-    array, or the student and teacher name different parameters or shapes."""
+    save_checkpoint writes with. Raises ConfigError naming path, then the
+    member if it was reading one: in zipfile's or numpy's words when they
+    cannot read it, else when a member is compressed or not a student. or
+    teacher. float64 array, or student and teacher differ in names or shapes."""
+    name = ""   # the member being read
     try:
         with zipfile.ZipFile(path) as zf:
             if any(member.compress_type for member in zf.infolist()):
                 raise ValueError("a member is compressed")
-            # ZipFile.read checks each member's CRC-32 at the member's end
-            arrays = {name.removesuffix(".npy"): np.lib.format.read_array(
-                io.BytesIO(zf.read(name)), allow_pickle=False)
-                for name in zf.namelist()}
+            arrays = {}
+            for name in zf.namelist():   # ZipFile.read checks its CRC-32
+                arrays[name.removesuffix(".npy")] = np.lib.format.read_array(
+                    io.BytesIO(zf.read(name)), allow_pickle=False)
+            name = ""
         student, teacher = ({key.removeprefix(part): arr for key, arr in
                              arrays.items() if key.startswith(part)}
                             for part in ("student.", "teacher."))
@@ -290,7 +292,9 @@ def load_checkpoint(path: str):
             raise ValueError("student and teacher differ in parameters or shapes")
     except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile,
             tokenize.TokenError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        # ZipFile.read raises a bare EOFError where a member's data ends early
+        raise ConfigError(f"{path}: {name and name + ': '}"
+                          f"{str(exc) or 'its data ends early'}") from exc
     return student, teacher
 
 

@@ -13,8 +13,8 @@ explicit array code. The weights live in one flat float64 buffer,
 `Model.flat`, and their gradients in another, `Model.grad`, laid out by
 `Model.layout` (name -> shape, in checkpoint.bin's sorted-name order); the
 leaf Tensors of `Model.params` view both. The teacher and the SGD velocity
-are flat arrays of the same layout, so SGD, the teacher's EMA and the
-finiteness check are one array op each.
+are flat arrays of the same layout, so SGD, the teacher's EMA
+(`diffmath.ema_update`) and the finiteness check are one array op each.
 """
 
 from __future__ import annotations
@@ -193,9 +193,3 @@ def _forward(params: dict[str, np.ndarray], config: ModelConfig,
         emb[dead, 0] = 1.0
     return layers, h, probs, emb, norms, dead
 
-
-def ema_update(teacher: np.ndarray, student: np.ndarray, omega: float) -> None:
-    """teacher <- omega * teacher + (1 - omega) * student, in place, on two
-    flat arrays of one layout."""
-    teacher *= omega
-    teacher += (1.0 - omega) * student

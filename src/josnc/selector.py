@@ -10,7 +10,7 @@ A sample is CLEAN if its own clean-likelihood clears the per-class threshold,
 or if all K of its nearest neighbors share its observed label and their mean
 enqueue-time clean-likelihood clears the threshold. Non-clean samples are OOD
 when their view divergence exceeds the per-class OOD threshold, otherwise ID.
-Thresholds are per-class epoch means refined by temporal ensembling.
+Thresholds are per-class epoch means rolled by the mean teacher's EMA rule.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .diffmath import ema_update
 
 CLEAN, ID, OOD = 0, 1, 2
 
@@ -46,39 +48,33 @@ class Partition:
 
 
 class ThresholdState:
-    """Per-class tau_clean / tau_ood with epoch accumulators.
+    """Per-class thresholds tau (2, C), row views tau_clean and tau_ood.
 
-    Thresholds start at 0 and are rolled once per epoch via
+    Thresholds start at 0 and are rolled once per epoch by `ema_update`:
       tau <- w * tau + (1 - w) * epoch_mean
     Classes unseen in an epoch carry their previous threshold forward.
     """
 
     def __init__(self, n_classes: int):
-        self.tau_clean = np.zeros(n_classes)
-        self.tau_ood = np.zeros(n_classes)
-        self._sum_clean = np.zeros(n_classes)
-        self._sum_ood = np.zeros(n_classes)
+        self.tau = np.zeros((2, n_classes))
+        self.tau_clean, self.tau_ood = self.tau
+        self._sums = np.zeros((2, n_classes))
         self._count = np.zeros(n_classes, dtype=np.int64)
 
     def accumulate_batch(self, p_clean, p_ood, observed_labels) -> None:
-        np.add.at(self._sum_clean, observed_labels, p_clean)
-        np.add.at(self._sum_ood, observed_labels, p_ood)
+        np.add.at(self._sums, (slice(None), observed_labels), (p_clean, p_ood))
         np.add.at(self._count, observed_labels, 1)
 
-    def epoch_means(self):
-        counts = np.maximum(self._count, 1)
-        return self._sum_clean / counts, self._sum_ood / counts
+    def epoch_means(self) -> np.ndarray:
+        return self._sums / np.maximum(self._count, 1)
 
     def roll(self, omega_tau: float) -> None:
         """End-of-epoch threshold update; clears the accumulators."""
         seen = self._count > 0
-        mean_clean, mean_ood = self.epoch_means()
-        self.tau_clean[seen] = (omega_tau * self.tau_clean[seen]
-                                + (1.0 - omega_tau) * mean_clean[seen])
-        self.tau_ood[seen] = (omega_tau * self.tau_ood[seen]
-                              + (1.0 - omega_tau) * mean_ood[seen])
-        self._sum_clean[:] = 0.0
-        self._sum_ood[:] = 0.0
+        tau = self.tau[:, seen]
+        ema_update(tau, self.epoch_means()[:, seen], omega_tau)
+        self.tau[:, seen] = tau
+        self._sums[:] = 0.0
         self._count[:] = 0
 
 

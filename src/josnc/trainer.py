@@ -57,10 +57,10 @@ import numpy as np
 
 from . import selector
 from .datagen import TrainingSet, augment_views
-from .diffmath import DiffMathError, Scratch, js_divergence_rows
+from .diffmath import DiffMathError, Scratch, ema_update, js_divergence_rows
 from .embedqueue import EmbedQueue, KnnBatch
 from .labeler import lsr_matrix, make_negative_target, make_pll_target
-from .network import Model, ModelConfig, ema_update, forward_arrays
+from .network import Model, ModelConfig, forward_arrays
 from .objective import (LossBreakdown, classification_loss,
                         cross_entropy_loss, feature_consistency_loss,
                         neighbor_consistency_loss, neighbor_mixture,
@@ -325,9 +325,8 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
 
                 if warmup_mode:
                     codes = np.full(nb, selector.CLEAN, dtype=np.int64)
-                    total, breakdown = total_loss(
-                        cross_entropy_loss(p1, y_smooth), None, None, None,
-                        config.alpha, config.beta, config.gamma)
+                    l_cls, l_s, l_n, l_f = (cross_entropy_loss(p1, y_smooth),
+                                            None, None, None)
                 else:
                     # neighbors for the rows that read them: all rows under
                     # neighbor consistency, else those failing their own test
@@ -359,9 +358,8 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                     l_f = (feature_consistency_loss(
                         emb_q, teacher_keys, queue.key_views(), config.t_ssl,
                         weight=config.gamma, out=scratch) if fcon else None)
-                    total, breakdown = total_loss(l_cls, l_s, l_n, l_f,
-                                                  config.alpha, config.beta,
-                                                  config.gamma)
+                total, breakdown = total_loss(l_cls, l_s, l_n, l_f, config.alpha,
+                                              config.beta, config.gamma)
 
                 if not np.isfinite(breakdown.train_loss):
                     raise DiffMathError("non-finite loss")

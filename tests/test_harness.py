@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import re
+import struct
 import tracemalloc
 import zipfile
 
@@ -824,6 +825,17 @@ def flip_bit_0(path, where):
     write_bytes(path, data)
 
 
+def claim_more_data(path):
+    """Make the central directory record of the last member of the archive
+    at path claim 1 MiB of data, more than the file holds after it."""
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
+    # the compressed and uncompressed sizes sit 20 bytes into the record
+    struct.pack_into("<II", data, data.rfind(b"PK\x01\x02") + 20, 1 << 20,
+                     1 << 20)
+    write_bytes(path, data)
+
+
 def npy_with_header(header: str) -> bytes:
     """A version 1.0 .npy file of header, padded, and 48 zero bytes."""
     text = header.encode() + b" " * (-(len(header) + 11) % 64) + b"\n"
@@ -850,33 +862,36 @@ PAIRS = "student and teacher differ in parameters or shapes"
     # whose first entry's general-purpose flags start 8 bytes in
     (lambda p: (save_checkpoint(p, {"w": W}, {"w": W}), flip_bit_0(
         p, lambda data: data.find(b"PK\x01\x02") - 1)),
-     "Bad CRC-32 for file 'teacher.w.npy'"),
+     "teacher.w.npy: Bad CRC-32 for file 'teacher.w.npy'"),
     (lambda p: (save_checkpoint(p, {"w": W}, {"w": W}), flip_bit_0(
         p, lambda data: data.find(b"PK\x01\x02") + 8)),
-     "is encrypted"),
+     "student.w.npy: File 'student.w.npy' is encrypted"),
     # a header cut inside its shape tuple, under a valid CRC-32
     (lambda p: write_npz(p, {name: npy_with_header(
         "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3")
         for name in ("student.w.npy", "teacher.w.npy")}),
-     "EOF in multi-line statement"),
+     "student.w.npy: ('EOF in multi-line statement'"),
     (lambda p: write_npz(p, {"student.w": W, "teacher.w": W}, compress=True),
      "a member is compressed"),
     (lambda p: write_npz(p, {"student.w": W, "teacher.w": W.astype("f4")}),
      MEMBER),
     (lambda p: write_npz(p, {"student.w": W, "teacher.w": W, "extra.w": W}),
      MEMBER),
-    # a member that is not a .npy file, in numpy's words
+    # a member that is not a .npy file, in numpy's words after its name
     (lambda p: write_npz(p, {"student.w": W, "teacher.w": W,
                              "student.notes": b"hello"}),
-     "EOF: reading magic string, expected 8 bytes got 5"),
+     "student.notes: EOF: reading magic string, expected 8 bytes got 5"),
+    # zipfile raises a bare EOFError where a member's data ends early
+    (lambda p: (save_checkpoint(p, {"w": W}, {"w": W}), claim_more_data(p)),
+     "teacher.w.npy: its data ends early"),
     (lambda p: write_npz(p, {"student.w": W, "teacher.w": W.T.copy()}), PAIRS),
     (lambda p: write_npz(p, {"student.w": W, "teacher.v": W}), PAIRS),
     (lambda p: write_npz(p, {"student.w": W}), PAIRS),
     (lambda p: write_npz(p, {}), PAIRS),
 ], ids=["missing", "empty", "text", "pickle", "npy", "truncated", "bad-crc",
         "encrypted-flag", "bad-npy-header", "compressed", "float32",
-        "foreign-member", "bytes-member", "shape-mismatch", "name-mismatch",
-        "student-only", "no-members"])
+        "foreign-member", "bytes-member", "ends-early", "shape-mismatch",
+        "name-mismatch", "student-only", "no-members"])
 def test_load_checkpoint_rejects_a_damaged_or_foreign_file(tmp_path, make,
                                                            message):
     path = str(tmp_path / "checkpoint.bin")

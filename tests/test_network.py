@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from josnc.diffmath import DiffMathError, Tensor
+from josnc.diffmath import DiffMathError, Tensor, ema_update
 from josnc.harness import load_checkpoint, save_checkpoint
-from josnc.network import Model, ModelConfig, ema_update, forward_arrays
+from josnc.network import Model, ModelConfig, forward_arrays
 
 from oracles import tape_forward, tape_params
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from josnc import harness, selector, trainer
 from josnc.datagen import (NoiseSpec, TrainingSet, inject_noise,
                            make_blobs)
-from josnc.diffmath import BLOCK_ROWS, DiffMathError, Scratch, Tensor
+from josnc.diffmath import (BLOCK_ROWS, DiffMathError, Scratch, Tensor,
+                            js_divergence_rows)
 from josnc.embedqueue import EmbedQueue
 from josnc.labeler import lsr_matrix
 from josnc.network import forward_arrays
@@ -667,12 +668,63 @@ def test_teacher_is_the_ema_of_the_students_steps(monkeypatch):
         assert result.teacher[name].tobytes() == array.tobytes()
 
 
+# how a robust step weighs and masks its consistency terms -------------------
+
+def test_train_loss_weighs_each_term_by_its_own_weight():
+    # alpha, beta and gamma all differ, so a weight given to the wrong term
+    # moves train_loss off the sum of the same record's terms
+    cfg = tiny_config(alpha=0.7, beta=0.2, gamma=0.05)
+    history = run_tiny(cfg).history
+    for rec in history:
+        losses = rec.losses
+        assert losses.train_loss == pytest.approx(
+            losses.l_cls + cfg.alpha * losses.l_con_s
+            + cfg.beta * losses.l_con_n + cfg.gamma * losses.l_con_f,
+            rel=1e-12, abs=0.0)
+    assert all(min(rec.losses) > 0.0 for rec in history[cfg.warmup_epochs:])
+
+
+def test_neighbor_term_masks_ood_rows_and_rows_without_k_neighbors(
+        monkeypatch):
+    steps, step = [], {}
+    knn_batch, ncon = EmbedQueue.knn_batch, trainer.neighbor_consistency_loss
+
+    def spy_knn(self, *args, **kwargs):
+        knn = knn_batch(self, *args, **kwargs)
+        step["found"] = knn.found.copy()
+        return knn
+
+    def spy_ncon(p, mixtures, mask):
+        step["mask"] = mask.copy()
+        return ncon(p, mixtures, mask)
+
+    def hook(epoch, batch_ids, partition):
+        if step:   # a robust step: every row was looked up
+            ood = np.isin(batch_ids, list(partition.ood_ids))
+            steps.append((ood, step.pop("found"), step.pop("mask")))
+
+    monkeypatch.setattr(EmbedQueue, "knn_batch", spy_knn)
+    monkeypatch.setattr(trainer, "neighbor_consistency_loss", spy_ncon)
+    # the mixed-partition scenario above, with a queue of exactly K keys: a
+    # row whose own id it holds has K - 1 others, so no K neighbors
+    ds = inject_noise(make_blobs(5, 1, 40, 6, 0.3, seed=3),
+                      NoiseSpec("symmetric", 0.3), seed=3)
+    cfg = tiny_config(epochs=8, warmup_epochs=4, learning_rate=0.1,
+                      epsilon=0.1, queue_capacity=5, knn_k=5)
+    fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes, step_hook=hook)
+    for ood, found, mask in steps:
+        assert mask.tobytes() == (~ood & found).astype(np.float64).tobytes()
+    ood, found, _ = (np.concatenate(arrays) for arrays in zip(*steps))
+    assert (ood & found).any() and (~ood & ~found).any()
+
+
 # what a step stores in the queue --------------------------------------------
 
 def enqueued_steps(monkeypatch, method):
     """A tiny fit's model and, for each step: its epoch, its two views, the
     student's and the teacher's flat weights as the step's forward passes
-    read them, and the keys and predictions it passed to EmbedQueue.enqueue."""
+    read them, and the keys, labels, p_clean and predictions it passed to
+    EmbedQueue.enqueue."""
     steps, step, models = [], {}, []
     augment, ema, enqueue = (trainer.augment_views, trainer.ema_update,
                              EmbedQueue.enqueue)
@@ -693,7 +745,8 @@ def enqueued_steps(monkeypatch, method):
         ema(teacher, student, omega)
 
     def spy_enqueue(self, keys, labels, p_clean, preds, ids):
-        step["keys"], step["preds"] = keys.copy(), preds.copy()
+        step.update(keys=keys.copy(), labels=labels.copy(),
+                    p_clean=p_clean.copy(), preds=preds.copy())
         enqueue(self, keys, labels, p_clean, preds, ids)
 
     def hook(epoch, batch_ids, partition):
@@ -728,6 +781,21 @@ def test_queue_keys_are_the_teachers_projection_of_view_2(monkeypatch,
         _, keys = forward_arrays(model.views(s["teacher"]), model.config,
                                  s["views"][1], classifier=False)
         assert s["keys"].tobytes() == keys.tobytes()
+
+
+@pytest.mark.parametrize("method", ["SELECT_ONLY", "JOSNC"])
+def test_queue_p_clean_is_view_1s_agreement_with_the_smoothed_label(
+        monkeypatch, method):
+    # p_clean = 1 - JS(student's prediction of view 1, smoothed label), the
+    # row's own clean score; p_ood compares the two views instead
+    model, steps = enqueued_steps(monkeypatch, method)
+    epsilon = tiny_config().epsilon
+    for s in steps:
+        probs, _ = forward_arrays(model.views(s["student"]), model.config,
+                                  s["views"][0], projection=False)
+        smoothed = lsr_matrix(s["labels"], model.config.n_classes, epsilon)
+        want = 1.0 - js_divergence_rows(probs, smoothed)
+        assert s["p_clean"].tobytes() == want.tobytes()
 
 
 # a fit's queue-sized products share one scratch -----------------------------
