@@ -14,6 +14,11 @@ library's own setter, which takes effect even when numpy was imported (and
 its thread pool started) first, and reads the count back through the getter.
 There is no fallback: a numpy build without these symbols, or a pin that
 does not read back as 1, raises BlasThreadError.
+
+One thread fixes the summation order only within one kernel family:
+OpenBLAS picks its kernels by CPU when it loads (SkylakeX, Haswell, ...),
+and two families sum some products in different orders. `core_name` reads
+the family in use, which a run's manifest records.
 """
 
 from __future__ import annotations
@@ -32,17 +37,24 @@ _LIB = ctypes.CDLL(_multiarray_umath.__file__)
 try:
     _SET = _LIB.scipy_openblas_set_num_threads64_
     _GET = _LIB.scipy_openblas_get_num_threads64_
+    _CORE = _LIB.scipy_openblas_get_corename64_
 except AttributeError as exc:
     raise BlasThreadError(
         "numpy's BLAS is not its bundled scipy-openblas64; cannot pin threads"
     ) from exc
 _SET.argtypes, _SET.restype = [ctypes.c_int], None
 _GET.argtypes, _GET.restype = [], ctypes.c_int
+_CORE.argtypes, _CORE.restype = [], ctypes.c_char_p
 
 
 def thread_count() -> int:
     """Threads OpenBLAS will use for its next call."""
     return int(_GET())
+
+
+def core_name() -> str:
+    """The kernel family OpenBLAS picked for this CPU, such as SkylakeX."""
+    return _CORE().decode()
 
 
 def pin_one_thread() -> None:

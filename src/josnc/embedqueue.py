@@ -133,8 +133,9 @@ class EmbedQueue:
         itself, since numpy's one-row matrix-vector path can differ in the
         last bit from the batched product. A row's bits then equal those of
         one (B, M) product with a 4,096-key queue, embed 32 and any batch up
-        to 128 queries, but not at every queue length: OpenBLAS picks its
-        kernels by shape.
+        to 128 queries on OpenBLAS's SkylakeX and Sandybridge kernels, but
+        not at 33 or 97 queries on Haswell's, nor at every shape: OpenBLAS
+        picks its kernels by CPU and by shape.
 
         out, a `diffmath.Scratch` or None, receives each block's (b, M)
         similarities. The returned KnnBatch is built by gathers, so the

@@ -292,9 +292,11 @@ def load_checkpoint(path: str):
             raise ValueError("student and teacher differ in parameters or shapes")
     except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile,
             tokenize.TokenError) as exc:
-        # ZipFile.read raises a bare EOFError where a member's data ends early
-        raise ConfigError(f"{path}: {name and name + ': '}"
-                          f"{str(exc) or 'its data ends early'}") from exc
+        # ZipFile.read raises a bare EOFError where a member's data ends
+        # early, and a TokenError's str is its (message, position) tuple
+        detail = (exc.args[0] if isinstance(exc, tokenize.TokenError)
+                  else str(exc) or "its data ends early")
+        raise ConfigError(f"{path}: {name and name + ': '}{detail}") from exc
     return student, teacher
 
 
@@ -371,7 +373,8 @@ def run(config_path: str, output_dir_override: str = None) -> str:
                 "dataset_seed": cfg["dataset"]["seed"],
                 "model_config": asdict(train_config.model_config(
                     dataset.train.x.shape[1], n_classes)),
-                "blas_threads": blas.thread_count()}
+                "blas_threads": blas.thread_count(),
+                "blas_core": blas.core_name()}
     diverged = None
     metrics, checkpoint = (os.path.join(out_dir, name)
                            for name in ("metrics.csv", "checkpoint.bin"))

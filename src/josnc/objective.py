@@ -12,9 +12,10 @@ Each term is one `Tensor`. Every backward but the InfoNCE one takes any
 upstream scalar and repeats the float operations of the generic tape's log /
 product / sum / scale chain (`tests/oracles.py`) in order, so gradients and
 values are bit-identical to it. The InfoNCE node (`feature_consistency_loss`)
-runs its pool, logits and softmax in float32: its value and gradient have
-the bits of an oracle that takes the same float32 steps in one product, and
-stay within float32 rounding of the tape's float64 chain.
+runs its pool, logits and softmax in float32: on OpenBLAS's SkylakeX and
+Sandybridge kernels (not Haswell's) its value and gradient have the bits of
+an oracle that takes the same float32 steps in one product, and on each
+they stay within float32 rounding of the tape's float64 chain.
 """
 
 from __future__ import annotations
@@ -155,11 +156,13 @@ def feature_consistency_loss(query_emb: Tensor, positive_keys: np.ndarray,
     (`Scratch.SINGLE`), held in out, a `diffmath.Scratch` (allocated when
     None); the query is scaled by 1 / t_ssl before its cast. The positive
     probabilities, the log floor, the value, the per-row gradient factors
-    and the (N, E) gradient are float64. The blocked gradient has the bits
-    of one (N, N + Q) product when N <= BLOCK_ROWS or N is a multiple of 8
-    (embed 32, a 4,096-key pool); at other batch sizes, such as 33 or 100,
-    OpenBLAS's shape-dependent kernels can move its last bit, though each
-    row stays deterministic.
+    and the (N, E) gradient are float64. On OpenBLAS's SkylakeX and
+    Sandybridge kernels the blocked gradient has the bits of one
+    (N, N + Q) product when N <= BLOCK_ROWS or N is a multiple of 8
+    (embed 32, a 4,096-key pool); on Haswell's it differs at N = 40 and
+    128, and at other batch sizes, such as 33 or 100, OpenBLAS's
+    shape-dependent kernels can move its last bit, though each row stays
+    deterministic.
     """
     positive_keys = np.atleast_2d(positive_keys)
     n, e = query_emb.data.shape

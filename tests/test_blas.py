@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 
@@ -21,6 +22,20 @@ def test_pin_that_does_not_take_raises(monkeypatch):
         blas.pin_one_thread()
 
 
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OpenBLAS's Sandybridge kernels are x86-64 code")
+def test_core_name_is_the_kernel_family_in_use():
+    # OPENBLAS_CORETYPE forces a family when the library loads; Sandybridge's
+    # kernels need only AVX, which every newer family's CPU also has
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+           "PYTHONPATH": SRC}
+    forced = subprocess.run(
+        [sys.executable, "-c", "from josnc import blas; print(blas.core_name())"],
+        env=env, check=True, capture_output=True, text=True, timeout=60)
+    assert forced.stdout == "Sandybridge\n"
+    assert blas.core_name() and blas.core_name().isprintable()
+
+
 def _run_cli(tmp_path, cfg_path, threads):
     out = tmp_path / f"out-{threads}"
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -32,6 +47,7 @@ def _run_cli(tmp_path, cfg_path, threads):
                     "--output-dir", str(out)],
                    env=env, check=True, capture_output=True, timeout=120)
     manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["blas_core"] == blas.core_name()
     return (out / "metrics.csv").read_bytes(), manifest["blas_threads"]
 
 

@@ -436,6 +436,9 @@ def test_gen_config_presets_resolve():
     assert open_set["train"] == {"seed": 7, "epsilon": 0.1, "gamma": 0.01,
                                  "t_ssl": 0.5, "jitter_sigma": 0.5,
                                  "mask_rate": 0.2}
+    # the other presets keep TrainConfig's defaults
+    assert all(gen_config(preset)["train"] == {"seed": 7}
+               for preset in PRESETS if preset != "openset-sym40")
     with pytest.raises(ConfigError):
         gen_config("sym99")
 
@@ -849,7 +852,7 @@ PAIRS = "student and teacher differ in parameters or shapes"
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda p: None, "No such file or directory"),
+    (lambda p: None, "No such file or directory: '{path}'"),
     (lambda p: write_bytes(p, b""), "File is not a zip file"),
     (lambda p: write_bytes(p, b"not a checkpoint\n"),
      "File is not a zip file"),
@@ -865,12 +868,13 @@ PAIRS = "student and teacher differ in parameters or shapes"
      "teacher.w.npy: Bad CRC-32 for file 'teacher.w.npy'"),
     (lambda p: (save_checkpoint(p, {"w": W}, {"w": W}), flip_bit_0(
         p, lambda data: data.find(b"PK\x01\x02") + 8)),
-     "student.w.npy: File 'student.w.npy' is encrypted"),
+     "student.w.npy: File 'student.w.npy' is encrypted, password required "
+     "for extraction"),
     # a header cut inside its shape tuple, under a valid CRC-32
     (lambda p: write_npz(p, {name: npy_with_header(
         "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3")
         for name in ("student.w.npy", "teacher.w.npy")}),
-     "student.w.npy: ('EOF in multi-line statement'"),
+     "student.w.npy: EOF in multi-line statement"),
     (lambda p: write_npz(p, {"student.w": W, "teacher.w": W}, compress=True),
      "a member is compressed"),
     (lambda p: write_npz(p, {"student.w": W, "teacher.w": W.astype("f4")}),
@@ -894,10 +898,12 @@ PAIRS = "student and teacher differ in parameters or shapes"
         "name-mismatch", "student-only", "no-members"])
 def test_load_checkpoint_rejects_a_damaged_or_foreign_file(tmp_path, make,
                                                            message):
+    # each message is the error's whole text after the path and any prefix
+    # of the library's own, such as "[Errno 2] "
     path = str(tmp_path / "checkpoint.bin")
     make(path)
     with pytest.raises(ConfigError, match=f"^{re.escape(path)}: .*"
-                                          f"{re.escape(message)}"):
+                                          f"{re.escape(message.format(path=path))}$"):
         load_checkpoint(path)
 
 

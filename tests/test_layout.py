@@ -1,9 +1,15 @@
-"""Source layout rules that keep src/ to one implementation per concept."""
+"""Layout rules: src/ keeps one implementation per concept, and
+CONTRACTS.md names only tests that pytest collects."""
 
 import ast
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "josnc"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "josnc"
 
 # public names with no caller in src/, each for a stated reason (cli.main
 # needs no entry: its __main__ guard calls it)
@@ -304,3 +310,34 @@ def test_only_write_atomic_opens_a_file_for_writing():
                 writers.append(owner.get(id(node),
                                          f"{path.stem}:{node.lineno}"))
     assert writers == ["harness.write_atomic"], writers
+
+
+# a pytest node id in backquotes: a test file, "::", the test's name and
+# its optional [parameters]; a name without them stands for every case
+_NODE_ID = re.compile(r"`(tests/\w+\.py::\w+(?:\[[^`]*\])?)`")
+
+
+def test_every_contract_names_tests_that_pytest_collects():
+    # CONTRACTS.md maps each promise to the tests that keep it: a promise
+    # without a test, or an id that a rename or deletion left behind,
+    # is a promise nothing checks
+    text = (ROOT / "CONTRACTS.md").read_text()
+    # each promise is a "### C<n> " heading and the lines up to the next
+    # heading of any level
+    sections = re.split(r"^### (C\d+) ", text, flags=re.M)
+    names, bodies = sections[1::2], sections[2::2]
+    assert names and len(set(names)) == len(names)
+    untested = [name for name, body in zip(names, bodies)
+                if not _NODE_ID.search(re.split(r"^#", body, flags=re.M)[0])]
+    assert untested == [], f"promises without a test: {untested}"
+    ids = set(_NODE_ID.findall(text))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    listing = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", *sorted({i.split("::")[0] for i in ids})],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    collected = {line for line in listing.stdout.splitlines() if "::" in line}
+    cases = {line.split("[")[0] for line in collected}
+    missing = sorted(i for i in ids if i not in collected and i not in cases)
+    assert missing == [], f"node ids pytest does not collect: {missing}"

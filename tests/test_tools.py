@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from josnc import harness
+from josnc import blas, harness
 from josnc.trainer import FitResult, TrainingDiverged
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
@@ -36,7 +36,9 @@ def test_expect_names_each_method_that_differs(tmp_path, capsys, fake_fits):
                      "SELECT_ONLY digest-SELECT_ONLY\n")
     assert output_digest.main(["--epochs", "6", "--expect", str(saved)]) == 1
     out, err = capsys.readouterr()
-    assert len(out.splitlines()) == 5   # every digest is still printed
+    # the kernel family, then every digest, still printed
+    assert out.splitlines()[0] == f"blas_core {blas.core_name()}"
+    assert len(out.splitlines()) == 6
     # SCON's digest differs and SCON_NCON's is missing from the file
     assert err.strip().endswith(": SCON SCON_NCON")
 

@@ -426,6 +426,49 @@ def test_thresholds_move_into_unit_interval():
     assert res.history[-1].mean_tau_clean > 0.0
 
 
+def test_mean_taus_are_the_means_of_their_own_threshold_rows(monkeypatch):
+    # tau_clean rolls towards p_clean near 1 and tau_ood towards the views'
+    # small disagreement, so a record that reads the wrong row shows
+    taus = []
+    roll = ThresholdState.roll
+
+    def spy_roll(self, omega):
+        roll(self, omega)
+        taus.append(self.tau.copy())
+
+    monkeypatch.setattr(ThresholdState, "roll", spy_roll)
+    history = run_tiny().history
+    assert len(taus) == len(history)
+    for rec, tau in zip(history, taus):
+        assert tau[0].mean() != tau[1].mean()
+        assert rec.mean_tau_clean == float(tau[0].mean())
+        assert rec.mean_tau_ood == float(tau[1].mean())
+
+
+def test_partition_codes_hold_each_ids_code_from_the_step_hook():
+    # the record is indexed by sample id (a TrainingSet's ids are its row
+    # positions), not by the row's place in its shuffled batch
+    ds = inject_noise(make_blobs(5, 1, 40, 6, 0.3, seed=3),
+                      NoiseSpec("symmetric", 0.3), seed=3)
+    n = ds.train.x.shape[0]
+    assert np.array_equal(ds.train.ids, np.arange(n))
+    reported = {}
+
+    def hook(epoch, batch_ids, partition):
+        codes = reported.setdefault(epoch, np.full(n, -1))
+        for code, ids in ((CLEAN, partition.clean_ids), (ID, partition.id_ids),
+                          (OOD, partition.ood_ids)):
+            codes[list(ids)] = code
+
+    cfg = tiny_config(epochs=8, warmup_epochs=4, learning_rate=0.1,
+                      epsilon=0.1)
+    history = fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes,
+                  step_hook=hook).history
+    for rec in history:
+        assert rec.partition_codes.tobytes() == reported[rec.epoch].tobytes()
+    assert len(np.unique(history[-1].partition_codes)) == 3
+
+
 def test_training_reduces_loss_and_learns():
     ds = make_blobs(3, 0, 40, 6, 0.3, seed=3)
     ds = inject_noise(ds, NoiseSpec("symmetric", 0.3), seed=3)
@@ -718,16 +761,20 @@ def test_neighbor_term_masks_ood_rows_and_rows_without_k_neighbors(
     assert (ood & found).any() and (~ood & ~found).any()
 
 
-# what a step stores in the queue --------------------------------------------
+# what a step reads and stores ------------------------------------------------
 
-def enqueued_steps(monkeypatch, method):
+def recorded_steps(monkeypatch, method):
     """A tiny fit's model and, for each step: its epoch, its two views, the
     student's and the teacher's flat weights as the step's forward passes
-    read them, and the keys, labels, p_clean and predictions it passed to
-    EmbedQueue.enqueue."""
+    read them, the keys, labels, p_clean and predictions it passed to
+    EmbedQueue.enqueue, the p_ood it passed to ThresholdState.accumulate_batch
+    and, in a robust step, to robust_codes, and the positive keys it passed
+    to feature_consistency_loss."""
     steps, step, models = [], {}, []
-    augment, ema, enqueue = (trainer.augment_views, trainer.ema_update,
-                             EmbedQueue.enqueue)
+    augment, ema, enqueue, accumulate, codes, fcon = (
+        trainer.augment_views, trainer.ema_update, EmbedQueue.enqueue,
+        ThresholdState.accumulate_batch, trainer.robust_codes,
+        trainer.feature_consistency_loss)
 
     class Recorded(trainer.Model):
         def forward(self, x, **heads):
@@ -749,14 +796,30 @@ def enqueued_steps(monkeypatch, method):
                     p_clean=p_clean.copy(), preds=preds.copy())
         enqueue(self, keys, labels, p_clean, preds, ids)
 
+    def spy_accumulate(self, p_clean, p_ood, labels):
+        step["accumulated_p_ood"] = p_ood.copy()
+        accumulate(self, p_clean, p_ood, labels)
+
+    def spy_codes(knn, asked, p_clean, p_ood, *args):
+        step["classified_p_ood"] = p_ood.copy()
+        return codes(knn, asked, p_clean, p_ood, *args)
+
+    def spy_fcon(query, positive_keys, *args, **kwargs):
+        step["positives"] = positive_keys.copy()
+        return fcon(query, positive_keys, *args, **kwargs)
+
     def hook(epoch, batch_ids, partition):
         steps.append({"epoch": epoch, **step})
         step.clear()
 
-    for owner, name, spy in ((trainer, "Model", Recorded),
-                             (trainer, "augment_views", spy_augment),
-                             (trainer, "ema_update", spy_ema),
-                             (EmbedQueue, "enqueue", spy_enqueue)):
+    for owner, name, spy in (
+            (trainer, "Model", Recorded),
+            (trainer, "augment_views", spy_augment),
+            (trainer, "ema_update", spy_ema),
+            (EmbedQueue, "enqueue", spy_enqueue),
+            (ThresholdState, "accumulate_batch", spy_accumulate),
+            (trainer, "robust_codes", spy_codes),
+            (trainer, "feature_consistency_loss", spy_fcon)):
         monkeypatch.setattr(owner, name, spy)
     cfg, ds = tiny_config(method=method), tiny_data()
     fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes, step_hook=hook)
@@ -764,23 +827,35 @@ def enqueued_steps(monkeypatch, method):
     return models[0], steps
 
 
+def student_probs(model, s, view):
+    """The student's predictions of the step's view, at the weights the
+    step's forward passes read."""
+    probs, _ = forward_arrays(model.views(s["student"]), model.config,
+                              s["views"][view], projection=False)
+    return probs
+
+
+def teacher_keys(model, s):
+    """The teacher's keys of the step's second view, at the weights the
+    step's forward passes read."""
+    _, keys = forward_arrays(model.views(s["teacher"]), model.config,
+                             s["views"][1], classifier=False)
+    return keys
+
+
 @pytest.mark.parametrize("method", ["SELECT_ONLY", "JOSNC"])
 def test_queue_stores_the_students_predictions_of_view_1(monkeypatch, method):
-    model, steps = enqueued_steps(monkeypatch, method)
+    model, steps = recorded_steps(monkeypatch, method)
     for s in steps:
-        probs, _ = forward_arrays(model.views(s["student"]), model.config,
-                                  s["views"][0], projection=False)
-        assert s["preds"].tobytes() == probs.tobytes()
+        assert s["preds"].tobytes() == student_probs(model, s, 0).tobytes()
 
 
 @pytest.mark.parametrize("method", ["SELECT_ONLY", "JOSNC"])
 def test_queue_keys_are_the_teachers_projection_of_view_2(monkeypatch,
                                                           method):
-    model, steps = enqueued_steps(monkeypatch, method)
+    model, steps = recorded_steps(monkeypatch, method)
     for s in steps:
-        _, keys = forward_arrays(model.views(s["teacher"]), model.config,
-                                 s["views"][1], classifier=False)
-        assert s["keys"].tobytes() == keys.tobytes()
+        assert s["keys"].tobytes() == teacher_keys(model, s).tobytes()
 
 
 @pytest.mark.parametrize("method", ["SELECT_ONLY", "JOSNC"])
@@ -788,14 +863,41 @@ def test_queue_p_clean_is_view_1s_agreement_with_the_smoothed_label(
         monkeypatch, method):
     # p_clean = 1 - JS(student's prediction of view 1, smoothed label), the
     # row's own clean score; p_ood compares the two views instead
-    model, steps = enqueued_steps(monkeypatch, method)
+    model, steps = recorded_steps(monkeypatch, method)
     epsilon = tiny_config().epsilon
     for s in steps:
-        probs, _ = forward_arrays(model.views(s["student"]), model.config,
-                                  s["views"][0], projection=False)
         smoothed = lsr_matrix(s["labels"], model.config.n_classes, epsilon)
-        want = 1.0 - js_divergence_rows(probs, smoothed)
+        want = 1.0 - js_divergence_rows(student_probs(model, s, 0), smoothed)
         assert s["p_clean"].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["SELECT_ONLY", "JOSNC"])
+def test_p_ood_is_the_disagreement_of_the_two_views(monkeypatch, method):
+    # p_ood = JS(student's prediction of view 1, of view 2): the thresholds
+    # accumulate it every step and a robust step classifies by it
+    model, steps = recorded_steps(monkeypatch, method)
+    robust = 0
+    for s in steps:
+        want = js_divergence_rows(student_probs(model, s, 0),
+                                  student_probs(model, s, 1)).tobytes()
+        assert s["accumulated_p_ood"].tobytes() == want
+        if "classified_p_ood" in s:
+            assert s["classified_p_ood"].tobytes() == want
+            robust += 1
+    assert robust == sum(s["epoch"] > tiny_config().warmup_epochs
+                         for s in steps)
+
+
+def test_infonce_positive_of_each_row_is_its_teacher_key_of_view_2(
+        monkeypatch):
+    # the InfoNCE pulls the student's view-1 embedding of row i towards the
+    # teacher's view-2 key of the same row i, the key the queue then stores
+    model, steps = recorded_steps(monkeypatch, "JOSNC")
+    robust = [s for s in steps if "positives" in s]
+    assert len(robust) == sum(s["epoch"] > tiny_config().warmup_epochs
+                              for s in steps)
+    for s in robust:
+        assert s["positives"].tobytes() == teacher_keys(model, s).tobytes()
 
 
 # a fit's queue-sized products share one scratch -----------------------------

@@ -16,9 +16,11 @@ against them; --expect names each method whose digest differs and exits 1:
         --epochs 60 > old.txt
     python3 tools/output_digest.py --seed 7 --epochs 60 --expect old.txt
 
-The script imports josnc from the src/ of its own checkout. Digests are
-per machine: OpenBLAS picks its kernels by CPU, so compare two checkouts
-on one machine, not one checkout across machines.
+The script imports josnc from the src/ of its own checkout. Digests hold
+within one OpenBLAS kernel family: OpenBLAS picks its kernels by CPU, and
+two families sum some products in different orders, so compare two
+checkouts on one machine. The first output line, "blas_core NAME", names
+the family (josnc.blas.core_name); --expect compares only the methods.
 """
 
 import argparse
@@ -31,7 +33,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from josnc import harness, trainer  # noqa: E402
+from josnc import blas, harness, trainer  # noqa: E402
 from scenario import fit_scenario, run_pool  # noqa: E402
 
 
@@ -89,6 +91,7 @@ def main(argv=None) -> int:
             parser.error(str(exc))
     digests = run_pool(output_digest, [(method, args.seed, args.epochs)
                                        for method in trainer.METHODS])
+    print("blas_core", blas.core_name())
     differ = []
     for (method, _, _), digest in digests.items():
         print(method, digest)
