@@ -93,10 +93,11 @@ class Scratch:
     buffer's first bytes. The buffer is allocated on the first call and
     grows, never shrinks, to the largest view asked for; a view is valid
     until the next call, which may overwrite or replace its memory. A fit's
-    one scratch holds either a block of BLOCK_ROWS x M float64 KNN
-    similarities or the InfoNCE's float32 (SINGLE) pool and block of logits,
-    (N + Q) x E + BLOCK_ROWS x (N + Q) values (about 1.1 MB either way for
-    a 128-row batch, a 4,096-key queue and embed 32).
+    one scratch holds either a whole M x BLOCK_ROWS block of float64 KNN
+    similarities, however few rows a lookup asks for, or the InfoNCE's
+    float32 (SINGLE) pool and block of logits, (N + Q) x E + BLOCK_ROWS x
+    (N + Q) values (about 1.1 MB either way for a 128-row batch, a
+    4,096-key queue and embed 32).
     """
 
     # the InfoNCE's pool, logits and softmax; all else is float64

@@ -128,18 +128,16 @@ class EmbedQueue:
         is not found when fewer than k entries remain after its exclusion;
         its fields are gathered like the others', then zeroed.
 
-        Similarities come from a matmul over the ring's slots, BLOCK_ROWS
-        queries at a time. A lone query is multiplied as two copies of
-        itself, since numpy's one-row matrix-vector path can differ in the
-        last bit from the batched product. A row's bits then equal those of
-        one (B, M) product with a 4,096-key queue, embed 32 and any batch up
-        to 128 queries on OpenBLAS's SkylakeX and Sandybridge kernels, but
-        not at 33 or 97 queries on Haswell's, nor at every shape: OpenBLAS
-        picks its kernels by CPU and by shape.
+        Similarities come from one (M, E) @ (E, BLOCK_ROWS) product per
+        block of the queries, zero-padded once to whole blocks. Each query
+        is a column, summed alike at every place in the block (a row's sum
+        can depend on its place on SkylakeX), so a row's bits do not depend
+        on which rows share its call (checked on the SkylakeX, Haswell and
+        Sandybridge kernels).
 
-        out, a `diffmath.Scratch` or None, receives each block's (b, M)
-        similarities. The returned KnnBatch is built by gathers, so the
-        caller may reuse out at once.
+        out, a `diffmath.Scratch` or None, receives each block's
+        (M, BLOCK_ROWS) similarities. The returned KnnBatch is built by
+        gathers, so the caller may reuse out at once.
 
         One threshold per row bounds the candidates. The first G*L slots
         (G = _GROUPS, L = M // G) form G blocks of L columns, whose
@@ -165,14 +163,13 @@ class EmbedQueue:
         n_groups = m // _GROUPS
         slots = np.zeros((b, k), dtype=np.int64)
         similarities = np.zeros((b, k))
+        padded = np.zeros((-(-b // BLOCK_ROWS) * BLOCK_ROWS, queries.shape[1]))
+        padded[:b] = queries
         for lo in range(0, b, BLOCK_ROWS):
-            block = queries[lo:lo + BLOCK_ROWS]
-            rows = block.shape[0]
-            if rows == 1:
-                block = np.repeat(block, 2, axis=0)
+            rows = min(b - lo, BLOCK_ROWS)
             # unit vectors: cosine == dot
-            sims = np.matmul(block, keys.T,
-                             out=out.view((block.shape[0], m)))[:rows]
+            sims = np.matmul(keys, padded[lo:lo + BLOCK_ROWS].T,
+                             out=out.view((m, BLOCK_ROWS))).T[:rows]
             need = k + int(n_excl[lo:lo + rows].max())
             th = np.full((rows, 1), -np.inf)
             if n_groups >= need:

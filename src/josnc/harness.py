@@ -178,9 +178,14 @@ def build_train_config(cfg: dict) -> TrainConfig:
         return TrainConfig(**cfg["train"], **cfg["model"],
                            method=cfg["method"])
     except TrainerError as exc:
-        section = ("" if exc.key == "method" else
-                   "model." if exc.key in _MODEL_SCHEMA else "train.")
-        raise ConfigError(f"config.{section}{exc.key}: {exc.detail}") from exc
+        raise _config_error(exc) from exc
+
+
+def _config_error(exc: TrainerError) -> ConfigError:
+    """The ConfigError naming the config key of a TrainConfig field."""
+    section = ("" if exc.key == "method" else
+               "model." if exc.key in _MODEL_SCHEMA else "train.")
+    return ConfigError(f"config.{section}{exc.key}: {exc.detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +397,8 @@ def run(config_path: str, output_dir_override: str = None) -> str:
                          dataset.test_y, n_classes)
         except TrainingDiverged as exc:
             result, diverged = exc.result, exc
+        except TrainerError as exc:   # a queue too large to allocate
+            raise _config_error(exc) from exc
         rows = metrics_rows(result.history, dataset.tags.noise_kinds)
         write_metrics_csv(metrics, rows)
         save_checkpoint(checkpoint, result.student, result.teacher)

@@ -137,19 +137,12 @@ def forward_arrays(params: dict[str, np.ndarray], config: ModelConfig,
     """Forward pass of plain parameter arrays (the teacher, evaluation).
 
     Builds no graph. Returns (probs, embeddings) as arrays; a head its
-    caller does not ask for is None. A lone row is run as two copies of
-    itself, since numpy's one-row matrix-vector path can differ in the last
-    bit from the batched product. A row's bits then equal the full batch's
-    at the shapes of the tests, the gate and the benchmark (input 32,
-    hidden (64, 64), embed 32, up to 128 rows), but not at every shape:
-    OpenBLAS picks its kernels by shape.
+    caller does not ask for is None. Callers pass whole batches, so no
+    row's bits are compared across calls.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    rows = x.shape[0]
-    _, _, probs, emb, _, _ = _forward(
-        params, config, np.repeat(x, 2, axis=0) if rows == 1 else x,
-        classifier=classifier, projection=projection)
-    return tuple(None if a is None else a[:rows] for a in (probs, emb))
+    _, _, probs, emb, _, _ = _forward(params, config, x, classifier=classifier,
+                                      projection=projection)
+    return probs, emb
 
 
 def _forward(params: dict[str, np.ndarray], config: ModelConfig,

@@ -24,18 +24,18 @@ A step computes only what it reads:
   cover every non-OOD row; otherwise only for the rows that fail their own
   clean test, since neighbors can rescue no other row, and no lookup at all
   when there are none;
-- the teacher's predictions of the batch only for the ID and OOD rows, whose
-  targets read them, after classification;
+- the teacher's predictions of the whole batch only in a step with an ID or
+  OOD row, whose targets read them, after classification;
 - the consistency terms of its method (METHODS) only; a term the method
   leaves out is not built, and `total_loss` gets None for it;
 - the forward heads that are read: the classifier of both student views,
   the projection of the first view only in a robust step with feature
   consistency, the teacher's projection for the keys and its classifier for
-  the ID and OOD rows and the evaluation.
-At the shapes of the tests, the gate and the benchmark, a row's neighbors and
-teacher predictions have the bits of a call over the whole batch, so skipping
-rows changes no bit of the rest; at other shapes OpenBLAS's shape-dependent
-kernels can move a row's last bit (`network.forward_arrays`).
+  a batch with ID or OOD rows and the evaluation.
+A row's neighbors have the same bits whichever rows share its lookup, since
+`knn_batch` runs every product as full BLOCK_ROWS-row blocks, and the
+teacher's predictions are of the whole batch, so skipping rows changes no
+bit of the rest.
 
 A fit owns one `diffmath.Scratch`, shared by the two queue-sized products
 of a robust step, the KNN similarities and the InfoNCE logits
@@ -218,25 +218,24 @@ def robust_codes(knn: KnnBatch | None, asked: np.ndarray,
 
 
 def robust_targets(codes: np.ndarray, y_smooth: np.ndarray,
-                   noisy_probs: np.ndarray | None, config: TrainConfig):
+                   teacher_probs: np.ndarray | None, config: TrainConfig):
     """(positive targets, negative targets) of one robust step, one row per
     sample.
 
     CLEAN rows keep their smoothed label, ID rows get partial-label targets
-    and OOD rows a complementary one-hot from the teacher. noisy_probs holds
-    the teacher's predictions of the non-CLEAN rows only, in batch order.
+    and OOD rows a complementary one-hot from the teacher. teacher_probs
+    holds the teacher's predictions of the whole batch, row for row, and is
+    read only at ID and OOD rows (None when there are none).
     """
     pos_targets = np.where((codes == selector.CLEAN)[:, None], y_smooth, 0.0)
     neg_targets = np.zeros_like(y_smooth)
-    noisy_codes = codes[codes != selector.CLEAN]
     is_id, is_ood = codes == selector.ID, codes == selector.OOD
     if is_id.any():
         pos_targets[is_id] = make_pll_target(
-            noisy_probs[noisy_codes == selector.ID], config.kappa,
-            config.t_pll_in, config.t_pll_out)[0]
+            teacher_probs[is_id], config.kappa, config.t_pll_in,
+            config.t_pll_out)[0]
     if is_ood.any():
-        neg_targets[is_ood] = make_negative_target(
-            noisy_probs[noisy_codes == selector.OOD])
+        neg_targets[is_ood] = make_negative_target(teacher_probs[is_ood])
     return pos_targets, neg_targets
 
 
@@ -247,8 +246,8 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     step_hook, if given, is called as hook(epoch, batch_ids, partition) after
     every partitioned step. Raises TrainerError before the first step on an
     empty split, test rows of another width than train's (the model's), not
-    one test label per test row, n_classes < 2, kappa > n_classes or a label
-    out of range.
+    one test label per test row, n_classes < 2, kappa > n_classes, a label
+    out of range or a queue too large for numpy to allocate.
     """
     if n_classes < 2:
         raise TrainerError("n_classes", f"must be >= 2, got {n_classes}")
@@ -278,8 +277,11 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
     teacher_flat = model.flat.copy()
     teacher = model.views(teacher_flat)
     velocity = np.zeros_like(model.flat)
-    queue = (EmbedQueue(config.queue_capacity, config.embed_dim, n_classes)
-             if selection else None)
+    try:
+        queue = (EmbedQueue(config.queue_capacity, config.embed_dim, n_classes)
+                 if selection else None)
+    except MemoryError as exc:
+        raise TrainerError("queue_capacity", str(exc)) from exc
     scratch = Scratch()
     thresholds = selector.ThresholdState(n_classes)
 
@@ -337,14 +339,13 @@ def fit(config: TrainConfig, train: TrainingSet, test_x: np.ndarray,
                            if asked.any() else None)
                     codes = robust_codes(knn, asked, p_clean, p_ood, y_b,
                                          thresholds)
-                    # teacher predictions for the rows whose targets read them
-                    noisy = codes != selector.CLEAN
-                    noisy_probs = (forward_arrays(teacher, model_config,
-                                                  x_b[noisy],
-                                                  projection=False)[0]
-                                   if noisy.any() else None)
+                    # the teacher's predictions, read at ID and OOD rows
+                    teacher_probs = (forward_arrays(teacher, model_config, x_b,
+                                                    projection=False)[0]
+                                     if (codes != selector.CLEAN).any()
+                                     else None)
                     pos_targets, neg_targets = robust_targets(
-                        codes, y_smooth, noisy_probs, config)
+                        codes, y_smooth, teacher_probs, config)
                     rho = (codes != selector.OOD).astype(np.float64)
                     l_cls = classification_loss(p1, pos_targets, rho,
                                                 neg_targets, 1.0 - rho)

@@ -4,9 +4,9 @@
 it was written one sample at a time, with the scalar helpers it called.
 `josnc.trainer.robust_targets` must reproduce it bit for bit. `knn` is the
 one-query top-K scan that `EmbedQueue.knn_batch` must agree with,
-`knn_batch_one_shot` is the lookup as one (B, M) product whose bits the
-blocked `knn_batch` must reproduce, and `ring_slots` reads the queue's stored
-entries oldest first. The scalar
+`knn_batch_one_shot` is the lookup as one product over the zero-padded
+queries, whose bits the blocked `knn_batch` must reproduce, and
+`ring_slots` reads the queue's stored entries oldest first. The scalar
 target helpers check that each teacher prediction is a distribution with
 `check_prob_vec`.
 
@@ -28,7 +28,8 @@ import math
 
 import numpy as np
 
-from josnc.diffmath import LOG2, LOG_FLOOR, DiffMathError, Tensor, softmax
+from josnc.diffmath import (BLOCK_ROWS, LOG2, LOG_FLOOR, DiffMathError, Tensor,
+                            softmax)
 from josnc.embedqueue import _GROUPS, KnnBatch, KnnResult
 from josnc.selector import CLEAN, ID, OOD
 
@@ -74,15 +75,17 @@ def knn(queue, query_embedding, k, exclude_id=-1):
 
 
 def knn_batch_one_shot(queue, queries, k, exclude_ids):
-    """`EmbedQueue.knn_batch` as it was written with one (B, M) similarity
-    product and one grouped threshold for the whole batch."""
+    """`EmbedQueue.knn_batch` as it was written with one similarity product
+    and one grouped threshold for the whole batch. The product multiplies
+    the queries zero-padded to a whole number of BLOCK_ROWS rows, the rows
+    that the blocked lookup multiplies."""
     queries = np.atleast_2d(queries)
     b, m = queries.shape[0], len(queue)
     exclude_ids = np.asarray(exclude_ids, dtype=np.int64)
     keys, ids = queue._emb[:m], queue._ids[:m]
-    if b == 1:
-        queries = np.repeat(queries, 2, axis=0)
-    sims = (queries @ keys.T)[:b]
+    padded = np.zeros((-(-b // BLOCK_ROWS) * BLOCK_ROWS, queries.shape[1]))
+    padded[:b] = queries
+    sims = (padded @ keys.T)[:b]
     sorted_ids = np.sort(ids)
     n_excl = (np.searchsorted(sorted_ids, exclude_ids, side="right")
               - np.searchsorted(sorted_ids, exclude_ids, side="left"))

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,10 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from josnc.diffmath import Scratch
+from josnc.diffmath import BLOCK_ROWS, Scratch
 from josnc.embedqueue import EmbedQueue, QueueError
 
 from oracles import knn, knn_batch_one_shot, ring_slots
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import kernel_matrix  # noqa: E402
 
 
 def unit_rows(rng, n, d):
@@ -232,7 +241,7 @@ def test_knn_batch_keeps_nothing_of_its_scratch(rng, b):
     exclude = q._ids[rng.integers(0, 300, size=b)]
     scratch = Scratch()
     got = q.knn_batch(queries, 5, exclude, out=scratch)
-    assert scratch.buffer.size == max(b, 2) * 300
+    assert scratch.buffer.size == BLOCK_ROWS * 300
     want = q.knn_batch(queries, 5, exclude)
     kept = {name: getattr(got, name).copy() for name in vars(got)}
     scratch.buffer[:] = np.nan
@@ -246,9 +255,9 @@ def test_knn_batch_keeps_nothing_of_its_scratch(rng, b):
 @pytest.mark.parametrize("b", [1, 2, 8, 31, 32, 33, 40, 97, 128])
 def test_blocked_knn_batch_equals_one_shot(rng, b):
     # BLOCK_ROWS queries at a time, each block with its own grouped
-    # threshold, give the bits of one (B, M) product and one threshold: at a
-    # full 4,096-key queue and embed 32, across block boundaries (33, 40,
-    # 97) and a lone-row last block (33, 97)
+    # threshold, give the bits of one product over the zero-padded queries
+    # and one threshold: at a full 4,096-key queue and embed 32, across
+    # block boundaries (33, 40, 97) and a lone-row last block (33, 97)
     q = EmbedQueue(4096, 32, 8)
     fill(q, rng, 4096 + 200, d=32, c=8)
     pinned = rng.random(4096) < 0.2   # exact ties, newest first
@@ -387,3 +396,56 @@ def test_wrapped_ring_knn_equals_bruteforce(seed, capacity, batches, k,
         np.testing.assert_array_equal(got.preds[i], preds[order])
         lone = q.knn_batch(query, k, exclude[i:i + 1])
         assert lone.similarities.tobytes() == got.similarities[i].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), embed=st.integers(5, 33),
+       capacity=st.integers(1, 500), wrapped=st.booleans(),
+       k=st.integers(1, 12), size=st.integers(1, 97))
+# a lone row, an odd count and a count one past a whole block
+@example(seed=1, embed=5, capacity=1, wrapped=False, k=1, size=1)
+@example(seed=2, embed=32, capacity=500, wrapped=True, k=10, size=33)
+@example(seed=3, embed=33, capacity=257, wrapped=True, k=4, size=97)
+# a queue size at which SkylakeX's kernels sum a row of a product by its
+# place in the block, though not a column
+@example(seed=0, embed=5, capacity=318, wrapped=False, k=1, size=15)
+def test_knn_row_bits_do_not_depend_on_other_rows(seed, embed, capacity,
+                                                  wrapped, k, size):
+    # a row's lookup, all five fields and found, has the same bytes in a
+    # call over any subset of a 128-row batch, over the whole batch and
+    # alone: every block is a full BLOCK_ROWS-row product
+    rng = np.random.default_rng(seed)
+    q = EmbedQueue(capacity, embed, 3)
+    n = capacity + (int(rng.integers(1, capacity + 1)) if wrapped else 0)
+    q.enqueue(unit_rows(rng, n, embed), rng.integers(0, 3, n), rng.random(n),
+              rng.dirichlet(np.ones(3), n), rng.integers(0, 40, n))
+    queries = unit_rows(rng, 128, embed)
+    exclude = rng.choice(np.append(q._ids[:len(q)], -1), size=128)
+    rows = np.sort(rng.choice(128, size=size, replace=False))
+    whole = q.knn_batch(queries, k, exclude)
+    subset = q.knn_batch(queries[rows], k, exclude[rows])
+    names = ("similarities", "observed_labels", "p_clean", "preds",
+             "sample_ids", "found")
+    for j, i in enumerate(rows):
+        lone = q.knn_batch(queries[i], k, exclude[i:i + 1])
+        for name in names:
+            want = getattr(whole, name)[i].tobytes()
+            assert getattr(subset, name)[j].tobytes() == want, (name, i)
+            assert getattr(lone, name)[0].tobytes() == want, (name, i)
+
+
+@pytest.mark.parametrize("family", ["Haswell", "Sandybridge"])
+def test_knn_row_bits_do_not_depend_on_other_rows_on_family(family):
+    # the same property with OPENBLAS_CORETYPE forcing the family as the
+    # library loads, in a fresh interpreter; a family this CPU cannot run
+    # could die of SIGILL, so it is skipped
+    if family not in kernel_matrix.runnable():
+        pytest.skip(f"this CPU cannot run OpenBLAS's {family} kernels")
+    env = {**os.environ, "OPENBLAS_CORETYPE": family,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
+                                          str(ROOT / "tests")])}
+    node = f"{__file__}::test_knn_row_bits_do_not_depend_on_other_rows"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         node], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout[-3000:]

@@ -696,6 +696,17 @@ def test_cli_rejects_a_dataset_too_large_for_numpy(tmp_path, capsys, key,
     assert not out.exists()
 
 
+def test_cli_rejects_a_queue_too_large_for_numpy(tmp_path, capsys):
+    # numpy refuses a 10**12-key queue (233 TiB) before it touches memory;
+    # fit's TrainerError names the key as build_train_config's errors do
+    raw = tiny_raw_config(str(tmp_path / "out"), queue_capacity=10**12)
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.train.queue_capacity: "
+                          "Unable to allocate ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", ["[]", '"config"'], ids=["array", "string"])
 def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, text):
     cfg_path = tmp_path / "config.json"

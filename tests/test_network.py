@@ -91,20 +91,6 @@ def test_projection_without_classifier_rejects_nonfinite_norms(rng):
             forward_arrays(params, m.config, x, classifier=False)
 
 
-def test_forward_arrays_row_bits_do_not_depend_on_other_rows(rng):
-    # the trainer runs the teacher on a batch's ID and OOD rows only, which
-    # may be a single row: at the gate's and the benchmark's shapes each row
-    # gets the bits of the full-batch forward (forward_arrays docstring)
-    m = make_model(rng, input_dim=32, n_classes=8, hidden=(64, 64), embed=32)
-    params = m.snapshot()
-    x = rng.normal(size=(128, 32))
-    probs, emb = forward_arrays(params, m.config, x)
-    for rows in ([5], [0, 127], rng.random(128) < 0.3, np.arange(128)):
-        sub_probs, sub_emb = forward_arrays(params, m.config, x[rows])
-        assert sub_probs.tobytes() == probs[rows].tobytes()
-        assert sub_emb.tobytes() == emb[rows].tobytes()
-
-
 def test_evaluation_forward_holds_under_three_activations(rng):
     # each layer is computed in one array, and only layer inputs are kept,
     # so an 800-row evaluation forward through (64, 64) peaks below three

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ from josnc.trainer import FitResult, TrainingDiverged
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 
+import kernel_matrix  # noqa: E402
 import output_digest  # noqa: E402
 import scenario  # noqa: E402
 import seed_sweep  # noqa: E402
@@ -116,3 +118,46 @@ def test_seed_sweep_summarizes_the_fits(tmp_path, capsys, monkeypatch):
     assert json.loads(out.read_text()) == saved
     assert capsys.readouterr().out.splitlines()[0].startswith(
         "full_highest 0.5000 [")
+
+
+def test_kernel_matrix_reports_each_family_this_cpu_runs(capsys, monkeypatch):
+    # a CPU with AVX2 but no AVX-512: SkylakeX is skipped, and Haswell and
+    # Sandybridge each run Tier-1 and the digests with their family forced;
+    # no subprocess runs
+    calls = []
+
+    def fake_run(command, cwd, env, capture_output, text):
+        family = env["OPENBLAS_CORETYPE"]
+        calls.append((family, command))
+        if "pytest" in command:
+            out = ({"Haswell": "F.\nFAILED tests/test_a.py::test_x[1] - "
+                    "assert 1 == 2\n1 failed, 1 passed in 1.00s\n"}
+                   .get(family, "..\n2 passed in 1.00s\n"))
+            return subprocess.CompletedProcess(command, int("F" in out), out,
+                                               "")
+        return subprocess.CompletedProcess(
+            command, 0, f"blas_core {family}\nJOSNC digest-{family}\n", "")
+
+    monkeypatch.setattr(kernel_matrix, "cpu_flags",
+                        lambda: {"avx", "avx2", "fma", "sse2"})
+    monkeypatch.setattr(kernel_matrix.subprocess, "run", fake_run)
+    assert kernel_matrix.main(["--seed", "9", "--epochs", "6"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "== SkylakeX",
+        "skipped: this CPU lacks ['avx512bw', 'avx512dq', 'avx512f', "
+        "'avx512vl']",
+        "== Haswell",
+        "tier1: 1 failed, 1 passed in 1.00s",
+        "failed: tests/test_a.py::test_x[1]",
+        "digest blas_core Haswell",
+        "digest JOSNC digest-Haswell",
+        "== Sandybridge",
+        "tier1: 2 passed in 1.00s",
+        "digest blas_core Sandybridge",
+        "digest JOSNC digest-Sandybridge",
+    ]
+    assert [family for family, _ in calls] == ["Haswell"] * 2 + [
+        "Sandybridge"] * 2
+    digest_runs = [command for _, command in calls if "pytest" not in command]
+    assert all(command[-4:] == ["--seed", "9", "--epochs", "6"]
+               for command in digest_runs)

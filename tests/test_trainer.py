@@ -106,6 +106,16 @@ def test_fit_rejects_an_empty_split_before_its_first_step(key):
     assert exc.value.key == key and steps == []
 
 
+def test_fit_names_a_queue_numpy_cannot_allocate():
+    # TrainConfig cannot know the memory a queue needs; numpy refuses a
+    # 10**12-key queue without touching memory, and fit names the key
+    with pytest.raises(TrainerError, match="^queue_capacity Unable to "
+                       "allocate ") as exc:
+        run_tiny(tiny_config(queue_capacity=10**12))
+    assert exc.value.key == "queue_capacity"
+    assert isinstance(exc.value.__cause__, MemoryError)
+
+
 def test_unknown_method_rejected_by_train_config():
     with pytest.raises(TrainerError, match="must be one of") as exc:
         tiny_config(method="MAGIC")
@@ -311,8 +321,8 @@ def test_neighbors_of_every_row_change_no_byte(tmp_path, monkeypatch, method):
 @pytest.mark.parametrize("method", NO_NCON + ["JOSNC"])
 def test_lookups_and_teacher_rows_are_the_ones_read(monkeypatch, method):
     # without neighbor consistency, knn_batch gets exactly the rows that
-    # fail their own test, and no call when none does; the teacher's batch
-    # forward gets exactly the ID and OOD rows
+    # fail their own test, and no call when none does; the teacher predicts
+    # the whole batch in a step with an ID or OOD row, and nothing otherwise
     cfg, ds = evidence_config(method), tiny_data()
     events = []
     knn_batch, forward, codes_of = (EmbedQueue.knn_batch,
@@ -356,9 +366,9 @@ def test_lookups_and_teacher_rows_are_the_ones_read(monkeypatch, method):
             want_knn = [i for i, a in zip(ids, asked) if a]
             assert got.get("knn", []) == want_knn
             seen["some asked"] += 0 < len(want_knn) < len(ids)
-            seen["teacher"] += "teacher" in got
-            assert (sorted(got.get("teacher", []))
-                    == sorted(part.id_ids | part.ood_ids))
+            noisy = part.id_ids | part.ood_ids
+            seen["teacher"] += bool(noisy)
+            assert got.get("teacher") == (ids if noisy else None)
             assert part.id_ids | part.ood_ids <= {
                 i for i, f in zip(ids, fails) if f}
         step = []
@@ -467,6 +477,33 @@ def test_partition_codes_hold_each_ids_code_from_the_step_hook():
     for rec in history:
         assert rec.partition_codes.tobytes() == reported[rec.epoch].tobytes()
     assert len(np.unique(history[-1].partition_codes)) == 3
+
+
+@pytest.mark.parametrize("method", ["SELECT_ONLY", "JOSNC"])
+def test_ids_that_are_not_positions_change_no_byte(method):
+    # the queue stores and excludes sample ids, not batch positions: a
+    # training set whose ids are a shuffled permutation offset by 10,000
+    # fits the bytes of the same rows with ids arange(n)
+    ds = tiny_data()
+    n = ds.train.x.shape[0]
+    assert np.array_equal(ds.train.ids, np.arange(n))
+    ids = np.random.default_rng(0).permutation(n) + 10_000
+    cfg = evidence_config(method)
+    want, got = (fit(cfg, train, ds.test_x, ds.test_y, ds.n_id_classes)
+                 for train in (ds.train, TrainingSet(
+                     ds.train.x, ds.train.observed_labels, ids)))
+    assert len(got.history) == len(want.history) == cfg.epochs
+
+    def numbers(rec):
+        return np.array([rec.test_acc, rec.mean_tau_clean, rec.mean_tau_ood,
+                         *rec.losses]).tobytes()
+
+    for g, w in zip(got.history, want.history):
+        assert g.partition_codes.tobytes() == w.partition_codes.tobytes()
+        assert numbers(g) == numbers(w)
+    for name in ("student", "teacher"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert all(g[k].tobytes() == w[k].tobytes() for k in w)
 
 
 def test_training_reduces_loss_and_learns():
@@ -935,22 +972,24 @@ def test_scratch_reuse_changes_no_byte(tmp_path, monkeypatch, method):
 
 
 def test_select_only_scratch_is_its_largest_product(monkeypatch):
-    # a fit holds one scratch, and under SELECT_ONLY it grows only to the
-    # largest block of asked rows x queue product (at most BLOCK_ROWS rows;
-    # a lone row is multiplied twice)
+    # a fit holds one scratch, and under SELECT_ONLY it holds one
+    # BLOCK_ROWS x queue block of similarities from its first lookup on,
+    # however few rows each lookup asks for
     made = record_scratches(monkeypatch)
-    products, knn_batch = [], EmbedQueue.knn_batch
+    sizes, knn_batch = [], EmbedQueue.knn_batch
 
     def spy_knn(self, queries, *args, **kwargs):
-        products.append(min(max(len(queries), 2), BLOCK_ROWS) * len(self))
-        return knn_batch(self, queries, *args, **kwargs)
+        result = knn_batch(self, queries, *args, **kwargs)
+        sizes.append((len(queries), made[0].buffer.size,
+                      BLOCK_ROWS * len(self)))
+        return result
 
     monkeypatch.setattr(EmbedQueue, "knn_batch", spy_knn)
     cfg, ds = evidence_config("SELECT_ONLY"), tiny_data()
     fit(cfg, ds.train, ds.test_x, ds.test_y, ds.n_id_classes)
     assert len(made) == 1
-    assert made[0].buffer.size == max(products)
-    assert max(products) < cfg.batch_size * cfg.queue_capacity
+    assert all(size == block for _, size, block in sizes)
+    assert min(rows for rows, _, _ in sizes) < BLOCK_ROWS
 
 
 def test_robust_step_allocates_no_queue_sized_product(monkeypatch):
@@ -1058,13 +1097,12 @@ STEP_CONFIG = TrainConfig(knn_k=3, kappa=2, t_pll_in=0.1, t_pll_out=1.0)
 
 def batched_step(queue, queries, exclude, asked, args, config=STEP_CONFIG):
     """The trainer's robust step on arrays: neighbors of the asked rows,
-    teacher predictions of the non-CLEAN rows; (knn, codes, pos, neg)."""
+    the teacher's predictions of the whole batch; (knn, codes, pos, neg)."""
     p_clean, p_ood, y_b, y_smooth, teacher_probs, thresholds = args
     knn = (queue.knn_batch(queries[asked], config.knn_k, exclude[asked])
            if asked.any() else None)
     codes = robust_codes(knn, asked, p_clean, p_ood, y_b, thresholds)
-    pos, neg = robust_targets(codes, y_smooth,
-                              teacher_probs[codes != CLEAN], config)
+    pos, neg = robust_targets(codes, y_smooth, teacher_probs, config)
     return knn, codes, pos, neg
 
 
